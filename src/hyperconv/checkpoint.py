@@ -70,6 +70,41 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         json.dump(doc, fh, sort_keys=True)
 
 
+def _check_shapes(path, task, config, structure, clusters, params, edge_init, node_x,
+                  relation_names) -> None:
+    """Reject arrays that disagree with the structure, the config or the
+    vocabularies, naming the first offending field."""
+    n, m, k, hidden = structure.num_nodes, structure.num_edges, config.clusters, config.hidden_dim
+    if task == "prediction":
+        edge_dim, out2 = k, hidden
+    else:
+        r = len(relation_names) if relation_names else params.layer2.out_dim
+        edge_dim, out2 = r + k, r
+
+    def fan_in(d):
+        return d * d if config.bilinear else d
+
+    def shape(arr):
+        return None if arr is None else arr.shape
+
+    expected = [
+        ("clusters.cluster_of", clusters.cluster_of.shape, (n,)),
+        ("arrays.edge_init", edge_init.shape, (m, edge_dim)),
+        ("arrays.node_x", node_x.shape, (n, k)),
+        ("arrays.W1", params.layer1.weight.shape, (hidden, fan_in(edge_dim + k))),
+        ("arrays.W2", params.layer2.weight.shape, (out2, fan_in(hidden + k))),
+    ]
+    if task == "prediction":
+        expected += [
+            ("arrays.Wh", shape(params.head_weight), (2, hidden)),
+            ("arrays.bh", shape(params.head_bias), (2,)),
+        ]
+    for field, got, want in expected:
+        if got != want:
+            found = "missing" if got is None else f"shape {list(got)}"
+            raise ValueError(f"{path}: field {field} has {found}, expected shape {list(want)}")
+
+
 def load_checkpoint(path) -> TrainedModel:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -98,14 +133,20 @@ def load_checkpoint(path) -> TrainedModel:
         head_weight=_unpack(arrays["Wh"]) if "Wh" in arrays else None,
         head_bias=_unpack(arrays["bh"]) if "bh" in arrays else None,
     )
+    config = TrainConfig.from_dict(doc["config"])
+    edge_init = _unpack(arrays["edge_init"])
+    node_x = _unpack(arrays["node_x"])
+    relation_names = tuple(doc["relation_names"]) if doc["relation_names"] else None
+    _check_shapes(path, doc["task"], config, structure, clusters, params, edge_init,
+                  node_x, relation_names)
     return TrainedModel(
         task=doc["task"],
-        config=TrainConfig.from_dict(doc["config"]),
+        config=config,
         structure=structure,
         clusters=clusters,
         params=params,
-        edge_init=_unpack(arrays["edge_init"]),
-        node_x=_unpack(arrays["node_x"]),
-        relation_names=tuple(doc["relation_names"]) if doc["relation_names"] else None,
+        edge_init=edge_init,
+        node_x=node_x,
+        relation_names=relation_names,
         entity_names=tuple(doc["entity_names"]) if doc["entity_names"] else None,
     )

@@ -101,7 +101,7 @@ def bilinear_flat(v: np.ndarray) -> np.ndarray:
 
 
 class _GraphArrays:
-    """CSR incidence (nodes x edges) plus degree scalings for one hypergraph."""
+    """CSR incidence (nodes x edges) plus node degrees for one hypergraph."""
 
     def __init__(self, h: Hypergraph):
         n, m = h.num_nodes, h.num_edges
@@ -116,10 +116,40 @@ class _GraphArrays:
         data = np.ones(len(indices), dtype=np.float64)
         self.incidence = sp.csr_matrix((data, indices, indptr), shape=(n, m))
         self.deg = np.diff(indptr).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            inv = np.where(self.deg > 0, 1.0 / np.maximum(self.deg, 1.0), 0.0)
-        self.inv_deg = inv
         self.num_isolated = int((self.deg == 0).sum())
+
+    def rows(self, nodes: np.ndarray):
+        """Incidence rows of ``nodes`` (ascending, distinct) over the edges
+        they reference.
+
+        Returns (slice, edges, degrees): the slice's columns are renumbered
+        to positions in ``edges``, the referenced edge ids in ascending
+        order. Each row keeps its entries in order, so a product over the
+        slice sums in the same order as over the whole matrix.
+        """
+        indptr, indices = self.incidence.indptr, self.incidence.indices
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        sub_indptr = np.zeros(nodes.size + 1, dtype=indptr.dtype)
+        np.cumsum(counts, out=sub_indptr[1:])
+        cols = indices[np.repeat(starts - sub_indptr[:-1], counts) + np.arange(sub_indptr[-1])]
+        edges, lookup = _renumbering([cols], self.incidence.shape[1])
+        # keeping scipy's own index dtype spares the constructor a recheck
+        local = lookup[cols].astype(indices.dtype)
+        sub = sp.csr_matrix((np.ones(cols.size), local, sub_indptr), shape=(nodes.size, edges.size))
+        return sub, edges, self.deg[nodes]
+
+
+def _renumbering(id_arrays, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids in ``id_arrays`` (all in [0, size)), ascending, and
+    a lookup array sending each of them to its position in that list."""
+    seen = np.zeros(size, dtype=bool)
+    for ids in id_arrays:
+        seen[ids] = True
+    distinct = np.flatnonzero(seen)
+    lookup = np.empty(size, dtype=np.int64)
+    lookup[distinct] = np.arange(distinct.size)
+    return distinct, lookup
 
 
 _graph_cache: "weakref.WeakKeyDictionary[Hypergraph, _GraphArrays]" = (
@@ -139,33 +169,32 @@ def _graph_arrays(h: Hypergraph) -> _GraphArrays:
 # edge-to-node aggregation
 
 
-def _e2n_forward(ga: _GraphArrays, edge_features: np.ndarray, node_x: np.ndarray, agg: str):
+def _aggregate(
+    incidence: sp.csr_matrix,
+    deg: np.ndarray,
+    edge_features: np.ndarray,
+    node_x: np.ndarray,
+    agg: str,
+):
+    """Edge-to-node aggregation for the rows of an incidence matrix.
+
+    ``edge_features`` has one row per column of ``incidence``, ``deg`` and
+    ``node_x`` one per row. Returns the aggregates with ``node_x``
+    appended, plus what the backward pass needs: the inverse degrees for
+    mean, the reciprocal sums and reciprocals for harmonic.
+    """
     if agg == "mean":
-        agg_part = (ga.incidence @ edge_features) * ga.inv_deg[:, None]
-        aux = None
+        inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+        agg_part = (incidence @ edge_features) * inv_deg[:, None]
+        aux = inv_deg
     elif agg == "harmonic":
         recip = 1.0 / (edge_features + HARMONIC_EPS)
-        s = ga.incidence @ recip
-        agg_part = np.where(s != 0.0, ga.deg[:, None] / np.where(s != 0.0, s, 1.0), 0.0)
+        s = incidence @ recip
+        agg_part = np.where(s != 0.0, deg[:, None] / np.where(s != 0.0, s, 1.0), 0.0)
         aux = (s, recip)
     else:
         raise ValueError(f"unknown aggregation {agg!r}")
     return np.concatenate([agg_part, node_x], axis=1), aux
-
-
-def _e2n_backward(
-    ga: _GraphArrays,
-    grad_agg_part: np.ndarray,
-    edge_features: np.ndarray,
-    agg: str,
-    aux,
-) -> np.ndarray:
-    if agg == "mean":
-        return ga.incidence.T @ (grad_agg_part * ga.inv_deg[:, None])
-    s, recip = aux
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gs = np.where(s != 0.0, grad_agg_part * ga.deg[:, None] / np.square(np.where(s != 0.0, s, 1.0)), 0.0)
-    return (ga.incidence.T @ gs) * np.square(recip)
 
 
 def e2n(
@@ -186,8 +215,8 @@ def e2n(
         raise ValueError("node tag row count does not match hypergraph")
     if ga.num_isolated:
         logger.debug("%d isolated nodes aggregate to zero", ga.num_isolated)
-    out, _ = _e2n_forward(ga, np.asarray(edge_features, dtype=np.float64),
-                          np.asarray(node_x, dtype=np.float64), agg)
+    out, _ = _aggregate(ga.incidence, ga.deg, np.asarray(edge_features, dtype=np.float64),
+                        np.asarray(node_x, dtype=np.float64), agg)
     return out
 
 
@@ -218,6 +247,18 @@ class _SetBatch:
             pos = np.asarray(positions, dtype=np.int64)
             ids = np.asarray([self.sets[t] for t in positions], dtype=np.int64)
             self.groups[size] = (pos, ids)
+
+    def localize(self, num_nodes: int) -> np.ndarray:
+        """Renumber member ids to rows of the batch's own node list.
+
+        Returns the distinct member ids in ascending order; afterwards
+        ``reduce`` and ``backward`` index feature arrays with one row per
+        entry of that list. Renumbering is monotone, so each set keeps
+        its member order and the minmax tie-break.
+        """
+        nodes, lookup = _renumbering([ids for _, ids in self.groups.values()], num_nodes)
+        self.groups = {size: (pos, lookup[ids]) for size, (pos, ids) in self.groups.items()}
+        return nodes
 
     def reduce(self, kind: str, feats: np.ndarray):
         """Omega over each set's feature rows; returns (out, cache)."""
@@ -335,31 +376,30 @@ def n2e(
 
 @dataclass
 class E2ECache:
-    """Intermediates of one forward pass, consumed by e2e_backward."""
+    """Intermediates of one forward pass, consumed by e2e_backward.
+
+    Everything is restricted to the targets' receptive field:
+    ``needed_edges`` are the global ids of the edges incident to a target
+    node, ascending, and hold the first-layer rows ``z1``/``pre1``;
+    ``inc2`` is the target nodes' incidence rows with columns renumbered
+    into ``needed_edges``. ``z2`` has one row per target set.
+    """
 
     kind: str
     bilinear: bool
     agg: str
     layers: tuple[LayerParams, ...]
-    ga: _GraphArrays
     needed_edges: np.ndarray
     batch1: _SetBatch
     z1: np.ndarray
     pre1: np.ndarray
-    ef1: np.ndarray
+    inc2: sp.csr_matrix
+    deg2: np.ndarray
     e2n2_aux: object
     batch2: _SetBatch
     red2_cache: dict
     z2: np.ndarray
     pre2: np.ndarray
-
-
-def _needed_edges_for(h: Hypergraph, targets: Sequence[Sequence[int]]) -> np.ndarray:
-    seen: set[int] = set()
-    for s in targets:
-        for v in s:
-            seen.update(h.node_incidence[v])
-    return np.asarray(sorted(seen), dtype=np.int64)
 
 
 def e2e_forward(
@@ -375,9 +415,15 @@ def e2e_forward(
     """Run the stacked convolution and score the target node sets.
 
     The first layer summarizes real hyperedges; the second summarizes the
-    targets, which may be real edges or arbitrary candidate sets. Only
-    edges incident to target nodes are materialized at the first layer
-    since nothing else can influence the output.
+    targets, which may be real edges or arbitrary candidate sets. Only the
+    targets' receptive field is computed, since nothing else can influence
+    the output: the second layer reads the target nodes' incidence rows,
+    those rows reference the needed edges, and the first layer reads the
+    incidence rows of those edges' members. The cost of a call is set by
+    that field, not by the size of ``h``. Row slices keep each row's
+    summation order, so the aggregates are bit-identical to whole-graph
+    ones; outputs match the whole-graph composition of ``e2n`` and ``n2e``
+    up to the rounding of dense products over different row counts.
     """
     if len(layers) != 2:
         raise ValueError("the stack is two layers")
@@ -390,18 +436,19 @@ def e2e_forward(
         raise ValueError("feature row counts do not match hypergraph")
     layer1, layer2 = layers[0], layers[1]
 
-    nf1, _ = _e2n_forward(ga, edge_init, node_x, agg)
+    batch2 = _SetBatch(targets)
+    nodes2 = batch2.localize(h.num_nodes)
+    inc2, needed, deg2 = ga.rows(nodes2)
 
-    needed = _needed_edges_for(h, targets)
-    batch1 = _SetBatch([h.edge_members[int(e)] for e in needed], canonical=True)
+    batch1 = _SetBatch([h.edge_members[e] for e in needed.tolist()], canonical=True)
+    nodes1 = batch1.localize(h.num_nodes)
+    inc1, edges1, deg1 = ga.rows(nodes1)
+    nf1, _ = _aggregate(inc1, deg1, edge_init[edges1], node_x[nodes1], agg)
     z1, _ = batch1.reduce(kind, nf1)
     pre1 = _affine_forward(layer1.weight, z1, bilinear)
-    ef1 = np.zeros((h.num_edges, layer1.out_dim), dtype=np.float64)
-    ef1[needed] = _act(pre1, layer1.activation)
+    ef1 = _act(pre1, layer1.activation)
 
-    nf2, aux2 = _e2n_forward(ga, ef1, node_x, agg)
-
-    batch2 = _SetBatch(targets)
+    nf2, aux2 = _aggregate(inc2, deg2, ef1, node_x[nodes2], agg)
     z2, red2_cache = batch2.reduce(kind, nf2)
     pre2 = _affine_forward(layer2.weight, z2, bilinear)
     out = _act(pre2, layer2.activation)
@@ -411,12 +458,12 @@ def e2e_forward(
         bilinear=bilinear,
         agg=agg,
         layers=tuple(layers),
-        ga=ga,
         needed_edges=needed,
         batch1=batch1,
         z1=z1,
         pre1=pre1,
-        ef1=ef1,
+        inc2=inc2,
+        deg2=deg2,
         e2n2_aux=aux2,
         batch2=batch2,
         red2_cache=red2_cache,
@@ -439,14 +486,20 @@ def e2e_backward(cache: E2ECache, upstream: np.ndarray) -> dict[str, np.ndarray]
     g2 = upstream * _act_grad(cache.pre2, layer2.activation)
     dw2, dz2 = _affine_backward(layer2.weight, cache.z2, g2, cache.bilinear)
 
-    d2 = cache.ga.incidence.shape[0]
-    dnf2 = np.zeros((d2, cache.z2.shape[1]), dtype=np.float64)
+    dnf2 = np.zeros((cache.inc2.shape[0], cache.z2.shape[1]), dtype=np.float64)
     cache.batch2.backward(cache.kind, dz2, dnf2, cache.red2_cache)
 
-    out1 = layer1.out_dim
-    def1 = _e2n_backward(
-        cache.ga, dnf2[:, :out1], cache.ef1, cache.agg, cache.e2n2_aux
-    )
-    g1 = def1[cache.needed_edges] * _act_grad(cache.pre1, layer1.activation)
+    # back through the second-layer aggregation onto the needed edges
+    dagg = dnf2[:, : layer1.out_dim]
+    if cache.agg == "mean":
+        def1 = cache.inc2.T @ (dagg * cache.e2n2_aux[:, None])
+    else:
+        s, recip = cache.e2n2_aux
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gs = np.where(
+                s != 0.0, dagg * cache.deg2[:, None] / np.square(np.where(s != 0.0, s, 1.0)), 0.0
+            )
+        def1 = (cache.inc2.T @ gs) * np.square(recip)
+    g1 = def1 * _act_grad(cache.pre1, layer1.activation)
     dw1, _ = _affine_backward(layer1.weight, cache.z1, g1, cache.bilinear, need_dz=False)
     return {"W1": dw1, "W2": dw2}

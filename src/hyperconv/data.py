@@ -69,12 +69,13 @@ class Splits:
 
 
 def load_knowledge(directory) -> tuple[KnowledgeHypergraph, Splits]:
-    """Read train.txt / valid.txt / test.txt of tab-separated facts.
+    """Read train.txt / valid.txt / test.txt of tab- or space-separated facts.
 
-    Each line is `relation<TAB>entity<TAB>entity...`. Vocabularies cover
-    the union of all three files in line order (transductive: entities
-    seen only at test time still get incidence slots). Edge ids follow
-    file order, train block first.
+    Each line is `relation entity entity...`, split on tabs when the line
+    has one (so tokens may contain spaces) and on runs of whitespace
+    otherwise. Vocabularies cover the union of all three files in line
+    order (transductive: entities seen only at test time still get
+    incidence slots). Edge ids follow file order, train block first.
     """
     directory = Path(directory)
     paths = [directory / name for name in KNOWLEDGE_FILES]
@@ -93,11 +94,11 @@ def load_knowledge(directory) -> tuple[KnowledgeHypergraph, Splits]:
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
-                fields = line.split("\t")
+                fields = line.split("\t") if "\t" in line else line.split()
                 if len(fields) < 2:
                     raise ValueError(
-                        f"{p.name}:{lineno}: expected `relation<TAB>entity...`,"
-                        f" got {line!r}"
+                        f"{p.name}:{lineno}: expected `relation entity...` separated"
+                        f" by tabs or spaces, got {line!r}"
                     )
                 rel = fields[0]
                 if not rel:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hyperconv.cli import main
-from hyperconv.convolution import e2n, init_layer, n2e
+from hyperconv.convolution import e2e_forward, e2n, init_layer, n2e
 from hyperconv.data import Splits, load_knowledge, load_simple
 from hyperconv.hypergraph import build_hypergraph
 from hyperconv.metrics import auc, hit_at, mrr, rank_of_true
@@ -120,8 +120,6 @@ def test_a03_gradients_match_finite_differences():
 
 
 def test_a04_scoring_invariant_to_member_order():
-    from hyperconv.convolution import e2e_forward
-
     rng = np.random.default_rng(404)
     for trial in range(100):
         h = random_hypergraph(rng, max_nodes=10, max_edges=8)
@@ -288,6 +286,41 @@ def test_a09_forward_time_scales_gently_with_edges():
         "forward-scaling", factor <= 3.0,
         f"doubling edges at fixed edge size: {t_small * 1e3:.1f}ms -> "
         f"{t_double * 1e3:.1f}ms, factor {factor:.2f} <= 3",
+    )
+
+
+def test_a13_query_time_set_by_receptive_field():
+    def one_query(m, seed):
+        rng = np.random.default_rng(seed)
+        n, delta, k, d_e, hidden = m // 2, 4, 8, 8, 16
+        edges = [
+            sorted(rng.choice(n, size=delta, replace=False).tolist()) for _ in range(m)
+        ]
+        h = build_hypergraph(edges, num_nodes=n)
+        edge_init = rng.normal(size=(m, d_e))
+        node_x = rng.normal(size=(n, k))
+        layers = (
+            init_layer(hidden, d_e + k, rng, True, "relu"),
+            init_layer(hidden, hidden + k, rng, True, "identity"),
+        )
+        targets = [list(h.edge_members[0])]
+        return lambda: e2e_forward(layers, "minmax", h, edge_init, node_x, targets)
+
+    queries = {m: one_query(m, seed=2) for m in (10000, 40000)}
+    times = {m: [] for m in queries}
+    for query in queries.values():
+        query()  # warm the cached incidence arrays
+    for _ in range(9):  # interleaved, so a machine-speed swing hits both sizes
+        for m, query in queries.items():
+            t0 = time.perf_counter()
+            query()
+            times[m].append(time.perf_counter() - t0)
+    t_small, t_large = min(times[10000]), min(times[40000])
+    factor = t_large / t_small
+    _report(
+        "query-scaling", factor <= 2.0,
+        f"single-set forward at 4x the edges: {t_small * 1e3:.2f}ms -> "
+        f"{t_large * 1e3:.2f}ms, factor {factor:.2f} <= 2 (min of 9)",
     )
 
 

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -115,3 +116,69 @@ def test_format_marker_checked(completion_model, tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "absent.json")
+
+
+def _corrupt(model, tmp_path, edit):
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text("utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), "utf-8")
+    return path
+
+
+def _resize(doc, name, rows=None, cols=None):
+    arr = np.frombuffer(base64.b64decode(doc["arrays"][name]["data"]), dtype="<f8")
+    arr = arr.reshape(doc["arrays"][name]["shape"])
+    arr = arr[:rows] if cols is None else arr[..., :cols]
+    doc["arrays"][name] = {
+        "shape": list(arr.shape),
+        "data": base64.b64encode(np.ascontiguousarray(arr).tobytes()).decode("ascii"),
+    }
+
+
+def _expect_field_error(path, field):
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert "\n" not in message
+    assert str(path) in message and field in message
+
+
+def test_edge_init_rows_checked_against_structure(completion_model, tmp_path):
+    path = _corrupt(completion_model, tmp_path, lambda d: _resize(d, "edge_init", rows=-1))
+    _expect_field_error(path, "arrays.edge_init")
+
+
+def test_node_x_shape_checked(completion_model, tmp_path):
+    path = _corrupt(completion_model, tmp_path, lambda d: _resize(d, "node_x", cols=-1))
+    _expect_field_error(path, "arrays.node_x")
+
+
+def test_cluster_of_length_checked(completion_model, tmp_path):
+    def edit(doc):
+        doc["clusters"]["cluster_of"] = doc["clusters"]["cluster_of"][:-1]
+
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "clusters.cluster_of")
+
+
+def test_w1_shape_checked_against_config(completion_model, tmp_path):
+    def edit(doc):
+        doc["config"]["hidden_dim"] += 1
+
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "arrays.W1")
+
+
+def test_w2_rows_checked_against_relation_vocabulary(completion_model, tmp_path):
+    path = _corrupt(completion_model, tmp_path, lambda d: _resize(d, "W2", rows=-1))
+    _expect_field_error(path, "arrays.W2")
+
+
+def test_head_weight_shape_checked(prediction_model, tmp_path):
+    path = _corrupt(prediction_model, tmp_path, lambda d: _resize(d, "Wh", cols=-1))
+    _expect_field_error(path, "arrays.Wh")
+
+
+def test_head_bias_shape_checked(prediction_model, tmp_path):
+    path = _corrupt(prediction_model, tmp_path, lambda d: _resize(d, "bh", rows=1))
+    _expect_field_error(path, "arrays.bh")

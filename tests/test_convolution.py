@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.convolution import (
+    AGG_KINDS,
+    OMEGA_KINDS,
     E2ECache,
     LayerParams,
     bilinear_flat,
@@ -204,15 +208,54 @@ class TestE2EForward:
             again, _ = e2e_forward(layers, kind, h, edge_init, node_x, shuffled)
             np.testing.assert_array_equal(base, again)
 
-    def test_restriction_to_reachable_edges_changes_nothing(self):
-        # scoring one target must agree with that target's row in a full pass
-        rng = np.random.default_rng(31)
-        h = random_hypergraph(rng, max_nodes=10, max_edges=8)
-        layers, edge_init, node_x = tiny_model(rng, h)
-        targets = [list(m) for m in h.edge_members]
-        full, _ = e2e_forward(layers, "mean", h, edge_init, node_x, targets)
-        single, _ = e2e_forward(layers, "mean", h, edge_init, node_x, [targets[0]])
-        np.testing.assert_allclose(single[0], full[0], rtol=1e-12)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_restriction_to_reachable_edges_changes_nothing(self, data):
+        # each target's row equals its single-set call and the whole-graph
+        # composition, on graphs with isolated nodes and repeated members
+        n = data.draw(st.integers(2, 10), label="num_nodes")
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.lists(node, min_size=1, max_size=4), min_size=1,
+                                   max_size=8), label="edges")
+        targets = data.draw(st.lists(st.lists(node, min_size=1, max_size=5), min_size=1,
+                                     max_size=5), label="targets")
+        kind = data.draw(st.sampled_from(OMEGA_KINDS), label="kind")
+        agg = data.draw(st.sampled_from(AGG_KINDS), label="agg")
+        bilinear = data.draw(st.booleans(), label="bilinear")
+        h = build_hypergraph(edges, num_nodes=n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        layers, edge_init, node_x = tiny_model(rng, h, bilinear=bilinear)
+
+        batched, _ = e2e_forward(layers, kind, h, edge_init, node_x, targets,
+                                 bilinear=bilinear, agg=agg)
+        ef1 = n2e(layers[0], kind, e2n(h, edge_init, node_x, agg), h.edge_members, bilinear)
+        whole = n2e(layers[1], kind, e2n(h, ef1, node_x, agg), targets, bilinear)
+        np.testing.assert_allclose(batched, whole, rtol=1e-12)
+        for i, t in enumerate(targets):
+            single, _ = e2e_forward(layers, kind, h, edge_init, node_x, [t],
+                                    bilinear=bilinear, agg=agg)
+            np.testing.assert_allclose(batched[i], single[0], rtol=1e-12)
+
+    def test_isolated_target_nodes(self):
+        # nodes without training edges, as unseen test entities are
+        rng = np.random.default_rng(5)
+        h = build_hypergraph([[0, 1], [1, 2]], num_nodes=5)
+        for agg in AGG_KINDS:
+            for bilinear in (False, True):
+                layers, edge_init, node_x = tiny_model(rng, h, bilinear=bilinear)
+                ef1 = n2e(layers[0], "minmax", e2n(h, edge_init, node_x, agg),
+                          h.edge_members, bilinear)
+                for targets in ([[3, 4]], [[0, 3]]):
+                    out, cache = e2e_forward(layers, "minmax", h, edge_init, node_x,
+                                             targets, bilinear=bilinear, agg=agg)
+                    whole = n2e(layers[1], "minmax", e2n(h, ef1, node_x, agg), targets,
+                                bilinear)
+                    np.testing.assert_allclose(out, whole, rtol=1e-12)
+                    grads = e2e_backward(cache, np.ones_like(out))
+                    assert np.isfinite(grads["W1"]).all() and np.isfinite(grads["W2"]).all()
+                    if targets == [[3, 4]]:
+                        assert cache.needed_edges.size == 0
+                        assert not grads["W1"].any()
 
 
 class TestE2EBackward:

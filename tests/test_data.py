@@ -1,4 +1,5 @@
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ class TestLoadKnowledge:
         (tmp_path / "valid.txt").unlink()
         with pytest.raises(FileNotFoundError, match="valid.txt"):
             load_knowledge(tmp_path)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        section = readme.split("**Knowledge hypergraph**", 1)[1]
+        example = section.split("```", 2)[1].strip()
+        assert "\t" not in example
+        d = write_knowledge(tmp_path, [example], [example], [example])
+        kh, _ = load_knowledge(d)
+        assert kh.relation_names == ("concerto_composer",)
+        assert kh.entity_names == ("mozart", "piano_concerto_20")
+
+    def test_tab_separated_tokens_keep_spaces(self, tmp_path):
+        d = write_knowledge(tmp_path, ["r\tnew york\tparis"], ["r a b"], ["r  a   b"])
+        kh, _ = load_knowledge(d)
+        assert kh.entity_names == ("new york", "paris", "a", "b")
+        assert kh.base.edge_members[2] == (2, 3)
 
     def test_malformed_line_reports_position(self, tmp_path):
         d = write_knowledge(tmp_path, ["r\ta\tb", "lonely"], ["r\ta\tb"], ["r\ta\tb"])
