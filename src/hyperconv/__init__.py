@@ -6,12 +6,7 @@ hyperedge representations, and task drivers solve knowledge-hypergraph
 completion, hyperedge prediction, and hyperedge classification.
 """
 
-from .hypergraph import (
-    Hypergraph,
-    KnowledgeHypergraph,
-    build_hypergraph,
-    degree_stats,
-)
+from .hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
 from .partition import (
     ClusterAssignment,
     CoarseLevel,
@@ -21,7 +16,6 @@ from .partition import (
     partition,
 )
 from .features import (
-    EmbeddingTable,
     edge_cluster_onehot,
     edge_cluster_pool,
     knowledge_edge_init,
@@ -30,13 +24,11 @@ from .features import (
 from .convolution import (
     LayerParams,
     OMEGA_KINDS,
-    bilinear_flat,
     e2e_backward,
     e2e_forward,
     e2n,
     init_layer,
     n2e,
-    omega,
 )
 from .metrics import accuracy, auc, hit_at, mrr, rank_of_true
 from .training import (
@@ -65,27 +57,23 @@ __all__ = [
     "Hypergraph",
     "KnowledgeHypergraph",
     "build_hypergraph",
-    "degree_stats",
     "ClusterAssignment",
     "CoarseLevel",
     "coarsen",
     "cut",
     "fm_refine",
     "partition",
-    "EmbeddingTable",
     "edge_cluster_onehot",
     "edge_cluster_pool",
     "knowledge_edge_init",
     "node_onehot",
     "LayerParams",
     "OMEGA_KINDS",
-    "bilinear_flat",
     "e2e_backward",
     "e2e_forward",
     "e2n",
     "init_layer",
     "n2e",
-    "omega",
     "accuracy",
     "auc",
     "hit_at",

@@ -116,10 +116,13 @@ def load_checkpoint(path) -> TrainedModel:
             f"{path}: checkpoint version {doc.get('version')} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
-    structure = Hypergraph(
-        [tuple(m) for m in doc["structure"]["edges"]],
-        doc["structure"]["num_nodes"],
-    )
+    edges = [tuple(m) for m in doc["structure"]["edges"]]
+    n = doc["structure"]["num_nodes"]
+    bad = next((v for m in edges for v in m if not 0 <= v < n), None)
+    if bad is not None:
+        raise ValueError(f"{path}: field structure.edges holds node id {bad}, "
+                         f"out of range [0, {n})")
+    structure = Hypergraph(edges, n)
     clusters = ClusterAssignment(
         cluster_of=np.asarray(doc["clusters"]["cluster_of"], dtype=np.int64),
         k=doc["clusters"]["k"],
@@ -133,7 +136,10 @@ def load_checkpoint(path) -> TrainedModel:
         head_weight=_unpack(arrays["Wh"]) if "Wh" in arrays else None,
         head_bias=_unpack(arrays["bh"]) if "bh" in arrays else None,
     )
-    config = TrainConfig.from_dict(doc["config"])
+    try:
+        config = TrainConfig.from_dict(doc["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field config: {exc}") from None
     edge_init = _unpack(arrays["edge_init"])
     node_x = _unpack(arrays["node_x"])
     relation_names = tuple(doc["relation_names"]) if doc["relation_names"] else None

@@ -100,7 +100,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_partition(args) -> int:
     h = _load_structure(args.data)
-    c = partition(h, args.k, seed=args.seed, balance_epsilon=args.epsilon)
+    c = partition(h, args.k, balance_epsilon=args.epsilon)
     lines = "".join(f"{v} {c.cluster_of[v]}\n" for v in range(h.num_nodes))
     if args.output:
         Path(args.output).write_text(lines, encoding="utf-8")
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", type=Path, help="knowledge dir or hyperedge file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", type=Path)
     p.set_defaults(func=_cmd_partition)
 

@@ -70,32 +70,6 @@ def _act_grad(pre: np.ndarray, tag: str) -> np.ndarray:
     return (pre > 0.0).astype(np.float64) if tag == "relu" else np.ones_like(pre)
 
 
-def omega(kind: str, vectors) -> np.ndarray:
-    """Component-wise summary of a nonempty stack of equal-length vectors.
-
-    mean: arithmetic mean. var: population variance (divide by count).
-    minmax: max minus min.
-    """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[0] == 0:
-        raise ValueError("omega of an empty vector set")
-    if kind == "mean":
-        return x.mean(axis=0)
-    if kind == "var":
-        return x.var(axis=0)
-    if kind == "minmax":
-        return x.max(axis=0) - x.min(axis=0)
-    raise ValueError(f"unknown omega kind {kind!r}")
-
-
-def bilinear_flat(v: np.ndarray) -> np.ndarray:
-    """Row-major flattening of the outer product v v^T."""
-    v = np.asarray(v, dtype=np.float64)
-    return np.outer(v, v).reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # cached flat incidence arrays per hypergraph
 

@@ -46,19 +46,12 @@ class Splits:
             raise ValueError("splits overlap")
 
     @classmethod
-    def from_ratios(
-        cls, num_edges: int, ratios, seed: int | np.random.Generator
-    ) -> "Splits":
+    def from_ratios(cls, num_edges: int, ratios, seed: int) -> "Splits":
         """Seeded uniform shuffle, then contiguous slices.
 
         Train and valid sizes round down; the remainder goes to test.
         """
-        rng = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
-        )
-        perm = rng.permutation(num_edges)
+        perm = np.random.default_rng(seed).permutation(num_edges)
         n_train = math.floor(ratios[0] * num_edges)
         n_valid = math.floor(ratios[1] * num_edges)
         return cls(

@@ -8,29 +8,10 @@ relation type on knowledge hypergraphs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hypergraph import Hypergraph, KnowledgeHypergraph
 from .partition import ClusterAssignment
-
-
-@dataclass
-class EmbeddingTable:
-    """Dense per-node and per-edge feature rows for one convolution step."""
-
-    node_features: np.ndarray
-    edge_features: np.ndarray
-    layer_index: int = 0
-
-    def __post_init__(self):
-        for name, arr in (("node", self.node_features), ("edge", self.edge_features)):
-            if arr.ndim != 2:
-                raise ValueError(f"{name} features must be 2-d")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} features contain NaN or Inf")
 
 
 def node_onehot(c: ClusterAssignment) -> np.ndarray:
@@ -57,43 +38,22 @@ def edge_cluster_pool(h: Hypergraph, c: ClusterAssignment) -> np.ndarray:
     return out
 
 
-def edge_cluster_onehot(
-    h: Hypergraph, c: ClusterAssignment, multihot: bool = False
-) -> np.ndarray:
-    """(m, k) initial edge features from pooled cluster ids.
-
-    With ``multihot`` every spanned cluster gets a 1 instead of just the
-    majority one.
-    """
+def edge_cluster_onehot(h: Hypergraph, c: ClusterAssignment) -> np.ndarray:
+    """(m, k) initial edge features: the one-hot of each pooled cluster id."""
     out = np.zeros((h.num_edges, c.k), dtype=np.float64)
-    if multihot:
-        labels = c.cluster_of
-        for e, members in enumerate(h.edge_members):
-            out[e, labels[list(members)]] = 1.0
-    else:
-        pooled = edge_cluster_pool(h, c)
-        out[np.arange(h.num_edges), pooled] = 1.0
+    out[np.arange(h.num_edges), edge_cluster_pool(h, c)] = 1.0
     return out
 
 
-def knowledge_edge_init(
-    kh: KnowledgeHypergraph,
-    c: ClusterAssignment,
-    mask_edges: Iterable[int] | int | None = None,
-    multihot: bool = False,
-) -> np.ndarray:
+def knowledge_edge_init(kh: KnowledgeHypergraph, c: ClusterAssignment) -> np.ndarray:
     """(m, |R| + k) rows: one-hot relation type, then one-hot pooled cluster.
 
-    Edges listed in ``mask_edges`` get an all-zero type sub-vector so a
-    prediction target cannot leak its own label into the message passing.
+    Training zeroes a target edge's type sub-vector for the duration of its
+    batch, so it cannot leak its own label into the message passing.
     """
     num_rel = kh.num_relations
     m = kh.base.num_edges
     type_part = np.zeros((m, num_rel), dtype=np.float64)
     type_part[np.arange(m), list(kh.edge_type)] = 1.0
-    if mask_edges is not None:
-        if isinstance(mask_edges, (int, np.integer)):
-            mask_edges = [int(mask_edges)]
-        type_part[list(mask_edges)] = 0.0
-    cluster_part = edge_cluster_onehot(kh.base, c, multihot=multihot)
+    cluster_part = edge_cluster_onehot(kh.base, c)
     return np.concatenate([type_part, cluster_part], axis=1)

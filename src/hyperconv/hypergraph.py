@@ -110,18 +110,6 @@ def build_hypergraph(
     return Hypergraph(members, n, duplicates_removed=duplicates)
 
 
-def degree_stats(h: Hypergraph) -> tuple[int, int, int]:
-    """Return (max node degree, max edge size, total incidence).
-
-    Total incidence is the sum of edge sizes, i.e. the number of
-    (node, edge) membership pairs.
-    """
-    max_deg = max((len(inc) for inc in h.node_incidence), default=0)
-    max_size = max((len(m) for m in h.edge_members), default=0)
-    total = sum(len(m) for m in h.edge_members)
-    return max_deg, max_size, total
-
-
 class KnowledgeHypergraph:
     """A hypergraph whose edges are typed n-ary facts.
 

@@ -4,8 +4,7 @@ The objective is the connectivity-minus-one cut: each hyperedge spanning
 ``lam`` distinct clusters contributes ``lam - 1``. The pipeline coarsens the
 hypergraph by merging nodes along small hyperedges, seeds a balanced
 partition on the coarsest level, then refines greedily at every level on
-the way back up. Everything is deterministic for a fixed input; the seed
-only matters in the optional randomized-initial-partition mode.
+the way back up. Everything is deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -302,22 +301,14 @@ def fm_refine(
     return ClusterAssignment(labels, c.k, c.balance_epsilon)
 
 
-def _initial_partition(
-    weights: np.ndarray,
-    k: int,
-    cap: int,
-    order_perm: np.ndarray | None = None,
-) -> np.ndarray:
+def _initial_partition(weights: np.ndarray, k: int, cap: int) -> np.ndarray:
     """Round-robin over nodes sorted by descending weight (ties: id order).
 
     A round-robin slot already at capacity falls back to the lightest
     feasible cluster so the balance bound holds unconditionally.
     """
     n = len(weights)
-    if order_perm is None:
-        order = sorted(range(n), key=lambda v: (-int(weights[v]), v))
-    else:
-        order = list(order_perm)
+    order = sorted(range(n), key=lambda v: (-int(weights[v]), v))
     labels = np.zeros(n, dtype=np.int64)
     loads = np.zeros(k, dtype=np.int64)
     for i, v in enumerate(order):
@@ -423,10 +414,8 @@ def _exact_bipartition(
 def partition(
     h: Hypergraph,
     k: int,
-    seed: int = 0,
     balance_epsilon: float = 0.05,
     max_passes: int = 8,
-    randomize_init: bool = False,
 ) -> ClusterAssignment:
     """Full multilevel flow: coarsen, seed, uncoarsen with refinement.
 
@@ -435,9 +424,7 @@ def partition(
     deterministic candidates (weight round-robin plus two packed
     connectivity orders, plus exhaustive search for tiny 2-way cases);
     each is refined and the best cut wins. The result is balanced and
-    identical across runs for fixed inputs; ``seed`` only matters when
-    ``randomize_init`` replaces the sorted round-robin seeding with a
-    shuffled one.
+    identical across runs for fixed inputs.
     """
     n = h.num_nodes
     if k < 1:
@@ -467,16 +454,11 @@ def partition(
     # several deterministic seedings compete at the coarsest level; greedy
     # refinement cannot escape a bad basin on its own
     wts = weight_stack[-1]
-    candidates: list[np.ndarray] = []
-    if randomize_init:
-        rng = np.random.default_rng(seed)
-        candidates.append(
-            _initial_partition(wts, k, cap, order_perm=rng.permutation(cur.num_nodes))
-        )
-    else:
-        candidates.append(_initial_partition(wts, k, cap))
-    candidates.append(_packed_partition(_bfs_order(cur), wts, k, cap))
-    candidates.append(_packed_partition(_edge_order(cur), wts, k, cap))
+    candidates = [
+        _initial_partition(wts, k, cap),
+        _packed_partition(_bfs_order(cur), wts, k, cap),
+        _packed_partition(_edge_order(cur), wts, k, cap),
+    ]
     if (
         k == 2
         and cur.num_nodes <= _EXACT_NODE_LIMIT

@@ -1,11 +1,14 @@
 """Training pipelines for the three downstream tasks.
 
-Knowledge completion and hyperedge classification share one loop: batches
-of target edges are scored against their relation (or class) label with
-cross entropy, with the target's own type slot masked out of the initial
+Every stage trains through one loop, ``_fit``: shuffled mini-batches,
+early stopping on a validation metric and a restore of the best epoch's
+weights. Knowledge completion and hyperedge classification score batches
+of target edges against their relation (or class) label with cross
+entropy, with the target's own type slot masked out of the initial
 features for the duration of the batch. Hyperedge prediction trains in two
 stages, a cluster-id pretext task followed by a frozen-representation
-binary head.
+binary head. One function, ``_test_metrics``, scores the test sets for
+the drivers and for ``evaluate``.
 
 Message-passing structure, and the partition that seeds the features,
 come from training edges only. Validation and test edges enter solely as
@@ -31,7 +34,12 @@ from .convolution import (
     init_layer,
 )
 from .data import Splits
-from .features import edge_cluster_onehot, knowledge_edge_init, node_onehot
+from .features import (
+    edge_cluster_onehot,
+    edge_cluster_pool,
+    knowledge_edge_init,
+    node_onehot,
+)
 from .hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
 from .metrics import accuracy, auc, hit_at, mrr, rank_of_true
 from .partition import ClusterAssignment, cut, partition
@@ -356,24 +364,53 @@ def _draw_run_negatives(
 
 
 # ---------------------------------------------------------------------------
-# shared relational loop (completion and classification)
+# the shared training loop and test metrics
 
 
-def _pooled_labels(member_sets, clusters: ClusterAssignment) -> np.ndarray:
-    """Majority cluster per set, lowest id on ties."""
-    labels = clusters.cluster_of
-    out = np.empty(len(member_sets), dtype=np.int64)
-    for i, s in enumerate(member_sets):
-        out[i] = int(np.bincount(labels[list(s)], minlength=clusters.k).argmax())
-    return out
+def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
+         weights: list[np.ndarray], history: list[dict]) -> int:
+    """Shuffled mini-batch epochs with early stopping on a validation metric.
+
+    ``step(batch)`` trains on the item positions in ``batch`` and returns
+    their mean loss; ``validate()`` returns the metric, higher being
+    better. Each epoch appends one row to ``history``, numbered on from the
+    rows already there. After ``cfg.patience`` epochs without improvement
+    the loop stops, and ``weights`` are restored in place to the best
+    epoch's values. Returns that epoch's number within this call.
+    """
+    best_value = -np.inf
+    best_epoch = 0
+    best_weights = None
+    stale = 0
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(count)
+        loss_sum = 0.0
+        for lo in range(0, count, cfg.batch_size):
+            batch = order[lo : lo + cfg.batch_size]
+            loss_sum += step(batch) * len(batch)
+        if not all(np.isfinite(w).all() for w in weights):
+            raise FloatingPointError(f"non-finite weights after epoch {epoch}")
+        value = validate()
+        history.append(
+            {"epoch": len(history) + 1, "train_loss": loss_sum / count, "valid_metric": value}
+        )
+        if value > best_value:
+            best_value = value
+            best_epoch = epoch
+            best_weights = [w.copy() for w in weights]
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    if best_weights is not None:
+        for w, best in zip(weights, best_weights):
+            w[...] = best
+    return best_epoch
 
 
-def _partition_stats(h: Hypergraph, c: ClusterAssignment) -> dict:
-    return {"k": c.k, "cut": cut(h, c), "balanced": c.is_balanced()}
-
-
-def _score_sets(model: TrainedModel, member_sets) -> np.ndarray:
-    out, _ = e2e_forward(
+def _forward(model: TrainedModel, member_sets):
+    return e2e_forward(
         model.layers,
         model.config.omega_kind,
         model.structure,
@@ -383,16 +420,62 @@ def _score_sets(model: TrainedModel, member_sets) -> np.ndarray:
         bilinear=model.config.bilinear,
         agg=model.config.agg,
     )
-    return out
 
 
-def _relational_ranks(model: TrainedModel, member_sets, labels) -> list[int]:
-    scores = _score_sets(model, member_sets)
+def _binary_scores(model: TrainedModel, reps: np.ndarray) -> np.ndarray:
+    """Monotone edge-existence score: logit margin of the positive class."""
+    z = reps @ model.params.head_weight.T + model.params.head_bias
+    return z[:, 1] - z[:, 0]
+
+
+def _ranks(scores: np.ndarray, labels: np.ndarray) -> list[int]:
     return [rank_of_true(scores[i], int(labels[i])) for i in range(len(labels))]
 
 
+def _test_metrics(model: TrainedModel, sets, labels: np.ndarray) -> dict[str, float]:
+    """The task's test metrics over labelled query sets.
+
+    Labels are relation or class ids, or for prediction 1 for a real edge
+    and 0 for a negative.
+    """
+    scores, _ = _forward(model, sets)
+    if model.task == "prediction":
+        margin = _binary_scores(model, scores)
+        return {"auc": auc(margin[labels == 1], margin[labels == 0])}
+    if model.task == "classification":
+        return {"accuracy": accuracy(scores.argmax(axis=1), labels)}
+    ranks = _ranks(scores, labels)
+    return {"mrr": mrr(ranks), "hit1": hit_at(ranks, 1), "hit3": hit_at(ranks, 3)}
+
+
+def _report(model: TrainedModel, history, test_metrics, best_epoch, start) -> RunReport:
+    cfg = model.config
+    return RunReport(
+        task=cfg.task,
+        seed=cfg.seed,
+        config=cfg.to_dict(),
+        partition={"k": model.clusters.k, "cut": cut(model.structure, model.clusters),
+                   "balanced": model.clusters.is_balanced()},
+        history=history,
+        test_metrics=test_metrics,
+        best_epoch=best_epoch,
+        epochs_run=len(history),
+        wall_seconds=time.perf_counter() - start,
+    )
+
+
+# ---------------------------------------------------------------------------
+# completion and classification
+
+
+def _facts(kh: KnowledgeHypergraph, ids) -> tuple[list, np.ndarray]:
+    """Member sets and relation labels of the given edges."""
+    sets = [kh.base.edge_members[int(e)] for e in ids]
+    return sets, np.asarray([kh.edge_type[int(e)] for e in ids], dtype=np.int64)
+
+
 def _train_relational(
-    kh: KnowledgeHypergraph, cfg: TrainConfig, splits: Splits | None, valid_metric: str
+    kh: KnowledgeHypergraph, cfg: TrainConfig, splits: Splits | None
 ) -> tuple[TrainedModel, RunReport]:
     start = time.perf_counter()
     num_rel = kh.num_relations
@@ -414,12 +497,9 @@ def _train_relational(
         kh.relation_names,
         kh.entity_names,
     )
-    clusters = partition(
-        structure, cfg.clusters, seed=cfg.seed, balance_epsilon=cfg.balance_epsilon
-    )
+    clusters = partition(structure, cfg.clusters, balance_epsilon=cfg.balance_epsilon)
     node_x = node_onehot(clusters)
     edge_init = knowledge_edge_init(sub, clusters)
-    kind = cfg.omega_kind
 
     layer1 = init_layer(
         cfg.hidden_dim, edge_init.shape[1] + cfg.clusters, rng, cfg.bilinear, "relu"
@@ -440,86 +520,32 @@ def _train_relational(
         entity_names=kh.entity_names,
     )
     adam = Adam(params.trainable(), lr=cfg.learning_rate)
+    labels = np.asarray(sub.edge_type, dtype=np.int64)
 
-    labels = np.asarray([kh.edge_type[int(e)] for e in train_ids], dtype=np.int64)
-    valid_sets = [kh.base.edge_members[int(e)] for e in splits.valid]
-    valid_labels = np.asarray(
-        [kh.edge_type[int(e)] for e in splits.valid], dtype=np.int64
-    )
-    t = len(train_ids)
+    def step(batch):
+        # hide the targets' own labels from the message passing; the
+        # backward pass never reads edge_init, so restoring after the
+        # forward is enough
+        edge_init[batch, :num_rel] = 0.0
+        try:
+            out, cache = _forward(model, [structure.edge_members[int(b)] for b in batch])
+        finally:
+            edge_init[batch, labels[batch]] = 1.0
+        loss, dlogits = _batch_cross_entropy(out, labels[batch])
+        adam.step(e2e_backward(cache, dlogits))
+        return loss
 
-    best_value = -np.inf
-    best_epoch = 0
-    best_weights = None
-    stale = 0
+    valid_sets, valid_labels = _facts(kh, splits.valid)
+
+    def validate():
+        ranks = _ranks(_forward(model, valid_sets)[0], valid_labels)
+        return mrr(ranks) if cfg.task == "completion" else hit_at(ranks, 1)
+
     history: list[dict] = []
-    epochs_run = 0
-
-    for epoch in range(1, cfg.epochs + 1):
-        epochs_run = epoch
-        order = rng.permutation(t)
-        loss_sum = 0.0
-        for lo in range(0, t, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            masked = edge_init.copy()
-            masked[batch, :num_rel] = 0.0
-            targets = [structure.edge_members[int(b)] for b in batch]
-            out, cache = e2e_forward(
-                model.layers, kind, structure, masked, node_x,
-                targets, bilinear=cfg.bilinear, agg=cfg.agg,
-            )
-            loss, dlogits = _batch_cross_entropy(out, labels[batch])
-            adam.step(e2e_backward(cache, dlogits))
-            loss_sum += loss * len(batch)
-        if not params.all_finite():
-            raise FloatingPointError(f"non-finite weights after epoch {epoch}")
-
-        ranks = _relational_ranks(model, valid_sets, valid_labels)
-        value = mrr(ranks) if valid_metric == "mrr" else hit_at(ranks, 1)
-        history.append(
-            {"epoch": epoch, "train_loss": loss_sum / t, "valid_metric": value}
-        )
-        if value > best_value:
-            best_value = value
-            best_epoch = epoch
-            best_weights = (layer1.weight.copy(), layer2.weight.copy())
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-
-    if best_weights is not None:
-        layer1.weight[...] = best_weights[0]
-        layer2.weight[...] = best_weights[1]
-
-    test_sets = [kh.base.edge_members[int(e)] for e in splits.test]
-    test_labels = np.asarray(
-        [kh.edge_type[int(e)] for e in splits.test], dtype=np.int64
-    )
-    ranks = _relational_ranks(model, test_sets, test_labels)
-    if cfg.task == "classification":
-        scores = _score_sets(model, test_sets)
-        test_metrics = {"accuracy": accuracy(scores.argmax(axis=1), test_labels)}
-    else:
-        test_metrics = {
-            "mrr": mrr(ranks),
-            "hit1": hit_at(ranks, 1),
-            "hit3": hit_at(ranks, 3),
-        }
-
-    report = RunReport(
-        task=cfg.task,
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-        partition=_partition_stats(structure, clusters),
-        history=history,
-        test_metrics=test_metrics,
-        best_epoch=best_epoch,
-        epochs_run=epochs_run,
-        wall_seconds=time.perf_counter() - start,
-    )
-    return model, report
+    best_epoch = _fit(cfg, rng, len(train_ids), step, validate,
+                      [layer1.weight, layer2.weight], history)
+    test_metrics = _test_metrics(model, *_facts(kh, splits.test))
+    return model, _report(model, history, test_metrics, best_epoch, start)
 
 
 def train_completion(
@@ -529,43 +555,39 @@ def train_completion(
     validation MRR, reports test MRR and Hit@1/3."""
     if cfg.task != "completion":
         raise ValueError(f"config is for task {cfg.task!r}")
-    return _train_relational(kh, cfg, splits, valid_metric="mrr")
+    return _train_relational(kh, cfg, splits)
 
 
 def train_classification(
     kh: KnowledgeHypergraph, cfg: TrainConfig, splits: Splits | None = None
 ) -> tuple[TrainedModel, RunReport]:
-    """Same machinery as completion with class labels; reports accuracy."""
+    """Same machinery as completion with class labels; early-stops on
+    validation Hit@1, reports test accuracy."""
     if cfg.task != "classification":
         raise ValueError(f"config is for task {cfg.task!r}")
-    return _train_relational(kh, cfg, splits, valid_metric="hit1")
+    return _train_relational(kh, cfg, splits)
 
 
 # ---------------------------------------------------------------------------
 # hyperedge prediction (pretext + frozen binary head)
 
 
-def _score_sets_pretext(model: TrainedModel, member_sets) -> np.ndarray:
-    reps = _score_sets(model, member_sets)
-    return reps @ model.params.head_weight.T + model.params.head_bias
+def _with_negatives(h: Hypergraph, ids, negatives: list[NegativeSample],
+                    pos_labels: np.ndarray, neg_label: int) -> tuple[list, np.ndarray]:
+    """The positives' member sets then the negatives', with their labels."""
+    sets = [h.edge_members[int(e)] for e in ids] + [s.members for s in negatives]
+    labels = np.concatenate(
+        [pos_labels, np.full(len(negatives), neg_label, dtype=np.int64)]
+    )
+    return sets, labels
 
 
-def _pretext_eval(model, sets, labels):
-    scores = _score_sets_pretext(model, sets)
-    return accuracy(scores.argmax(axis=1), labels)
-
-
-def _binary_scores(model: TrainedModel, reps: np.ndarray) -> np.ndarray:
-    """Monotone edge-existence score: logit margin of the positive class."""
-    z = reps @ model.params.head_weight.T + model.params.head_bias
-    return z[:, 1] - z[:, 0]
+def _test_candidates(h: Hypergraph, splits: Splits, negatives) -> tuple[list, np.ndarray]:
+    return _with_negatives(h, splits.test, negatives, np.ones(len(splits.test), np.int64), 0)
 
 
 def train_prediction(
-    h: Hypergraph,
-    cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
-    splits: Splits | None = None,
+    h: Hypergraph, cfg: TrainConfig, splits: Splits | None = None
 ) -> tuple[TrainedModel, RunReport]:
     """Two-stage hyperedge prediction.
 
@@ -573,25 +595,22 @@ def train_prediction(
     set into k+1 classes, the pooled cluster id for real edges and a
     dedicated fake class for corrupted ones. Stage 2 freezes the layers
     and fits a binary linear head on the 64-d set representations.
-    Negatives are drawn once per run, one per positive, per split.
+    Negatives are drawn once per run, one per positive, per split, from
+    the run seed, so ``evaluate`` can replay them.
     """
     if cfg.task != "prediction":
         raise ValueError(f"config is for task {cfg.task!r}")
     start = time.perf_counter()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     if splits is None:
         splits = Splits.from_ratios(h.num_edges, cfg.split_ratios, cfg.seed)
     splits.check(h.num_edges)
     k = cfg.clusters
-    kind = cfg.omega_kind
 
     structure = build_hypergraph(
         (h.edge_members[int(e)] for e in splits.train), num_nodes=h.num_nodes
     )
-    clusters = partition(
-        structure, k, seed=cfg.seed, balance_epsilon=cfg.balance_epsilon
-    )
+    clusters = partition(structure, k, balance_epsilon=cfg.balance_epsilon)
     node_x = node_onehot(clusters)
     edge_init = edge_cluster_onehot(structure, clusters)
 
@@ -613,81 +632,41 @@ def train_prediction(
         node_x=node_x,
     )
 
-    pos_sets = list(structure.edge_members)
-    pos_labels = _pooled_labels(pos_sets, clusters)
-    train_sets = pos_sets + [s.members for s in neg["train"]]
-    train_labels = np.concatenate(
-        [pos_labels, np.full(len(neg["train"]), k, dtype=np.int64)]
+    # stage 1: pretext classes, k for a negative
+    pooled = edge_cluster_pool(h, clusters)
+    train_sets, train_labels = _with_negatives(
+        h, splits.train, neg["train"], pooled[splits.train], k
     )
-    valid_pos = [h.edge_members[int(e)] for e in splits.valid]
-    valid_sets = valid_pos + [s.members for s in neg["valid"]]
-    valid_labels = np.concatenate(
-        [_pooled_labels(valid_pos, clusters), np.full(len(neg["valid"]), k, dtype=np.int64)]
+    valid_sets, valid_labels = _with_negatives(
+        h, splits.valid, neg["valid"], pooled[splits.valid], k
     )
-
     adam = Adam(params.trainable(), lr=cfg.learning_rate)
-    t = len(train_sets)
-    best_value = -np.inf
-    best_epoch = 0
-    best_weights = None
-    stale = 0
+
+    def pretext_step(batch):
+        reps, cache = _forward(model, [train_sets[int(b)] for b in batch])
+        logits = reps @ head_w.T + head_b
+        loss, dlogits = _batch_cross_entropy(logits, train_labels[batch])
+        grads = e2e_backward(cache, dlogits @ head_w)
+        grads["Wh"] = dlogits.T @ reps
+        grads["bh"] = dlogits.sum(axis=0)
+        adam.step(grads)
+        return loss
+
+    def pretext_accuracy():
+        logits = _forward(model, valid_sets)[0] @ head_w.T + head_b
+        return accuracy(logits.argmax(axis=1), valid_labels)
+
     history: list[dict] = []
-    stage1_epochs = 0
-
-    for epoch in range(1, cfg.epochs + 1):
-        stage1_epochs = epoch
-        order = rng.permutation(t)
-        loss_sum = 0.0
-        for lo in range(0, t, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            targets = [train_sets[int(b)] for b in batch]
-            reps, cache = e2e_forward(
-                model.layers, kind, structure, edge_init, node_x,
-                targets, bilinear=cfg.bilinear, agg=cfg.agg,
-            )
-            logits = reps @ head_w.T + head_b
-            loss, dlogits = _batch_cross_entropy(logits, train_labels[batch])
-            grads = e2e_backward(cache, dlogits @ head_w)
-            grads["Wh"] = dlogits.T @ reps
-            grads["bh"] = dlogits.sum(axis=0)
-            adam.step(grads)
-            loss_sum += loss * len(batch)
-        if not params.all_finite():
-            raise FloatingPointError(f"non-finite weights after epoch {epoch}")
-
-        value = _pretext_eval(model, valid_sets, valid_labels)
-        history.append(
-            {"epoch": epoch, "train_loss": loss_sum / t, "valid_metric": value}
-        )
-        if value > best_value:
-            best_value = value
-            best_epoch = epoch
-            best_weights = tuple(
-                w.copy() for w in (layer1.weight, layer2.weight, head_w, head_b)
-            )
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-
-    if best_weights is not None:
-        layer1.weight[...] = best_weights[0]
-        layer2.weight[...] = best_weights[1]
-        head_w[...] = best_weights[2]
-        head_b[...] = best_weights[3]
+    best_epoch = _fit(cfg, rng, len(train_sets), pretext_step, pretext_accuracy,
+                      [layer1.weight, layer2.weight, head_w, head_b], history)
 
     # stage 2: frozen representations, fresh binary head
     frozen1 = layer1.weight.copy()
     frozen2 = layer2.weight.copy()
-
-    def reps_of(sets):
-        return _score_sets(model, sets)
-
-    train_reps = reps_of(train_sets)
+    train_reps = _forward(model, train_sets)[0]
     bin_labels = (train_labels != k).astype(np.int64)
-    valid_reps = reps_of(valid_sets)
-    valid_bin = (valid_labels != k).astype(np.int64)
+    valid_reps = _forward(model, valid_sets)[0]
+    valid_real = valid_labels != k
 
     bound = np.sqrt(6.0 / (cfg.hidden_dim + 2))
     head_w2 = rng.uniform(-bound, bound, size=(2, cfg.hidden_dim))
@@ -696,63 +675,22 @@ def train_prediction(
     params.head_bias = head_b2
     adam2 = Adam({"Wh": head_w2, "bh": head_b2}, lr=cfg.learning_rate)
 
-    best_auc = -np.inf
-    best_head = None
-    best_epoch2 = 0
-    stale = 0
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train_reps))
-        loss_sum = 0.0
-        for lo in range(0, len(train_reps), cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            logits = train_reps[batch] @ head_w2.T + head_b2
-            loss, dlogits = _batch_cross_entropy(logits, bin_labels[batch])
-            adam2.step({"Wh": dlogits.T @ train_reps[batch], "bh": dlogits.sum(axis=0)})
-            loss_sum += loss * len(batch)
-        scores = _binary_scores(model, valid_reps)
-        value = auc(scores[valid_bin == 1], scores[valid_bin == 0])
-        history.append(
-            {
-                "epoch": stage1_epochs + epoch,
-                "train_loss": loss_sum / len(train_reps),
-                "valid_metric": value,
-            }
-        )
-        if value > best_auc:
-            best_auc = value
-            best_epoch2 = epoch
-            best_head = (head_w2.copy(), head_b2.copy())
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+    def head_step(batch):
+        reps = train_reps[batch]
+        loss, dlogits = _batch_cross_entropy(reps @ head_w2.T + head_b2, bin_labels[batch])
+        adam2.step({"Wh": dlogits.T @ reps, "bh": dlogits.sum(axis=0)})
+        return loss
 
-    if best_head is not None:
-        head_w2[...] = best_head[0]
-        head_b2[...] = best_head[1]
+    def head_auc():
+        scores = _binary_scores(model, valid_reps)
+        return auc(scores[valid_real], scores[~valid_real])
+
+    _fit(cfg, rng, len(train_sets), head_step, head_auc, [head_w2, head_b2], history)
     if not (np.array_equal(frozen1, layer1.weight) and np.array_equal(frozen2, layer2.weight)):
         raise AssertionError("stage 2 must not touch the convolution weights")
 
-    test_pos = [h.edge_members[int(e)] for e in splits.test]
-    test_sets = test_pos + [s.members for s in neg["test"]]
-    test_reps = reps_of(test_sets)
-    scores = _binary_scores(model, test_reps)
-    npos = len(test_pos)
-    test_metrics = {"auc": auc(scores[:npos], scores[npos:])}
-
-    report = RunReport(
-        task=cfg.task,
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-        partition=_partition_stats(structure, clusters),
-        history=history,
-        test_metrics=test_metrics,
-        best_epoch=best_epoch,
-        epochs_run=stage1_epochs + best_epoch2,
-        wall_seconds=time.perf_counter() - start,
-    )
-    return model, report
+    test_metrics = _test_metrics(model, *_test_candidates(h, splits, neg["test"]))
+    return model, _report(model, history, test_metrics, best_epoch, start)
 
 
 # ---------------------------------------------------------------------------
@@ -766,45 +704,28 @@ def evaluate(model: TrainedModel, data, splits: Splits) -> dict[str, float]:
     run seed with the training draw order, so the result matches the
     original report exactly.
     """
-    if model.task in ("completion", "classification"):
-        kh: KnowledgeHypergraph = data
-        if kh.base.num_nodes != model.structure.num_nodes:
+    if model.task == "prediction":
+        h: Hypergraph = data
+        if h.num_nodes != model.structure.num_nodes:
             raise ValueError(
-                f"dataset has {kh.base.num_nodes} entities, model expects "
+                f"dataset has {h.num_nodes} nodes, model expects "
                 f"{model.structure.num_nodes}"
             )
-        if model.relation_names and kh.num_relations != len(model.relation_names):
-            raise ValueError(
-                f"dataset has {kh.num_relations} relations, model expects "
-                f"{len(model.relation_names)}"
-            )
-        test_sets = [kh.base.edge_members[int(e)] for e in splits.test]
-        test_labels = np.asarray(
-            [kh.edge_type[int(e)] for e in splits.test], dtype=np.int64
-        )
-        if model.task == "classification":
-            scores = _score_sets(model, test_sets)
-            return {"accuracy": accuracy(scores.argmax(axis=1), test_labels)}
-        ranks = _relational_ranks(model, test_sets, test_labels)
-        return {
-            "mrr": mrr(ranks),
-            "hit1": hit_at(ranks, 1),
-            "hit3": hit_at(ranks, 3),
-        }
+        neg = _draw_run_negatives(h, splits, np.random.default_rng(model.config.seed))
+        return _test_metrics(model, *_test_candidates(h, splits, neg["test"]))
 
-    h: Hypergraph = data
-    if h.num_nodes != model.structure.num_nodes:
+    kh: KnowledgeHypergraph = data
+    if kh.base.num_nodes != model.structure.num_nodes:
         raise ValueError(
-            f"dataset has {h.num_nodes} nodes, model expects "
+            f"dataset has {kh.base.num_nodes} entities, model expects "
             f"{model.structure.num_nodes}"
         )
-    rng = np.random.default_rng(model.config.seed)
-    neg = _draw_run_negatives(h, splits, rng)
-    test_pos = [h.edge_members[int(e)] for e in splits.test]
-    test_sets = test_pos + [s.members for s in neg["test"]]
-    scores = _binary_scores(model, _score_sets(model, test_sets))
-    npos = len(test_pos)
-    return {"auc": auc(scores[:npos], scores[npos:])}
+    if model.relation_names and kh.num_relations != len(model.relation_names):
+        raise ValueError(
+            f"dataset has {kh.num_relations} relations, model expects "
+            f"{len(model.relation_names)}"
+        )
+    return _test_metrics(model, *_facts(kh, splits.test))
 
 
 def _check_candidate(model: TrainedModel, candidate) -> tuple[int, ...]:
@@ -830,7 +751,7 @@ def predict_relation(
     if model.task not in ("completion", "classification"):
         raise ValueError(f"model was trained for {model.task}")
     cand = _check_candidate(model, candidate)
-    scores = _score_sets(model, [cand])[0]
+    scores = _forward(model, [cand])[0][0]
     order = np.lexsort((np.arange(len(scores)), -scores))
     return [(int(r), float(scores[r])) for r in order]
 
@@ -840,6 +761,5 @@ def predict_edge(model: TrainedModel, candidate) -> float:
     if model.task != "prediction":
         raise ValueError(f"model was trained for {model.task}")
     cand = _check_candidate(model, candidate)
-    reps = _score_sets(model, [cand])
-    margin = _binary_scores(model, reps)[0]
+    margin = _binary_scores(model, _forward(model, [cand])[0])[0]
     return float(1.0 / (1.0 + np.exp(-margin)))

@@ -179,6 +179,20 @@ def test_head_weight_shape_checked(prediction_model, tmp_path):
     _expect_field_error(path, "arrays.Wh")
 
 
+def test_unknown_config_key_rejected(completion_model, tmp_path):
+    def edit(doc):
+        doc["config"]["dropout"] = 0.5
+
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "config")
+
+
+def test_out_of_range_node_id_rejected(completion_model, tmp_path):
+    def edit(doc):
+        doc["structure"]["edges"][0][0] = doc["structure"]["num_nodes"]
+
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "structure.edges")
+
+
 def test_head_bias_shape_checked(prediction_model, tmp_path):
     path = _corrupt(prediction_model, tmp_path, lambda d: _resize(d, "bh", rows=1))
     _expect_field_error(path, "arrays.bh")

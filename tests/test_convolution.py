@@ -8,13 +8,11 @@ from hyperconv.convolution import (
     OMEGA_KINDS,
     E2ECache,
     LayerParams,
-    bilinear_flat,
     e2e_backward,
     e2e_forward,
     e2n,
     init_layer,
     n2e,
-    omega,
 )
 from hyperconv.hypergraph import build_hypergraph
 
@@ -25,6 +23,14 @@ from helpers import (
     numeric_grad,
     random_hypergraph,
 )
+
+
+def omega(kind, rows, bilinear=False):
+    """One set reduction through n2e with an identity layer."""
+    rows = np.asarray(rows, dtype=np.float64)
+    d = rows.shape[1] ** 2 if bilinear else rows.shape[1]
+    layer = LayerParams(np.eye(d), "identity")
+    return n2e(layer, kind, rows, [range(len(rows))], bilinear=bilinear)[0]
 
 
 class TestOmega:
@@ -56,18 +62,23 @@ class TestOmega:
 
 
 class TestBilinearFlat:
+    """The bilinear lift feeds the layer the row-major flattening of z z^T."""
+
+    def bilinear_flat(self, v):
+        return omega("mean", [v], bilinear=True)
+
     def test_by_hand(self):
-        np.testing.assert_array_equal(bilinear_flat(np.array([1.0, 2.0])), [1, 2, 2, 4])
+        np.testing.assert_array_equal(self.bilinear_flat([1.0, 2.0]), [1, 2, 2, 4])
 
     def test_zero_vector(self):
-        np.testing.assert_array_equal(bilinear_flat(np.zeros(3)), np.zeros(9))
+        np.testing.assert_array_equal(self.bilinear_flat(np.zeros(3)), np.zeros(9))
 
     def test_row_major_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             d = int(rng.integers(1, 6))
             v = rng.normal(size=d)
-            flat = bilinear_flat(v)
+            flat = self.bilinear_flat(v)
             assert flat.shape == (d * d,)
             for i in range(d):
                 for j in range(d):
@@ -281,7 +292,7 @@ class TestE2EBackward:
         v = np.array([1.0, 2.0])
 
         def f():
-            return float(bilinear_flat(v).sum())
+            return float(np.outer(v, v).sum())
 
         np.testing.assert_allclose(numeric_grad(f, v), [6.0, 6.0], rtol=1e-6)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hyperconv.features import (
-    EmbeddingTable,
     edge_cluster_onehot,
     edge_cluster_pool,
     knowledge_edge_init,
@@ -64,11 +63,10 @@ class TestEdgeClusterPool:
             edge_cluster_pool(h, assignment([0, 0, 0], 1))
 
 
-def test_edge_onehot_and_multihot():
+def test_edge_onehot_takes_majority_cluster():
     h = build_hypergraph([[0, 1, 2]])
     c = assignment([0, 2, 2], 3)
     np.testing.assert_array_equal(edge_cluster_onehot(h, c), [[0, 0, 1]])
-    np.testing.assert_array_equal(edge_cluster_onehot(h, c, multihot=True), [[1, 0, 1]])
 
 
 class TestKnowledgeEdgeInit:
@@ -81,28 +79,7 @@ class TestKnowledgeEdgeInit:
         assert feats.shape == (2, 5)  # |R| + k
         np.testing.assert_array_equal(feats[0], [0, 1, 0, 1, 0])
 
-    def test_masked_edge_loses_its_type(self):
-        feats = knowledge_edge_init(self.kh(), assignment([0, 0, 1], 2), mask_edges=0)
-        np.testing.assert_array_equal(feats[0], [0, 0, 0, 1, 0])
-        np.testing.assert_array_equal(feats[1, :3], [1, 0, 0])  # others untouched
-
-    def test_mask_accepts_a_list(self):
-        feats = knowledge_edge_init(self.kh(), assignment([0, 0, 1], 2), mask_edges=[0, 1])
-        np.testing.assert_array_equal(feats[:, :3], 0.0)
-        np.testing.assert_array_equal(feats[:, 3:].sum(axis=1), 1.0)
-
     def test_sub_vector_sums(self):
-        feats = knowledge_edge_init(self.kh(), assignment([1, 1, 0], 2), mask_edges=1)
-        assert feats[:, :3].sum(axis=1).tolist() == [1.0, 0.0]
+        feats = knowledge_edge_init(self.kh(), assignment([1, 1, 0], 2))
+        assert feats[:, :3].sum(axis=1).tolist() == [1.0, 1.0]
         assert feats[:, 3:].sum(axis=1).tolist() == [1.0, 1.0]
-
-
-def test_embedding_table_validation():
-    good = np.zeros((2, 3))
-    EmbeddingTable(good, good)
-    with pytest.raises(ValueError, match="2-d"):
-        EmbeddingTable(np.zeros(3), good)
-    bad = good.copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError, match="NaN"):
-        EmbeddingTable(good, bad)

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperconv.hypergraph import (
-    Hypergraph,
-    KnowledgeHypergraph,
-    build_hypergraph,
-    degree_stats,
-)
+from hyperconv.hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
 
 from helpers import random_hypergraph
 
@@ -61,23 +56,6 @@ def test_instances_are_immutable():
     h = build_hypergraph([[0, 1]])
     with pytest.raises(AttributeError):
         h.num_nodes = 5
-
-
-def test_degree_stats_by_hand():
-    assert degree_stats(build_hypergraph([[0, 1, 2], [1, 2]])) == (2, 3, 5)
-    assert degree_stats(build_hypergraph([[0]])) == (1, 1, 1)
-
-
-def test_degree_stats_matches_recount():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        h = random_hypergraph(rng, max_nodes=8, max_edges=10)
-        max_deg = max(
-            sum(1 for m in h.edge_members if v in m) for v in range(h.num_nodes)
-        )
-        max_size = max(len(m) for m in h.edge_members)
-        total = sum(len(m) for m in h.edge_members)
-        assert degree_stats(h) == (max_deg, max_size, total)
 
 
 def test_transpose_round_trip():

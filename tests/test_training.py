@@ -234,6 +234,32 @@ class TestCompletion:
         model, report = train_completion(kh, cfg, splits)
         assert evaluate(model, kh, splits) == report.test_metrics
 
+    def test_early_stopping_restores_the_best_epoch(self):
+        kh = planted_knowledge(
+            np.random.default_rng(5), num_communities=6, nodes_per=6, num_edges=80
+        )
+        cfg = completion_config(
+            clusters=2, hidden_dim=8, epochs=10, patience=2, batch_size=16, seed=5,
+            learning_rate=3e-2,
+        )
+        splits = Splits.from_ratios(kh.base.num_edges, cfg.split_ratios, cfg.seed)
+        model, report = train_completion(kh, cfg, splits)
+        best = report.history[report.best_epoch - 1]["valid_metric"]
+        # the run stopped early, and its last epoch scored below the best one
+        assert report.epochs_run < cfg.epochs
+        assert report.history[-1]["valid_metric"] < best
+        on_valid = Splits(splits.train, splits.valid, splits.valid)
+        assert evaluate(model, kh, on_valid)["mrr"] == best
+
+    def test_batch_masks_leave_edge_init_intact(self):
+        kh = planted_knowledge(np.random.default_rng(5), nodes_per=10, num_edges=100)
+        cfg = completion_config(epochs=3, patience=3)
+        splits = Splits.from_ratios(kh.base.num_edges, cfg.split_ratios, cfg.seed)
+        model, _ = train_completion(kh, cfg, splits)
+        types = model.edge_init[:, : kh.num_relations]
+        np.testing.assert_array_equal(types.sum(axis=1), 1.0)
+        assert types.argmax(axis=1).tolist() == [kh.edge_type[int(e)] for e in splits.train]
+
     def test_report_round_trip(self):
         kh = planted_knowledge(np.random.default_rng(5), nodes_per=10, num_edges=100)
         _, report = train_completion(kh, completion_config(epochs=3, patience=3))
@@ -247,6 +273,13 @@ class TestClassification:
         cfg = completion_config(task="classification")
         _, report = train_classification(kh, cfg)
         assert report.test_metrics["accuracy"] >= 0.9
+
+    def test_evaluate_reproduces_report(self):
+        kh = planted_knowledge(np.random.default_rng(9), nodes_per=10, num_edges=100)
+        cfg = completion_config(task="classification", epochs=5)
+        splits = Splits.from_ratios(kh.base.num_edges, cfg.split_ratios, cfg.seed)
+        model, report = train_classification(kh, cfg, splits)
+        assert evaluate(model, kh, splits) == report.test_metrics
 
     def test_task_mismatch_rejected(self):
         kh = planted_knowledge(np.random.default_rng(9))
@@ -275,6 +308,12 @@ class TestPrediction:
         assert 0.0 <= report.test_metrics["auc"] <= 1.0
         assert model.params.head_weight.shape == (2, 16)
         assert report.epochs_run >= 2  # both stages contributed epochs
+
+    def test_epochs_run_counts_both_stages(self):
+        _, report = train_prediction(prediction_setup(), prediction_config(epochs=3, patience=3))
+        assert len(report.history) == 6
+        assert report.epochs_run == 6
+        assert [row["epoch"] for row in report.history] == [1, 2, 3, 4, 5, 6]
 
     def test_seeded_runs_are_identical(self):
         h = prediction_setup()
