@@ -39,7 +39,6 @@ from .training import (
     SamplingError,
     TrainConfig,
     TrainedModel,
-    cross_entropy,
     evaluate,
     predict_edge,
     predict_relation,
@@ -86,7 +85,6 @@ __all__ = [
     "SamplingError",
     "TrainConfig",
     "TrainedModel",
-    "cross_entropy",
     "evaluate",
     "predict_edge",
     "predict_relation",

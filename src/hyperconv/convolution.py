@@ -11,7 +11,6 @@ gradients for both layers.
 from __future__ import annotations
 
 import logging
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -71,47 +70,29 @@ def _act_grad(pre: np.ndarray, tag: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cached flat incidence arrays per hypergraph
+# incidence row slices
 
 
-class _GraphArrays:
-    """CSR incidence (nodes x edges) plus node degrees for one hypergraph."""
+def _rows(h: Hypergraph, nodes: np.ndarray):
+    """Incidence rows of ``nodes`` (ascending, distinct) over the edges
+    they reference.
 
-    def __init__(self, h: Hypergraph):
-        n, m = h.num_nodes, h.num_edges
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for v in range(n):
-            indptr[v + 1] = indptr[v] + len(h.node_incidence[v])
-        indices = np.fromiter(
-            (e for inc in h.node_incidence for e in inc),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        data = np.ones(len(indices), dtype=np.float64)
-        self.incidence = sp.csr_matrix((data, indices, indptr), shape=(n, m))
-        self.deg = np.diff(indptr).astype(np.float64)
-        self.num_isolated = int((self.deg == 0).sum())
-
-    def rows(self, nodes: np.ndarray):
-        """Incidence rows of ``nodes`` (ascending, distinct) over the edges
-        they reference.
-
-        Returns (slice, edges, degrees): the slice's columns are renumbered
-        to positions in ``edges``, the referenced edge ids in ascending
-        order. Each row keeps its entries in order, so a product over the
-        slice sums in the same order as over the whole matrix.
-        """
-        indptr, indices = self.incidence.indptr, self.incidence.indices
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        sub_indptr = np.zeros(nodes.size + 1, dtype=indptr.dtype)
-        np.cumsum(counts, out=sub_indptr[1:])
-        cols = indices[np.repeat(starts - sub_indptr[:-1], counts) + np.arange(sub_indptr[-1])]
-        edges, lookup = _renumbering([cols], self.incidence.shape[1])
-        # keeping scipy's own index dtype spares the constructor a recheck
-        local = lookup[cols].astype(indices.dtype)
-        sub = sp.csr_matrix((np.ones(cols.size), local, sub_indptr), shape=(nodes.size, edges.size))
-        return sub, edges, self.deg[nodes]
+    Returns (slice, edges, degrees): the slice's columns are renumbered
+    to positions in ``edges``, the referenced edge ids in ascending
+    order. Each row keeps its entries in order, so a product over the
+    slice sums in the same order as over the whole incidence.
+    """
+    starts = h.node_ptr[nodes]
+    counts = h.node_ptr[nodes + 1] - starts
+    sub_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=sub_indptr[1:])
+    cols = h.node_edges[np.repeat(starts - sub_indptr[:-1], counts) + np.arange(sub_indptr[-1])]
+    edges, lookup = _renumbering([cols], h.num_edges)
+    # scipy takes int32 indices as given but scans int64 ones to narrow them
+    idx = np.int32 if cols.size < 2**31 else np.int64
+    sub = sp.csr_matrix((np.ones(cols.size), lookup[cols].astype(idx), sub_indptr.astype(idx)),
+                        shape=(nodes.size, edges.size))
+    return sub, edges, counts.astype(np.float64)
 
 
 def _renumbering(id_arrays, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,19 +105,6 @@ def _renumbering(id_arrays, size: int) -> tuple[np.ndarray, np.ndarray]:
     lookup = np.empty(size, dtype=np.int64)
     lookup[distinct] = np.arange(distinct.size)
     return distinct, lookup
-
-
-_graph_cache: "weakref.WeakKeyDictionary[Hypergraph, _GraphArrays]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _graph_arrays(h: Hypergraph) -> _GraphArrays:
-    ga = _graph_cache.get(h)
-    if ga is None:
-        ga = _GraphArrays(h)
-        _graph_cache[h] = ga
-    return ga
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +150,16 @@ def e2n(
 
     Isolated nodes get a zero aggregate (counted and logged, not fatal).
     """
-    ga = _graph_arrays(h)
     if edge_features.shape[0] != h.num_edges:
         raise ValueError("edge feature row count does not match hypergraph")
     if node_x.shape[0] != h.num_nodes:
         raise ValueError("node tag row count does not match hypergraph")
-    if ga.num_isolated:
-        logger.debug("%d isolated nodes aggregate to zero", ga.num_isolated)
-    out, _ = _aggregate(ga.incidence, ga.deg, np.asarray(edge_features, dtype=np.float64),
+    incidence, edges, deg = _rows(h, np.arange(h.num_nodes))
+    isolated = int((deg == 0).sum())
+    if isolated:
+        logger.debug("%d isolated nodes aggregate to zero", isolated)
+    edge_features = np.asarray(edge_features, dtype=np.float64)
+    out, _ = _aggregate(incidence, deg, edge_features[edges],
                         np.asarray(node_x, dtype=np.float64), agg)
     return out
 
@@ -405,18 +375,17 @@ def e2e_forward(
         raise ValueError(f"unknown omega kind {kind!r}")
     edge_init = np.asarray(edge_init, dtype=np.float64)
     node_x = np.asarray(node_x, dtype=np.float64)
-    ga = _graph_arrays(h)
     if edge_init.shape[0] != h.num_edges or node_x.shape[0] != h.num_nodes:
         raise ValueError("feature row counts do not match hypergraph")
     layer1, layer2 = layers[0], layers[1]
 
     batch2 = _SetBatch(targets)
     nodes2 = batch2.localize(h.num_nodes)
-    inc2, needed, deg2 = ga.rows(nodes2)
+    inc2, needed, deg2 = _rows(h, nodes2)
 
     batch1 = _SetBatch([h.edge_members[e] for e in needed.tolist()], canonical=True)
     nodes1 = batch1.localize(h.num_nodes)
-    inc1, edges1, deg1 = ga.rows(nodes1)
+    inc1, edges1, deg1 = _rows(h, nodes1)
     nf1, _ = _aggregate(inc1, deg1, edge_init[edges1], node_x[nodes1], agg)
     z1, _ = batch1.reduce(kind, nf1)
     pre1 = _affine_forward(layer1.weight, z1, bilinear)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hypergraph import Hypergraph, KnowledgeHypergraph
-from .partition import ClusterAssignment
+from .partition import ClusterAssignment, pin_counts
 
 
 def node_onehot(c: ClusterAssignment) -> np.ndarray:
@@ -30,12 +30,8 @@ def edge_cluster_pool(h: Hypergraph, c: ClusterAssignment) -> np.ndarray:
     """
     if c.num_nodes != h.num_nodes:
         raise ValueError("assignment does not match hypergraph")
-    labels = c.cluster_of
-    out = np.empty(h.num_edges, dtype=np.int64)
-    for e, members in enumerate(h.edge_members):
-        counts = np.bincount(labels[list(members)], minlength=c.k)
-        out[e] = int(counts.argmax())  # argmax takes the lowest id on ties
-    return out
+    # argmax takes the lowest id on ties
+    return pin_counts(h, c.cluster_of, c.k).argmax(axis=1)
 
 
 def edge_cluster_onehot(h: Hypergraph, c: ClusterAssignment) -> np.ndarray:

@@ -1,13 +1,21 @@
 """Immutable hypergraph and knowledge-hypergraph structures.
 
-Both incidence directions (node -> edges, edge -> nodes) are materialized
-at construction time so traversal is O(1) per neighbor in either direction.
+``Hypergraph`` owns the one incidence layout of the package, built once
+at construction as read-only int64 arrays: the edge-major pins
+(``pins``, with each pin's edge in ``pin_edge``) and the node-major CSR
+(``node_ptr``, ``node_edges``). The partitioner, the features and the
+convolution all read these arrays; none keeps a private copy. The tuple
+views ``edge_members`` and ``node_incidence`` serve per-node and per-edge
+Python traversal.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections.abc import Iterable, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -16,14 +24,19 @@ class Hypergraph:
     """A set of nodes plus hyperedges, each a nonempty subset of the nodes.
 
     Instances are immutable after construction: member lists are stored as
-    sorted tuples and the two incidence directions are exact transposes of
-    each other. Safe for unrestricted concurrent reads.
+    sorted tuples, the arrays are read-only, and the two incidence
+    directions are exact transposes of each other. Safe for unrestricted
+    concurrent reads.
 
     Attributes:
         num_nodes: number of nodes (ids 0..num_nodes-1).
         num_edges: number of hyperedges (ids 0..num_edges-1).
         edge_members: tuple of sorted node-id tuples, one per hyperedge.
         node_incidence: tuple of sorted edge-id tuples, one per node.
+        pins: member ids of every edge in turn, edge-major.
+        pin_edge: the edge of each entry of ``pins``.
+        node_ptr, node_edges: node-major CSR of the incidence; node v's
+            edges, ascending, are ``node_edges[node_ptr[v]:node_ptr[v + 1]]``.
         duplicates_removed: count of repeated node ids dropped from input
             edges during construction.
     """
@@ -33,6 +46,10 @@ class Hypergraph:
         "num_edges",
         "edge_members",
         "node_incidence",
+        "pins",
+        "pin_edge",
+        "node_ptr",
+        "node_edges",
         "duplicates_removed",
         "__weakref__",
     )
@@ -43,16 +60,29 @@ class Hypergraph:
         num_nodes: int,
         duplicates_removed: int = 0,
     ):
-        incidence: list[list[int]] = [[] for _ in range(num_nodes)]
-        for eid, members in enumerate(edge_members):
-            for v in members:
-                incidence[v].append(eid)
-        object.__setattr__(self, "edge_members", tuple(edge_members))
-        object.__setattr__(
-            self, "node_incidence", tuple(tuple(lst) for lst in incidence)
+        edge_members = tuple(edge_members)
+        m = len(edge_members)
+        sizes = np.fromiter(map(len, edge_members), dtype=np.int64, count=m)
+        pins = np.fromiter(
+            itertools.chain.from_iterable(edge_members), dtype=np.int64, count=int(sizes.sum())
         )
+        pin_edge = np.repeat(np.arange(m, dtype=np.int64), sizes)
+        # sorted (node, edge) codes list each node's edges in ascending order
+        node_edges = np.sort(pins * m + pin_edge) % max(m, 1)
+        node_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pins, minlength=num_nodes), out=node_ptr[1:])
+        # one int object per edge id, shared by every tuple that holds it
+        edges = np.arange(m, dtype=object)[node_edges].tolist()
+        ptr = node_ptr.tolist()
+        incidence = tuple(tuple(edges[a:b]) for a, b in zip(ptr, ptr[1:]))
+        for name, arr in (("pins", pins), ("pin_edge", pin_edge),
+                          ("node_ptr", node_ptr), ("node_edges", node_edges)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "edge_members", edge_members)
+        object.__setattr__(self, "node_incidence", incidence)
         object.__setattr__(self, "num_nodes", num_nodes)
-        object.__setattr__(self, "num_edges", len(edge_members))
+        object.__setattr__(self, "num_edges", m)
         object.__setattr__(self, "duplicates_removed", duplicates_removed)
 
     def __setattr__(self, name, value):
@@ -60,14 +90,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
-
-    def degree(self, v: int) -> int:
-        """Number of hyperedges incident to node v."""
-        return len(self.node_incidence[v])
-
-    def edge_size(self, e: int) -> int:
-        """Number of member nodes of hyperedge e."""
-        return len(self.edge_members[e])
 
 
 def build_hypergraph(
@@ -117,14 +139,7 @@ class KnowledgeHypergraph:
     vocabularies map names to dense ids bijectively.
     """
 
-    __slots__ = (
-        "base",
-        "edge_type",
-        "relation_names",
-        "entity_names",
-        "_relation_ids",
-        "_entity_ids",
-    )
+    __slots__ = ("base", "edge_type", "relation_names", "entity_names")
 
     def __init__(
         self,
@@ -145,16 +160,12 @@ class KnowledgeHypergraph:
         for eid, t in enumerate(edge_type):
             if not 0 <= t < num_rel:
                 raise ValueError(f"relation id {t} of edge {eid} out of range")
-        rel_ids = {name: i for i, name in enumerate(relation_names)}
-        ent_ids = {name: i for i, name in enumerate(entity_names)}
-        if len(rel_ids) != num_rel or len(ent_ids) != len(entity_names):
+        if len(set(relation_names)) != num_rel or len(set(entity_names)) != len(entity_names):
             raise ValueError("vocabulary names are not unique")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "edge_type", tuple(edge_type))
         object.__setattr__(self, "relation_names", tuple(relation_names))
         object.__setattr__(self, "entity_names", tuple(entity_names))
-        object.__setattr__(self, "_relation_ids", rel_ids)
-        object.__setattr__(self, "_entity_ids", ent_ids)
 
     def __setattr__(self, name, value):
         raise AttributeError("KnowledgeHypergraph is immutable")
@@ -162,12 +173,6 @@ class KnowledgeHypergraph:
     @property
     def num_relations(self) -> int:
         return len(self.relation_names)
-
-    def relation_id(self, name: str) -> int:
-        return self._relation_ids[name]
-
-    def entity_id(self, name: str) -> int:
-        return self._entity_ids[name]
 
     def __repr__(self) -> str:
         return (

@@ -79,11 +79,19 @@ def _balance_cap(n: int, k: int, eps: float) -> int:
     return int(math.ceil((1.0 + eps) * n / k - 1e-9))
 
 
-def _cut_value(h: Hypergraph, labels: np.ndarray) -> int:
-    total = 0
-    for members in h.edge_members:
-        total += len(set(labels[v] for v in members)) - 1
-    return total
+def pin_counts(h: Hypergraph, labels: np.ndarray, k: int) -> np.ndarray:
+    """(edges, k) table: how many members of each edge sit in each cluster.
+
+    The one source of per-edge cluster counts: connectivity, the cut, the
+    refinement gains and majority-vote pooling all read it.
+    """
+    flat = np.bincount(h.pin_edge * k + labels[h.pins], minlength=h.num_edges * k)
+    return flat.reshape(h.num_edges, k)
+
+
+def _cut_of(counts: np.ndarray) -> int:
+    """Connectivity-minus-one cut of a pin-count table."""
+    return int(np.count_nonzero(counts)) - counts.shape[0]
 
 
 def cut(h: Hypergraph, c: ClusterAssignment) -> int:
@@ -92,7 +100,12 @@ def cut(h: Hypergraph, c: ClusterAssignment) -> int:
         raise ValueError(
             f"assignment covers {c.num_nodes} nodes, hypergraph has {h.num_nodes}"
         )
-    return _cut_value(h, c.cluster_of)
+    return _cut_of(pin_counts(h, c.cluster_of, c.k))
+
+
+def _size_order(h: Hypergraph) -> np.ndarray:
+    """Edge ids in ascending (size, id) order."""
+    return np.argsort(np.bincount(h.pin_edge, minlength=h.num_edges), kind="stable")
 
 
 def coarsen(
@@ -114,9 +127,8 @@ def coarsen(
     if node_weights is None:
         node_weights = np.ones(n, dtype=np.int64)
     group_of = np.full(n, -1, dtype=np.int64)
-    order = sorted(range(h.num_edges), key=lambda e: (len(h.edge_members[e]), e))
     next_group = 0
-    for e in order:
+    for e in _size_order(h).tolist():
         pending: list[int] = []
         pending_weight = 0
         for v in h.edge_members[e]:
@@ -179,17 +191,17 @@ class _RefineState:
         self.k = k
         self.labels = labels
         self.weights = weights
-        self.counts = np.zeros((h.num_edges, k), dtype=np.int64)
-        for e, members in enumerate(h.edge_members):
-            for v in members:
-                self.counts[e, labels[v]] += 1
+        self.counts = pin_counts(h, labels, k)
         self.loads = np.bincount(labels, weights=weights, minlength=k).astype(np.int64)
+
+    def _edges_of(self, v: int) -> np.ndarray:
+        return self.h.node_edges[self.h.node_ptr[v]:self.h.node_ptr[v + 1]]
 
     def gains(self, v: int) -> np.ndarray:
         """Cut reduction for moving v into each cluster (own cluster -> 0)."""
         a = self.labels[v]
-        inc = list(self.h.node_incidence[v])
-        if not inc:
+        inc = self._edges_of(v)
+        if not inc.size:
             return np.zeros(self.k, dtype=np.int64)
         rows = self.counts[inc]
         leave = int((rows[:, a] == 1).sum())
@@ -200,9 +212,9 @@ class _RefineState:
 
     def apply(self, v: int, b: int) -> None:
         a = self.labels[v]
-        for e in self.h.node_incidence[v]:
-            self.counts[e, a] -= 1
-            self.counts[e, b] += 1
+        inc = self._edges_of(v)
+        self.counts[inc, a] -= 1
+        self.counts[inc, b] += 1
         self.loads[a] -= self.weights[v]
         self.loads[b] += self.weights[v]
         self.labels[v] = b
@@ -273,8 +285,7 @@ def _refine(
         if _fm_pass(state, cap) == 0:
             break
         if pass_cuts is not None:
-            lam = (state.counts > 0).sum(axis=1)
-            pass_cuts.append(int((lam - 1).clip(min=0).sum()))
+            pass_cuts.append(_cut_of(state.counts))
     return state.labels
 
 
@@ -345,7 +356,7 @@ def _edge_order(h: Hypergraph) -> list[int]:
     """Nodes by first appearance scanning edges in ascending (size, id)."""
     order: list[int] = []
     seen = np.zeros(h.num_nodes, dtype=bool)
-    for e in sorted(range(h.num_edges), key=lambda e: (len(h.edge_members[e]), e)):
+    for e in _size_order(h).tolist():
         for v in h.edge_members[e]:
             if not seen[v]:
                 seen[v] = True
@@ -472,7 +483,7 @@ def partition(
     best = None
     for cand in candidates:
         refined = _refine(cur, cand, k, wts, cap, max_passes)
-        value = _cut_value(cur, refined)
+        value = _cut_of(pin_counts(cur, refined, k))
         if best is None or value < best:
             labels, best = refined, value
 

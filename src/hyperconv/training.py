@@ -196,60 +196,48 @@ class RunReport:
         return cls(**d)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adaptive-moment gradient descent over a named parameter dict.
 
-    Arrays are updated in place so callers keep their references.
+    Arrays are updated in place so callers keep their references. Each
+    parameter has two scratch buffers, so a step allocates nothing.
     """
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            self.params[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def cross_entropy(logits: np.ndarray, true_class: int) -> tuple[float, np.ndarray]:
-    """Loss and gradient of -log softmax(logits)[true_class].
-
-    Max subtraction keeps the exponentials in range.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValueError("logits must be a vector; see _batch_cross_entropy")
-    if not 0 <= true_class < len(logits):
-        raise ValueError(f"true_class {true_class} out of range")
-    z = logits - logits.max()
-    lse = np.log(np.exp(z).sum())
-    p = np.exp(z - lse)
-    loss = float(lse - z[true_class])
-    grad = p.copy()
-    grad[true_class] -= 1.0
-    return loss, grad
+            m, v = self.m[name], self.v[name]
+            num, den = self._scratch[name]
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, g, out=num)
+            m += num
+            v *= ADAM_BETA2
+            np.square(g, out=num)
+            num *= 1.0 - ADAM_BETA2
+            v += num
+            # lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+            np.divide(m, c1, out=num)
+            num *= self.lr
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            num /= den
+            self.params[name] -= num
 
 
 def _batch_cross_entropy(

@@ -29,6 +29,18 @@ def random_hypergraph(
     return build_hypergraph(edges, num_nodes=n)
 
 
+def draw_hypergraph(data, max_nodes: int = 12, max_edges: int = 10, max_size: int = 5):
+    """A hypergraph drawn through hypothesis' ``st.data()``: isolated nodes,
+    unary edges and repeated member ids all occur."""
+    from hypothesis import strategies as st
+
+    n = data.draw(st.integers(1, max_nodes), label="num_nodes")
+    member = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.lists(member, min_size=1, max_size=max_size),
+                               max_size=max_edges), label="edges")
+    return build_hypergraph(edges, num_nodes=n)
+
+
 def recount_cut(h: Hypergraph, labels) -> int:
     labels = list(labels)
     total = 0
@@ -39,6 +51,25 @@ def recount_cut(h: Hypergraph, labels) -> int:
                 seen.append(labels[v])
         total += len(seen) - 1
     return total
+
+
+def naive_pool(h: Hypergraph, labels) -> list[int]:
+    """Per-edge majority cluster by counting votes; ties to the lowest id."""
+    out = []
+    for members in h.edge_members:
+        votes: dict[int, int] = {}
+        for v in members:
+            votes[int(labels[v])] = votes.get(int(labels[v]), 0) + 1
+        out.append(min(votes, key=lambda c: (-votes[c], c)))
+    return out
+
+
+def uniform_hypergraph(seed: int, num_edges: int, arity: int) -> Hypergraph:
+    """Random ``arity``-uniform hypergraph on num_edges / 2 nodes."""
+    rng = np.random.default_rng(seed)
+    n = num_edges // 2
+    edges = [rng.choice(n, size=arity, replace=False).tolist() for _ in range(num_edges)]
+    return build_hypergraph(edges, num_nodes=n)
 
 
 def balance_cap(n: int, k: int, eps: float = 0.05) -> int:
@@ -116,6 +147,16 @@ def naive_n2e(weight, activation, kind, node_feats, sets, bilinear) -> np.ndarra
             row.append(max(acc, 0.0) if activation == "relu" else acc)
         out.append(row)
     return np.asarray(out, dtype=np.float64)
+
+
+def cross_entropy(logits, true_class: int) -> tuple[float, np.ndarray]:
+    """Loss and gradient of -log softmax(logits)[true_class] for one row."""
+    logits = np.asarray(logits, dtype=np.float64)
+    z = logits - logits.max()
+    lse = np.log(np.exp(z).sum())
+    grad = np.exp(z - lse)
+    grad[true_class] -= 1.0
+    return float(lse - z[true_class]), grad
 
 
 def numeric_grad(fn, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.features import (
     edge_cluster_onehot,
@@ -9,6 +11,8 @@ from hyperconv.features import (
 )
 from hyperconv.hypergraph import KnowledgeHypergraph, build_hypergraph
 from hyperconv.partition import ClusterAssignment
+
+from helpers import draw_hypergraph, naive_pool
 
 
 def assignment(labels, k):
@@ -61,6 +65,16 @@ class TestEdgeClusterPool:
         h = build_hypergraph([[0, 1]])
         with pytest.raises(ValueError, match="match"):
             edge_cluster_pool(h, assignment([0, 0, 0], 1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_naive_majority_vote(self, data):
+        h = draw_hypergraph(data, max_size=6)
+        k = data.draw(st.integers(1, 5), label="k")
+        n = h.num_nodes
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+                           label="labels")
+        assert edge_cluster_pool(h, assignment(labels, k)).tolist() == naive_pool(h, labels)
 
 
 def test_edge_onehot_takes_majority_cluster():

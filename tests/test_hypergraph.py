@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
 
-from helpers import random_hypergraph
+from helpers import draw_hypergraph, random_hypergraph
 
 
 def test_incidence_is_the_transpose_of_membership():
@@ -18,8 +20,10 @@ def test_single_unary_edge():
     h = build_hypergraph([[0]])
     assert h.edge_members == ((0,),)
     assert h.node_incidence == ((0,),)
-    assert h.degree(0) == 1
-    assert h.edge_size(0) == 1
+    assert h.pins.tolist() == [0]
+    assert h.pin_edge.tolist() == [0]
+    assert h.node_ptr.tolist() == [0, 1]
+    assert h.node_edges.tolist() == [0]
 
 
 def test_member_lists_are_sorted_and_deduplicated():
@@ -69,6 +73,27 @@ def test_transpose_round_trip():
         assert tuple(tuple(m) for m in rebuilt) == h.edge_members
 
 
+def test_incidence_arrays_are_read_only():
+    h = build_hypergraph([[0, 1], [1, 2]])
+    for arr in (h.pins, h.pin_edge, h.node_ptr, h.node_edges):
+        assert arr.dtype == np.int64
+        with pytest.raises(ValueError):
+            arr[0] = 5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_incidence_arrays_match_the_tuple_views(data):
+    h = draw_hypergraph(data)
+    assert h.pins.tolist() == [v for members in h.edge_members for v in members]
+    assert h.pin_edge.tolist() == [e for e, members in enumerate(h.edge_members)
+                                   for _ in members]
+    assert h.node_ptr.shape == (h.num_nodes + 1,)
+    for v in range(h.num_nodes):
+        row = h.node_edges[h.node_ptr[v]:h.node_ptr[v + 1]]
+        assert tuple(row.tolist()) == h.node_incidence[v]
+
+
 def test_construction_is_deterministic():
     edges = [[3, 1], [0, 2, 4], [1, 4]]
     a = build_hypergraph(edges)
@@ -84,8 +109,8 @@ class TestKnowledgeHypergraph:
     def test_basic_lookup(self):
         kh = KnowledgeHypergraph(self.base(), [0, 1], ("r", "s"), ("a", "b", "c"))
         assert kh.num_relations == 2
-        assert kh.relation_id("s") == 1
-        assert kh.entity_id("c") == 2
+        assert kh.relation_names == ("r", "s")
+        assert kh.entity_names == ("a", "b", "c")
         assert kh.edge_type == (0, 1)
 
     def test_type_length_must_match_edges(self):

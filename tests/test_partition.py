@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.hypergraph import build_hypergraph
 from hyperconv.partition import (
@@ -13,7 +16,13 @@ from hyperconv.partition import (
     partition,
 )
 
-from helpers import optimal_balanced_cut, random_hypergraph, recount_cut
+from helpers import (
+    draw_hypergraph,
+    optimal_balanced_cut,
+    random_hypergraph,
+    recount_cut,
+    uniform_hypergraph,
+)
 
 
 def assignment(labels, k, eps=0.05):
@@ -47,6 +56,16 @@ class TestCut:
             labels = rng.integers(0, k, size=h.num_nodes)
             c = ClusterAssignment(labels, k, balance_epsilon=10.0)
             assert cut(h, c) == recount_cut(h, labels)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_recount_property(self, data):
+        h = draw_hypergraph(data)
+        k = data.draw(st.integers(1, 5), label="k")
+        n = h.num_nodes
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+                           label="labels")
+        assert cut(h, assignment(labels, k, eps=10.0)) == recount_cut(h, labels)
 
 
 class TestClusterAssignment:
@@ -205,3 +224,16 @@ class TestPartition:
             h = random_hypergraph(rng, max_nodes=10, max_edges=6)
             achieved = cut(h, partition(h, 2))
             assert achieved <= 1.5 * optimal_balanced_cut(h, 2)
+
+
+# sha256 prefixes of ``cluster_of``: the move order and tie-breaks are the
+# partitioner's contract, so a faster partitioner must reproduce them exactly
+PINNED_ASSIGNMENTS = {2: "95b163ef585d8915", 16: "69c3f259d55007d7"}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_ASSIGNMENTS))
+def test_assignment_pinned_on_a_multilevel_instance(k):
+    # 5k random 4-uniform edges on 2.5k nodes coarsen through several levels
+    h = uniform_hypergraph(seed=0, num_edges=5000, arity=4)
+    c = partition(h, k)
+    assert hashlib.sha256(c.cluster_of.tobytes()).hexdigest()[:16] == PINNED_ASSIGNMENTS[k]

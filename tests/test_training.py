@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hyperconv.training import (
     SamplingError,
     TrainConfig,
     _batch_cross_entropy,
-    cross_entropy,
     evaluate,
     predict_edge,
     predict_relation,
@@ -22,7 +22,7 @@ from hyperconv.training import (
     train_prediction,
 )
 
-from helpers import planted_communities, planted_knowledge, random_hypergraph
+from helpers import cross_entropy, planted_communities, planted_knowledge, random_hypergraph
 
 
 class TestTrainConfig:
@@ -52,20 +52,26 @@ class TestTrainConfig:
         assert again.split_ratios == cfg.split_ratios
 
 
+def one_row_cross_entropy(logits, label):
+    loss, grad = _batch_cross_entropy(np.asarray(logits, dtype=np.float64)[None, :],
+                                      np.array([label]))
+    return loss, grad[0]
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         for c in (2, 5, 9):
-            loss, _ = cross_entropy(np.zeros(c), 0)
+            loss, _ = one_row_cross_entropy(np.zeros(c), 0)
             assert loss == pytest.approx(math.log(c))
 
     def test_confident_correct_logit(self):
-        loss, _ = cross_entropy(np.array([10.0, -10.0]), 0)
+        loss, _ = one_row_cross_entropy([10.0, -10.0], 0)
         assert loss == pytest.approx(math.log(1.0 + math.exp(-20.0)), rel=1e-6)
         assert loss < 1e-8
 
     def test_gradient_is_softmax_minus_onehot(self):
         logits = np.array([1.0, 2.0, 0.5])
-        _, grad = cross_entropy(logits, 1)
+        _, grad = one_row_cross_entropy(logits, 1)
         p = np.exp(logits) / np.exp(logits).sum()
         expected = p.copy()
         expected[1] -= 1.0
@@ -75,19 +81,13 @@ class TestCrossEntropy:
         rng = np.random.default_rng(3)
         for _ in range(20):
             logits = rng.normal(size=int(rng.integers(2, 10))) * 5
-            _, grad = cross_entropy(logits, int(rng.integers(len(logits))))
+            _, grad = one_row_cross_entropy(logits, int(rng.integers(len(logits))))
             assert abs(grad.sum()) < 1e-12
 
     def test_extreme_logits_stay_finite(self):
-        loss, grad = cross_entropy(np.array([1000.0, -1000.0]), 1)
+        loss, grad = one_row_cross_entropy([1000.0, -1000.0], 1)
         assert np.isfinite(loss)
         assert np.isfinite(grad).all()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="vector"):
-            cross_entropy(np.zeros((2, 2)), 0)
-        with pytest.raises(ValueError, match="out of range"):
-            cross_entropy(np.zeros(2), 2)
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(4)
@@ -105,6 +105,21 @@ def test_adam_minimizes_a_quadratic():
     for _ in range(500):
         opt.step({"x": 2.0 * (x - 3.0)})
     assert x[0] == pytest.approx(3.0, abs=1e-3)
+
+
+def test_warm_adam_step_allocates_no_parameter_sized_temporaries():
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=100_000)
+    grad = rng.normal(size=w.shape)
+    opt = Adam({"w": w}, lr=1e-3)
+    opt.step({"w": grad})
+    tracemalloc.start()
+    try:
+        opt.step({"w": grad})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes
 
 
 class TestNegativeSampling:
