@@ -5,6 +5,12 @@ The objective is the connectivity-minus-one cut: each hyperedge spanning
 hypergraph by merging nodes along small hyperedges, seeds a balanced
 partition on the coarsest level, then refines greedily at every level on
 the way back up. Everything is deterministic for a fixed input.
+
+Refinement reads its move gains from a gain table, ``_RefineState.gain``:
+an (nodes, k) array of the cut reduction for moving each node into each
+cluster. It is counted once per refinement run and then updated on each
+move from the change in the pin counts of the mover's edges, as in the
+direct k-way FM of KaHyPar (Akhremtsev et al., ALENEX 2017) and hMETIS.
 """
 
 from __future__ import annotations
@@ -126,7 +132,8 @@ def coarsen(
     n = h.num_nodes
     if node_weights is None:
         node_weights = np.ones(n, dtype=np.int64)
-    group_of = np.full(n, -1, dtype=np.int64)
+    weights = node_weights.tolist()
+    group_of = [-1] * n
     next_group = 0
     for e in _size_order(h).tolist():
         pending: list[int] = []
@@ -134,7 +141,7 @@ def coarsen(
         for v in h.edge_members[e]:
             if group_of[v] >= 0:
                 continue
-            w = int(node_weights[v])
+            w = weights[v]
             if pending and (
                 len(pending) >= MERGE_GROUP_CAP
                 or (weight_cap is not None and pending_weight + w > weight_cap)
@@ -152,26 +159,24 @@ def coarsen(
                 group_of[u] = next_group
             next_group += 1
 
-    # renumber by first appearance so coarse ids follow fine-node order
-    projection = np.full(n, -1, dtype=np.int64)
-    remap: dict[int, int] = {}
-    n_coarse = 0
-    for v in range(n):
-        g = group_of[v]
-        if g < 0:
-            projection[v] = n_coarse
-            n_coarse += 1
-        else:
-            if g not in remap:
-                remap[g] = n_coarse
-                n_coarse += 1
-            projection[v] = remap[g]
+    # renumber by first appearance so coarse ids follow fine-node order;
+    # a singleton v keys as next_group + v, apart from every group
+    group = np.array(group_of, dtype=np.int64)
+    key = np.where(group < 0, next_group + np.arange(n), group)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    projection = rank[inverse]
+    n_coarse = int(first.size)
 
-    coarse_edges = []
-    for members in h.edge_members:
-        image = tuple(sorted(set(int(projection[v]) for v in members)))
-        if len(image) >= 2:
-            coarse_edges.append(image)
+    # one sort of (edge, coarse node) codes lists each edge's image in turn
+    codes = np.unique(h.pin_edge * n_coarse + projection[h.pins])
+    image_edge = codes // n_coarse
+    sizes = np.bincount(image_edge, minlength=h.num_edges)
+    kept = sizes[image_edge] >= 2
+    ends = np.cumsum(sizes[sizes >= 2]).tolist()
+    nodes = (codes[kept] % n_coarse).tolist()
+    coarse_edges = [tuple(nodes[a:b]) for a, b in zip([0] + ends, ends)]
     coarse = Hypergraph(coarse_edges, n_coarse)
     return CoarseLevel(coarse, projection, progress=n_coarse < n)
 
@@ -183,8 +188,24 @@ def coarse_weights(level: CoarseLevel, node_weights: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
+def _segments(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions covered by the CSR segments ``ptr[i]:ptr[i + 1]`` of each id,
+    concatenated in ``ids`` order, and the index into ``ids`` of each."""
+    starts = ptr[ids]
+    lens = ptr[ids + 1] - starts
+    owner = np.repeat(np.arange(ids.size), lens)
+    offsets = np.cumsum(lens) - lens
+    return np.arange(owner.size) + (starts - offsets)[owner], owner
+
+
 class _RefineState:
-    """Per-edge cluster counts plus cluster loads for one refinement run."""
+    """Per-edge cluster counts, cluster loads and the gain table of one
+    refinement run.
+
+    ``gain[v, c]`` is the cut reduction for moving v into cluster c (0 in
+    v's own column). It is kept exact: a move changes only the rows of the
+    members of the mover's edges, and ``apply`` updates those.
+    """
 
     def __init__(self, h: Hypergraph, labels: np.ndarray, k: int, weights: np.ndarray):
         self.h = h
@@ -193,31 +214,60 @@ class _RefineState:
         self.weights = weights
         self.counts = pin_counts(h, labels, k)
         self.loads = np.bincount(labels, weights=weights, minlength=k).astype(np.int64)
+        self.edge_ptr = np.zeros(h.num_edges + 1, dtype=np.int64)
+        np.cumsum(np.bincount(h.pin_edge, minlength=h.num_edges), out=self.edge_ptr[1:])
+        self.gain = np.zeros((h.num_nodes, k), dtype=np.int64)
+        self._recount(np.arange(h.num_nodes))
 
-    def _edges_of(self, v: int) -> np.ndarray:
-        return self.h.node_edges[self.h.node_ptr[v]:self.h.node_ptr[v + 1]]
+    def _recount(self, nodes: np.ndarray) -> None:
+        """Recompute the gain rows of ``nodes`` from ``counts``.
 
-    def gains(self, v: int) -> np.ndarray:
-        """Cut reduction for moving v into each cluster (own cluster -> 0)."""
+        A node's gain into c is the number of its edges where it is the
+        only member of its own cluster, minus the number of its edges with
+        no member in c.
+        """
+        k = self.k
+        pos, owner = _segments(self.h.node_ptr, nodes)
+        rows = self.counts[self.h.node_edges[pos]]
+        own = self.labels[nodes]
+        sole = rows[np.arange(owner.size), own[owner]] == 1
+        leave = np.bincount(owner[sole], minlength=nodes.size)
+        degree = np.bincount(owner, minlength=nodes.size)
+        # edges with no member in c = degree - edges with some member in c
+        r, c = np.nonzero(rows)
+        present = np.bincount(owner[r] * k + c, minlength=nodes.size * k)
+        g = (leave - degree)[:, None] + present.reshape(nodes.size, k)
+        g[np.arange(nodes.size), own] = 0
+        self.gain[nodes] = g
+
+    def apply(self, v: int, b: int) -> np.ndarray:
+        """Move v into cluster b; returns v and the members of its edges,
+        sorted: the nodes whose gain rows the move changed."""
         a = self.labels[v]
-        inc = self._edges_of(v)
-        if not inc.size:
-            return np.zeros(self.k, dtype=np.int64)
-        rows = self.counts[inc]
-        leave = int((rows[:, a] == 1).sum())
-        enter = (rows == 0).sum(axis=0)
-        g = leave - enter
-        g[a] = 0
-        return g
-
-    def apply(self, v: int, b: int) -> None:
-        a = self.labels[v]
-        inc = self._edges_of(v)
+        inc = self.h.node_edges[self.h.node_ptr[v]:self.h.node_ptr[v + 1]]
         self.counts[inc, a] -= 1
         self.counts[inc, b] += 1
         self.loads[a] -= self.weights[v]
         self.loads[b] += self.weights[v]
         self.labels[v] = b
+        pos, edge = _segments(self.edge_ptr, inc)
+        u = self.h.pins[pos]
+        other = u != v
+        u, edge = u[other], inc[edge[other]]
+        # only counts[e, a] and counts[e, b] moved, each by one: u's leave
+        # term follows its own cluster's count, its column a loses the edges
+        # a left and its column b gains the edges b entered
+        lab = self.labels[u]
+        new_own = self.counts[edge, lab]
+        old_own = new_own + (lab == a) - (lab == b)
+        sole = (new_own == 1).astype(np.int64) - (old_own == 1)
+        np.add.at(self.gain, u, sole[:, None])
+        np.subtract.at(self.gain, (u, a), self.counts[edge, a] == 0)
+        np.add.at(self.gain, (u, b), self.counts[edge, b] == 1)
+        touched = np.union1d(u, [v])
+        self.gain[touched, self.labels[touched]] = 0
+        self._recount(np.array([v]))
+        return touched
 
 
 def _fm_pass(state: _RefineState, cap: int) -> int:
@@ -227,44 +277,33 @@ def _fm_pass(state: _RefineState, cap: int) -> int:
     lower node id, then the lower target cluster. Each node moves at most
     once per pass. Returns the number of moves applied.
     """
-    h, k = state.h, state.k
-    locked = np.zeros(h.num_nodes, dtype=bool)
-    heap: list[tuple[int, int, int]] = []
+    gain = state.gain
+    locked = np.zeros(state.h.num_nodes, dtype=bool)
+    r, c = np.nonzero(gain > 0)
+    heap = list(zip((-gain[r, c]).tolist(), r.tolist(), c.tolist()))
+    heapq.heapify(heap)
     blocked: dict[int, list[tuple[int, int, int]]] = {}
-
-    def push_moves(v: int) -> None:
-        if locked[v]:
-            return
-        g = state.gains(v)
-        a = state.labels[v]
-        for b in range(k):
-            if b != a and g[b] > 0:
-                heapq.heappush(heap, (-int(g[b]), v, b))
-
-    for v in range(h.num_nodes):
-        push_moves(v)
 
     moves = 0
     while heap:
         neg_g, v, b = heapq.heappop(heap)
         if locked[v] or state.labels[v] == b:
             continue
-        cur = int(state.gains(v)[b])
+        cur = int(gain[v, b])
         if cur <= 0 or cur != -neg_g:
             continue  # stale entry; a fresh one was pushed when gains changed
         if state.loads[b] + state.weights[v] > cap:
             blocked.setdefault(b, []).append((neg_g, v, b))
             continue
         a = int(state.labels[v])
-        state.apply(v, b)
+        touched = state.apply(v, b)
         locked[v] = True
         moves += 1
-        touched = set()
-        for e in h.node_incidence[v]:
-            touched.update(h.edge_members[e])
-        touched.discard(v)
-        for u in sorted(touched):
-            push_moves(u)
+        touched = touched[~locked[touched]]
+        rows = gain[touched]
+        r, c = np.nonzero(rows > 0)
+        for entry in zip((-rows[r, c]).tolist(), touched[r].tolist(), c.tolist()):
+            heapq.heappush(heap, entry)
         # cluster a lost weight: retry moves it previously blocked
         for entry in blocked.pop(a, []):
             heapq.heappush(heap, entry)

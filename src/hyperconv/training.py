@@ -204,8 +204,9 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adaptive-moment gradient descent over a named parameter dict.
 
-    Arrays are updated in place so callers keep their references. Each
-    parameter has two scratch buffers, so a step allocates nothing.
+    Arrays are updated in place so callers keep their references. One
+    pair of float64 scratch buffers, sized to the largest parameter, serves
+    every parameter in turn, so a step allocates nothing.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3):
@@ -213,7 +214,8 @@ class Adam:
         self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
+        size = max((v.size for v in params.values()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
@@ -222,7 +224,7 @@ class Adam:
         c2 = 1.0 - ADAM_BETA2**self.t
         for name, g in grads.items():
             m, v = self.m[name], self.v[name]
-            num, den = self._scratch[name]
+            num, den = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
             m *= ADAM_BETA1
             np.multiply(1.0 - ADAM_BETA1, g, out=num)
             m += num
@@ -300,16 +302,20 @@ def sample_negative(
     if h.num_nodes <= size:
         raise ValueError(f"edge {edge} spans every node; nothing to swap in")
     keep = math.ceil(size / 2)
-    outside = np.setdiff1d(np.arange(h.num_nodes), members)
-    if outside.size < size - keep:
+    outside = h.num_nodes - size
+    if outside < size - keep:
         raise ValueError(
-            f"edge {edge}: only {outside.size} nodes outside, need {size - keep}"
+            f"edge {edge}: only {outside} nodes outside, need {size - keep}"
         )
     existing = _member_sets(h)
     members_arr = np.asarray(members)
+    # the r-th node outside the sorted members is r plus the number of
+    # members m_i with m_i - i <= r (m_i - i nodes outside lie below m_i)
+    below = members_arr - np.arange(size)
     for _ in range(100):
         kept = rng.choice(members_arr, size=keep, replace=False)
-        fill = rng.choice(outside, size=size - keep, replace=False)
+        pick = rng.choice(outside, size=size - keep, replace=False)
+        fill = pick + np.searchsorted(below, pick, side="right")
         cand = tuple(sorted(int(v) for v in np.concatenate([kept, fill])))
         if frozenset(cand) not in existing:
             return NegativeSample(cand, edge)

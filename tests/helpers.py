@@ -53,6 +53,20 @@ def recount_cut(h: Hypergraph, labels) -> int:
     return total
 
 
+def naive_gains(h: Hypergraph, labels, counts) -> np.ndarray:
+    """Cut reduction of moving each node into each cluster, counted edge by
+    edge from a pin-count table; 0 in each node's own cluster."""
+    k = counts.shape[1]
+    out = np.zeros((h.num_nodes, k), dtype=np.int64)
+    for v, edges in enumerate(h.node_incidence):
+        a = int(labels[v])
+        leave = sum(1 for e in edges if counts[e, a] == 1)
+        for c in range(k):
+            if c != a:
+                out[v, c] = leave - sum(1 for e in edges if counts[e, c] == 0)
+    return out
+
+
 def naive_pool(h: Hypergraph, labels) -> list[int]:
     """Per-edge majority cluster by counting votes; ties to the lowest id."""
     out = []
@@ -147,6 +161,33 @@ def naive_n2e(weight, activation, kind, node_feats, sets, bilinear) -> np.ndarra
             row.append(max(acc, 0.0) if activation == "relu" else acc)
         out.append(row)
     return np.asarray(out, dtype=np.float64)
+
+
+def naive_sample_negative(h: Hypergraph, edge: int, rng: np.random.Generator):
+    """``sample_negative`` drawing its fills from the explicit complement of
+    the edge: the same draws, so the same sample and the same generator
+    state afterwards."""
+    from hyperconv.training import NegativeSample, SamplingError
+
+    members = h.edge_members[edge]
+    size = len(members)
+    if h.num_nodes <= size:
+        raise ValueError(f"edge {edge} spans every node; nothing to swap in")
+    keep = math.ceil(size / 2)
+    outside = np.setdiff1d(np.arange(h.num_nodes), members)
+    if outside.size < size - keep:
+        raise ValueError(
+            f"edge {edge}: only {outside.size} nodes outside, need {size - keep}"
+        )
+    existing = frozenset(frozenset(m) for m in h.edge_members)
+    members_arr = np.asarray(members)
+    for _ in range(100):
+        kept = rng.choice(members_arr, size=keep, replace=False)
+        fill = rng.choice(outside, size=size - keep, replace=False)
+        cand = tuple(sorted(int(v) for v in np.concatenate([kept, fill])))
+        if frozenset(cand) not in existing:
+            return NegativeSample(cand, edge)
+    raise SamplingError(f"edge {edge}: no novel corruption in 100 attempts")
 
 
 def cross_entropy(logits, true_class: int) -> tuple[float, np.ndarray]:

@@ -219,7 +219,7 @@ class TestE2EForward:
             again, _ = e2e_forward(layers, kind, h, edge_init, node_x, shuffled)
             np.testing.assert_array_equal(base, again)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_restriction_to_reachable_edges_changes_nothing(self, data):
         # each target's row equals its single-set call and the whole-graph

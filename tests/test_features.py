@@ -66,7 +66,7 @@ class TestEdgeClusterPool:
         with pytest.raises(ValueError, match="match"):
             edge_cluster_pool(h, assignment([0, 0, 0], 1))
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_matches_naive_majority_vote(self, data):
         h = draw_hypergraph(data, max_size=6)

@@ -81,7 +81,7 @@ def test_incidence_arrays_are_read_only():
             arr[0] = 5
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_incidence_arrays_match_the_tuple_views(data):
     h = draw_hypergraph(data)

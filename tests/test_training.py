@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.convolution import e2e_backward, e2e_forward, init_layer
 from hyperconv.data import Splits
@@ -22,7 +24,14 @@ from hyperconv.training import (
     train_prediction,
 )
 
-from helpers import cross_entropy, planted_communities, planted_knowledge, random_hypergraph
+from helpers import (
+    cross_entropy,
+    draw_hypergraph,
+    naive_sample_negative,
+    planted_communities,
+    planted_knowledge,
+    random_hypergraph,
+)
 
 
 class TestTrainConfig:
@@ -159,6 +168,24 @@ class TestNegativeSampling:
         h = build_hypergraph([[0, 1, 2, 3]], num_nodes=5)
         with pytest.raises(ValueError, match="outside"):
             sample_negative(h, 0, np.random.default_rng(0))
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_the_complement_oracle_property(self, data):
+        h = draw_hypergraph(data)
+        if not h.num_edges:
+            return
+        edge = data.draw(st.integers(0, h.num_edges - 1), label="edge")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        outcomes = []
+        for sampler in (sample_negative, naive_sample_negative):
+            rng = np.random.default_rng(seed)
+            try:
+                result = sampler(h, edge, rng)
+            except (ValueError, SamplingError) as exc:
+                result = (type(exc), str(exc))
+            outcomes.append((result, rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
 
     def test_exhausted_candidates_raise(self):
         # both possible corruptions of {0,1} already exist as edges
