@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convolution import LayerParams
+from .convolution import ACTIVATIONS, LayerParams
 from .hypergraph import Hypergraph
 from .partition import ClusterAssignment
 from .training import ModelParams, TrainConfig, TrainedModel
@@ -31,10 +31,25 @@ def _pack(arr: np.ndarray) -> dict:
     }
 
 
-def _unpack(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return arr.reshape(obj["shape"])
+def _field(path, doc: dict, name: str):
+    """The value at the dotted ``name`` in ``doc``; fails naming the first
+    missing key."""
+    keys = name.split(".")
+    value = doc
+    for i, key in enumerate(keys):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"{path}: field {'.'.join(keys[:i + 1])} is missing")
+        value = value[key]
+    return value
+
+
+def _unpack(path, doc: dict, name: str) -> np.ndarray:
+    data, shape = _field(path, doc, f"{name}.data"), _field(path, doc, f"{name}.shape")
+    try:
+        arr = np.frombuffer(base64.b64decode(data), dtype="<f8").astype(np.float64)
+        return arr.reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field {name} does not decode to shape {shape}: {exc}") from None
 
 
 def save_checkpoint(model: TrainedModel, path) -> None:
@@ -108,45 +123,63 @@ def _check_shapes(path, task, config, structure, clusters, params, edge_init, no
 def load_checkpoint(path) -> TrainedModel:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT_NAME:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ValueError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a model checkpoint")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"{path}: checkpoint version {doc.get('version')} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
-    edges = [tuple(m) for m in doc["structure"]["edges"]]
-    n = doc["structure"]["num_nodes"]
+    edges = [tuple(m) for m in _field(path, doc, "structure.edges")]
+    n = _field(path, doc, "structure.num_nodes")
     bad = next((v for m in edges for v in m if not 0 <= v < n), None)
     if bad is not None:
         raise ValueError(f"{path}: field structure.edges holds node id {bad}, "
                          f"out of range [0, {n})")
     structure = Hypergraph(edges, n)
-    clusters = ClusterAssignment(
-        cluster_of=np.asarray(doc["clusters"]["cluster_of"], dtype=np.int64),
-        k=doc["clusters"]["k"],
-        balance_epsilon=doc["clusters"]["balance_epsilon"],
-    )
-    arrays = doc["arrays"]
-    act1, act2 = doc["activations"]
+    cluster_of = np.asarray(_field(path, doc, "clusters.cluster_of"), dtype=np.int64)
+    k = _field(path, doc, "clusters.k")
+    bad = cluster_of[(cluster_of < 0) | (cluster_of >= k)]
+    if bad.size:
+        raise ValueError(f"{path}: field clusters.cluster_of holds cluster id {bad[0]}, "
+                         f"out of range [0, {k})")
+    clusters = ClusterAssignment(cluster_of, k, _field(path, doc, "clusters.balance_epsilon"))
+    activations = _field(path, doc, "activations")
+    if (not isinstance(activations, list) or len(activations) != 2
+            or any(a not in ACTIVATIONS for a in activations)):
+        raise ValueError(f"{path}: field activations is {activations!r}, "
+                         f"expected two of {list(ACTIVATIONS)}")
+    layers = []
+    for name, activation in zip(("W1", "W2"), activations):
+        weight = _unpack(path, doc, f"arrays.{name}")
+        try:
+            layers.append(LayerParams(weight, activation))
+        except ValueError as exc:
+            raise ValueError(f"{path}: field arrays.{name}: {exc}") from None
+    arrays = _field(path, doc, "arrays")
     params = ModelParams(
-        layer1=LayerParams(_unpack(arrays["W1"]), act1),
-        layer2=LayerParams(_unpack(arrays["W2"]), act2),
-        head_weight=_unpack(arrays["Wh"]) if "Wh" in arrays else None,
-        head_bias=_unpack(arrays["bh"]) if "bh" in arrays else None,
+        *layers,
+        head_weight=_unpack(path, doc, "arrays.Wh") if "Wh" in arrays else None,
+        head_bias=_unpack(path, doc, "arrays.bh") if "bh" in arrays else None,
     )
     try:
-        config = TrainConfig.from_dict(doc["config"])
+        config = TrainConfig.from_dict(_field(path, doc, "config"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: field config: {exc}") from None
-    edge_init = _unpack(arrays["edge_init"])
-    node_x = _unpack(arrays["node_x"])
-    relation_names = tuple(doc["relation_names"]) if doc["relation_names"] else None
-    _check_shapes(path, doc["task"], config, structure, clusters, params, edge_init,
+    edge_init = _unpack(path, doc, "arrays.edge_init")
+    node_x = _unpack(path, doc, "arrays.node_x")
+    names = _field(path, doc, "relation_names")
+    relation_names = tuple(names) if names else None
+    task = _field(path, doc, "task")
+    _check_shapes(path, task, config, structure, clusters, params, edge_init,
                   node_x, relation_names)
+    entity_names = _field(path, doc, "entity_names")
     return TrainedModel(
-        task=doc["task"],
+        task=task,
         config=config,
         structure=structure,
         clusters=clusters,
@@ -154,5 +187,5 @@ def load_checkpoint(path) -> TrainedModel:
         edge_init=edge_init,
         node_x=node_x,
         relation_names=relation_names,
-        entity_names=tuple(doc["entity_names"]) if doc["entity_names"] else None,
+        entity_names=tuple(entity_names) if entity_names else None,
     )

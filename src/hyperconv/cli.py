@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import load_knowledge, load_simple
+from .data import _read_edge_file, load_knowledge, load_simple
 from .partition import cut, partition
 from .training import (
     TrainConfig,
@@ -43,12 +43,20 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return tuple(parts)
 
 
+def _parse_ints(text: str) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _load_structure(path: Path):
     """Any dataset as a bare hypergraph: knowledge dir or edge-list file."""
     if path.is_dir():
         kh, _ = load_knowledge(path)
         return kh.base
-    h, _, _ = load_simple(path)
+    h, _ = _read_edge_file(path)
     return h
 
 
@@ -179,12 +187,11 @@ def _cmd_query(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _config_from_args(args)
-    values = [int(v) for v in args.values.split(",")]
     field_of = {"k": "clusters", "dim": "hidden_dim", "epochs": "epochs", "seed": "seed"}
     field = field_of[args.param]
     metric_name = _PRIMARY_METRIC[base.task]
     rows = []
-    for value in values:
+    for value in args.values:
         cfg = replace(base, **{field: value})
         _, report = _run_training(cfg, args.data)
         rows.append((value, report.test_metrics[metric_name]))
@@ -234,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train across a parameter grid, emit CSV")
     _add_train_flags(p)
     p.add_argument("--param", required=True, choices=["k", "dim", "epochs", "seed"])
-    p.add_argument("--values", required=True, help="comma-separated integers")
+    p.add_argument("--values", required=True, type=_parse_ints,
+                   help="comma-separated integers")
     p.add_argument("-o", "--output", type=Path, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_sweep)
     return parser

@@ -10,6 +10,7 @@ gradients for both layers.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -17,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _segments
 
 logger = logging.getLogger(__name__)
 
 OMEGA_KINDS = ("mean", "var", "minmax")
 AGG_KINDS = ("mean", "harmonic")
+ACTIVATIONS = ("relu", "identity")
 HARMONIC_EPS = 1e-6
 
 
@@ -39,7 +41,7 @@ class LayerParams:
             raise ValueError("weight must be a 2-d matrix with out_dim >= 1")
         if not np.isfinite(self.weight).all():
             raise ValueError("weight contains NaN or Inf")
-        if self.activation not in ("relu", "identity"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
@@ -82,11 +84,10 @@ def _rows(h: Hypergraph, nodes: np.ndarray):
     order. Each row keeps its entries in order, so a product over the
     slice sums in the same order as over the whole incidence.
     """
-    starts = h.node_ptr[nodes]
-    counts = h.node_ptr[nodes + 1] - starts
+    pos, counts = _segments(h.node_ptr, nodes)
+    cols = h.node_edges[pos]
     sub_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
     np.cumsum(counts, out=sub_indptr[1:])
-    cols = h.node_edges[np.repeat(starts - sub_indptr[:-1], counts) + np.arange(sub_indptr[-1])]
     edges, lookup = _renumbering([cols], h.num_edges)
     # scipy takes int32 indices as given but scans int64 ones to narrow them
     idx = np.int32 if cols.size < 2**31 else np.int64
@@ -168,29 +169,36 @@ def e2n(
 # grouped variable-size set reduction
 
 
+def _flat_sets(sets: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node sets as their sorted distinct ids laid end to end, with each
+    set's start and size: the arrays ``_SetBatch`` takes."""
+    canon = [sorted(set(s)) for s in sets]
+    sizes = np.fromiter(map(len, canon), dtype=np.int64, count=len(canon))
+    members = np.fromiter(itertools.chain.from_iterable(canon), dtype=np.int64,
+                          count=int(sizes.sum()))
+    return members, np.cumsum(sizes) - sizes, sizes
+
+
 class _SetBatch:
     """Node-id sets grouped by size for vectorized Omega reduction.
 
-    Sets are canonicalized to sorted unique ids, which also pins the
-    lowest-index tie-break used by the minmax subgradient.
+    Set t is ``members[starts[t]:starts[t] + sizes[t]]``, sorted and
+    distinct as edge pins are and ``_flat_sets`` makes query sets, which
+    pins the lowest-index tie-break used by the minmax subgradient.
     """
 
-    def __init__(self, sets: Sequence[Sequence[int]], canonical: bool = False):
-        if canonical:
-            self.sets = [tuple(s) for s in sets]
-        else:
-            self.sets = [tuple(sorted(set(s))) for s in sets]
-        self.count = len(self.sets)
-        groups: dict[int, list[int]] = {}
-        for t, s in enumerate(self.sets):
-            if not s:
-                raise ValueError(f"empty node set at position {t}")
-            groups.setdefault(len(s), []).append(t)
+    def __init__(self, members: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+        self.count = sizes.size
+        order = np.argsort(sizes, kind="stable")
+        ordered = sizes[order]
+        if ordered.size and ordered[0] == 0:
+            raise ValueError(f"empty node set at position {order[0]}")
+        cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+        bounds = [0, *cuts, order.size] if order.size else []
         self.groups = {}
-        for size, positions in sorted(groups.items()):
-            pos = np.asarray(positions, dtype=np.int64)
-            ids = np.asarray([self.sets[t] for t in positions], dtype=np.int64)
-            self.groups[size] = (pos, ids)
+        for a, b in zip(bounds, bounds[1:]):
+            pos, size = order[a:b], int(ordered[a])
+            self.groups[size] = (pos, members[starts[pos][:, None] + np.arange(size)])
 
     def localize(self, num_nodes: int) -> np.ndarray:
         """Renumber member ids to rows of the batch's own node list.
@@ -308,7 +316,7 @@ def n2e(
     query sets.
     """
     node_features = np.asarray(node_features, dtype=np.float64)
-    batch = _SetBatch(target_sets)
+    batch = _SetBatch(*_flat_sets(target_sets))
     z, _ = batch.reduce(kind, node_features)
     pre = _affine_forward(params.weight, z, bilinear)
     return _act(pre, params.activation)
@@ -379,11 +387,12 @@ def e2e_forward(
         raise ValueError("feature row counts do not match hypergraph")
     layer1, layer2 = layers[0], layers[1]
 
-    batch2 = _SetBatch(targets)
+    batch2 = _SetBatch(*_flat_sets(targets))
     nodes2 = batch2.localize(h.num_nodes)
     inc2, needed, deg2 = _rows(h, nodes2)
 
-    batch1 = _SetBatch([h.edge_members[e] for e in needed.tolist()], canonical=True)
+    starts = h.edge_ptr[needed]
+    batch1 = _SetBatch(h.pins, starts, h.edge_ptr[needed + 1] - starts)
     nodes1 = batch1.localize(h.num_nodes)
     inc1, edges1, deg1 = _rows(h, nodes1)
     nf1, _ = _aggregate(inc1, deg1, edge_init[edges1], node_x[nodes1], agg)

@@ -124,12 +124,12 @@ def load_knowledge(directory) -> tuple[KnowledgeHypergraph, Splits]:
     return kh, splits
 
 
-def load_simple(path, split_ratios=(0.7, 0.1, 0.2), seed: int = 0):
-    """Read one hyperedge per line and split by seeded shuffle.
+def _read_edge_file(path) -> tuple[Hypergraph, tuple[str, ...]]:
+    """Read one hyperedge per line of whitespace-separated node tokens.
 
     Node tokens map to ids in first-seen order. Blank lines are skipped
-    with a warning. Returns the hypergraph, the splits, and the node
-    vocabulary in id order.
+    with a warning. Returns the hypergraph and the node vocabulary in id
+    order.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
@@ -148,6 +148,11 @@ def load_simple(path, split_ratios=(0.7, 0.1, 0.2), seed: int = 0):
             edges.append(tuple(members))
     if not edges:
         raise ValueError(f"{path}: no hyperedges found")
-    h = build_hypergraph(edges, num_nodes=len(vocab))
-    splits = Splits.from_ratios(h.num_edges, split_ratios, seed)
-    return h, splits, tuple(vocab)
+    return build_hypergraph(edges, num_nodes=len(vocab)), tuple(vocab)
+
+
+def load_simple(path, split_ratios=(0.7, 0.1, 0.2), seed: int = 0):
+    """``_read_edge_file`` plus a seeded shuffle split: returns the
+    hypergraph, the splits, and the node vocabulary in id order."""
+    h, vocab = _read_edge_file(path)
+    return h, Splits.from_ratios(h.num_edges, split_ratios, seed), vocab

@@ -1,12 +1,12 @@
 """Immutable hypergraph and knowledge-hypergraph structures.
 
 ``Hypergraph`` owns the one incidence layout of the package, built once
-at construction as read-only int64 arrays: the edge-major pins
-(``pins``, with each pin's edge in ``pin_edge``) and the node-major CSR
-(``node_ptr``, ``node_edges``). The partitioner, the features and the
-convolution all read these arrays; none keeps a private copy. The tuple
-views ``edge_members`` and ``node_incidence`` serve per-node and per-edge
-Python traversal.
+at construction as read-only int64 arrays: the edge-major CSR (``pins``
+segmented by ``edge_ptr``, with each pin's edge in ``pin_edge``) and the
+node-major CSR (``node_edges`` segmented by ``node_ptr``). The
+partitioner, the features and the convolution all read these arrays,
+through ``_segments`` where they gather several segments at once; none
+keeps a private copy. ``edge_members`` keeps the input member tuples.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class Hypergraph:
         num_nodes: number of nodes (ids 0..num_nodes-1).
         num_edges: number of hyperedges (ids 0..num_edges-1).
         edge_members: tuple of sorted node-id tuples, one per hyperedge.
-        node_incidence: tuple of sorted edge-id tuples, one per node.
-        pins: member ids of every edge in turn, edge-major.
+        edge_ptr, pins: edge-major CSR of the incidence; edge e's members,
+            ascending, are ``pins[edge_ptr[e]:edge_ptr[e + 1]]``.
         pin_edge: the edge of each entry of ``pins``.
         node_ptr, node_edges: node-major CSR of the incidence; node v's
             edges, ascending, are ``node_edges[node_ptr[v]:node_ptr[v + 1]]``.
@@ -45,7 +45,7 @@ class Hypergraph:
         "num_nodes",
         "num_edges",
         "edge_members",
-        "node_incidence",
+        "edge_ptr",
         "pins",
         "pin_edge",
         "node_ptr",
@@ -66,21 +66,18 @@ class Hypergraph:
         pins = np.fromiter(
             itertools.chain.from_iterable(edge_members), dtype=np.int64, count=int(sizes.sum())
         )
+        edge_ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(sizes, out=edge_ptr[1:])
         pin_edge = np.repeat(np.arange(m, dtype=np.int64), sizes)
         # sorted (node, edge) codes list each node's edges in ascending order
         node_edges = np.sort(pins * m + pin_edge) % max(m, 1)
         node_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(pins, minlength=num_nodes), out=node_ptr[1:])
-        # one int object per edge id, shared by every tuple that holds it
-        edges = np.arange(m, dtype=object)[node_edges].tolist()
-        ptr = node_ptr.tolist()
-        incidence = tuple(tuple(edges[a:b]) for a, b in zip(ptr, ptr[1:]))
-        for name, arr in (("pins", pins), ("pin_edge", pin_edge),
+        for name, arr in (("edge_ptr", edge_ptr), ("pins", pins), ("pin_edge", pin_edge),
                           ("node_ptr", node_ptr), ("node_edges", node_edges)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "edge_members", edge_members)
-        object.__setattr__(self, "node_incidence", incidence)
         object.__setattr__(self, "num_nodes", num_nodes)
         object.__setattr__(self, "num_edges", m)
         object.__setattr__(self, "duplicates_removed", duplicates_removed)
@@ -90,6 +87,15 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+
+
+def _segments(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions covered by the CSR segments ``ptr[i]:ptr[i + 1]`` of the
+    ``ids``, concatenated in ``ids`` order, and each segment's length."""
+    starts = ptr[ids]
+    lens = ptr[ids + 1] - starts
+    offsets = np.cumsum(lens) - lens
+    return np.arange(int(lens.sum())) + np.repeat(starts - offsets, lens), lens
 
 
 def build_hypergraph(

@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _segments
 
 MERGE_GROUP_CAP = 4
+# refinement passes per level; a pass that moves nothing ends them early
+MAX_PASSES = 8
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def cut(h: Hypergraph, c: ClusterAssignment) -> int:
 
 def _size_order(h: Hypergraph) -> np.ndarray:
     """Edge ids in ascending (size, id) order."""
-    return np.argsort(np.bincount(h.pin_edge, minlength=h.num_edges), kind="stable")
+    return np.argsort(np.diff(h.edge_ptr), kind="stable")
 
 
 def coarsen(
@@ -188,16 +190,6 @@ def coarse_weights(level: CoarseLevel, node_weights: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
-def _segments(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions covered by the CSR segments ``ptr[i]:ptr[i + 1]`` of each id,
-    concatenated in ``ids`` order, and the index into ``ids`` of each."""
-    starts = ptr[ids]
-    lens = ptr[ids + 1] - starts
-    owner = np.repeat(np.arange(ids.size), lens)
-    offsets = np.cumsum(lens) - lens
-    return np.arange(owner.size) + (starts - offsets)[owner], owner
-
-
 class _RefineState:
     """Per-edge cluster counts, cluster loads and the gain table of one
     refinement run.
@@ -214,8 +206,6 @@ class _RefineState:
         self.weights = weights
         self.counts = pin_counts(h, labels, k)
         self.loads = np.bincount(labels, weights=weights, minlength=k).astype(np.int64)
-        self.edge_ptr = np.zeros(h.num_edges + 1, dtype=np.int64)
-        np.cumsum(np.bincount(h.pin_edge, minlength=h.num_edges), out=self.edge_ptr[1:])
         self.gain = np.zeros((h.num_nodes, k), dtype=np.int64)
         self._recount(np.arange(h.num_nodes))
 
@@ -227,12 +217,12 @@ class _RefineState:
         no member in c.
         """
         k = self.k
-        pos, owner = _segments(self.h.node_ptr, nodes)
+        pos, degree = _segments(self.h.node_ptr, nodes)
+        owner = np.repeat(np.arange(nodes.size), degree)
         rows = self.counts[self.h.node_edges[pos]]
         own = self.labels[nodes]
         sole = rows[np.arange(owner.size), own[owner]] == 1
         leave = np.bincount(owner[sole], minlength=nodes.size)
-        degree = np.bincount(owner, minlength=nodes.size)
         # edges with no member in c = degree - edges with some member in c
         r, c = np.nonzero(rows)
         present = np.bincount(owner[r] * k + c, minlength=nodes.size * k)
@@ -250,10 +240,10 @@ class _RefineState:
         self.loads[a] -= self.weights[v]
         self.loads[b] += self.weights[v]
         self.labels[v] = b
-        pos, edge = _segments(self.edge_ptr, inc)
+        pos, sizes = _segments(self.h.edge_ptr, inc)
         u = self.h.pins[pos]
         other = u != v
-        u, edge = u[other], inc[edge[other]]
+        u, edge = u[other], np.repeat(inc, sizes)[other]
         # only counts[e, a] and counts[e, b] moved, each by one: u's leave
         # term follows its own cluster's count, its column a loses the edges
         # a left and its column b gains the edges b entered
@@ -316,11 +306,10 @@ def _refine(
     k: int,
     weights: np.ndarray,
     cap: int,
-    max_passes: int,
     pass_cuts: list[int] | None = None,
 ) -> np.ndarray:
     state = _RefineState(h, labels, k, weights)
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         if _fm_pass(state, cap) == 0:
             break
         if pass_cuts is not None:
@@ -331,7 +320,6 @@ def _refine(
 def fm_refine(
     h: Hypergraph,
     c: ClusterAssignment,
-    max_passes: int = 8,
     pass_cuts: list[int] | None = None,
 ) -> ClusterAssignment:
     """Greedy move-based refinement; never increases the cut.
@@ -347,7 +335,7 @@ def fm_refine(
         return c
     labels = c.cluster_of.copy()
     weights = np.ones(h.num_nodes, dtype=np.int64)
-    _refine(h, labels, c.k, weights, c.capacity(), max_passes, pass_cuts)
+    _refine(h, labels, c.k, weights, c.capacity(), pass_cuts)
     return ClusterAssignment(labels, c.k, c.balance_epsilon)
 
 
@@ -373,37 +361,34 @@ def _initial_partition(weights: np.ndarray, k: int, cap: int) -> np.ndarray:
 
 def _bfs_order(h: Hypergraph) -> list[int]:
     """Nodes in breadth-first discovery order, components by lowest id."""
-    seen = np.zeros(h.num_nodes, dtype=bool)
-    order: list[int] = []
+    node_ptr, node_edges = h.node_ptr.tolist(), h.node_edges.tolist()
+    edge_ptr, pins = h.edge_ptr.tolist(), h.pins.tolist()
+    seen = [False] * h.num_nodes
+    order: list[int] = []  # the discovered nodes; those from ``head`` on are queued
+    head = 0
     for start in range(h.num_nodes):
         if seen[start]:
             continue
         seen[start] = True
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for e in h.node_incidence[v]:
-                for u in h.edge_members[e]:
+        order.append(start)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for e in node_edges[node_ptr[v]:node_ptr[v + 1]]:
+                for u in pins[edge_ptr[e]:edge_ptr[e + 1]]:
                     if not seen[u]:
                         seen[u] = True
-                        queue.append(u)
+                        order.append(u)
     return order
 
 
 def _edge_order(h: Hypergraph) -> list[int]:
-    """Nodes by first appearance scanning edges in ascending (size, id)."""
-    order: list[int] = []
-    seen = np.zeros(h.num_nodes, dtype=bool)
-    for e in _size_order(h).tolist():
-        for v in h.edge_members[e]:
-            if not seen[v]:
-                seen[v] = True
-                order.append(v)
-    for v in range(h.num_nodes):
-        if not seen[v]:
-            order.append(v)
-    return order
+    """Nodes by first appearance scanning edges in ascending (size, id),
+    then the nodes in no edge, by id."""
+    pos, _ = _segments(h.edge_ptr, _size_order(h))
+    scan = np.concatenate([h.pins[pos], np.arange(h.num_nodes)])
+    _, first = np.unique(scan, return_index=True)
+    return scan[np.sort(first)].tolist()
 
 
 def _packed_partition(
@@ -465,7 +450,6 @@ def partition(
     h: Hypergraph,
     k: int,
     balance_epsilon: float = 0.05,
-    max_passes: int = 8,
 ) -> ClusterAssignment:
     """Full multilevel flow: coarsen, seed, uncoarsen with refinement.
 
@@ -512,7 +496,7 @@ def partition(
     if (
         k == 2
         and cur.num_nodes <= _EXACT_NODE_LIMIT
-        and sum(len(m) for m in cur.edge_members) <= _EXACT_PIN_LIMIT
+        and cur.pins.size <= _EXACT_PIN_LIMIT
     ):
         exact = _exact_bipartition(cur, wts, cap)
         if exact is not None:
@@ -521,7 +505,7 @@ def partition(
     labels = None
     best = None
     for cand in candidates:
-        refined = _refine(cur, cand, k, wts, cap, max_passes)
+        refined = _refine(cur, cand, k, wts, cap)
         value = _cut_of(pin_counts(cur, refined, k))
         if best is None or value < best:
             labels, best = refined, value
@@ -529,5 +513,5 @@ def partition(
     for i in range(len(levels) - 1, -1, -1):
         labels = labels[levels[i].projection]
         fine = h if i == 0 else levels[i - 1].coarse
-        labels = _refine(fine, labels, k, weight_stack[i], cap, max_passes)
+        labels = _refine(fine, labels, k, weight_stack[i], cap)
     return ClusterAssignment(labels, k, balance_epsilon)

@@ -41,6 +41,46 @@ def draw_hypergraph(data, max_nodes: int = 12, max_edges: int = 10, max_size: in
     return build_hypergraph(edges, num_nodes=n)
 
 
+def naive_incidence(h: Hypergraph) -> list[tuple[int, ...]]:
+    """Each node's edges in ascending order, by transposing ``edge_members``."""
+    out: list[list[int]] = [[] for _ in range(h.num_nodes)]
+    for e, members in enumerate(h.edge_members):
+        for v in members:
+            out[v].append(e)
+    return [tuple(edges) for edges in out]
+
+
+def naive_bfs_order(h: Hypergraph) -> list[int]:
+    """Breadth-first discovery order over the tuple views, one queue per
+    component, components started from the lowest unseen id."""
+    incidence = naive_incidence(h)
+    seen = [False] * h.num_nodes
+    order = []
+    for start in range(h.num_nodes):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for e in incidence[v]:
+                for u in h.edge_members[e]:
+                    if not seen[u]:
+                        seen[u] = True
+                        queue.append(u)
+    return order
+
+
+def naive_edge_order(h: Hypergraph) -> list[int]:
+    """Nodes by first appearance over edges sorted by (size, id), then the
+    nodes no edge holds, by id."""
+    order = []
+    for e in sorted(range(h.num_edges), key=lambda e: (len(h.edge_members[e]), e)):
+        order += [v for v in h.edge_members[e] if v not in order]
+    return order + [v for v in range(h.num_nodes) if v not in order]
+
+
 def recount_cut(h: Hypergraph, labels) -> int:
     labels = list(labels)
     total = 0
@@ -58,7 +98,7 @@ def naive_gains(h: Hypergraph, labels, counts) -> np.ndarray:
     edge from a pin-count table; 0 in each node's own cluster."""
     k = counts.shape[1]
     out = np.zeros((h.num_nodes, k), dtype=np.int64)
-    for v, edges in enumerate(h.node_incidence):
+    for v, edges in enumerate(naive_incidence(h)):
         a = int(labels[v])
         leave = sum(1 for e in edges if counts[e, a] == 1)
         for c in range(k):
@@ -125,14 +165,22 @@ def naive_omega(kind: str, rows: list[list[float]]) -> list[float]:
     return out
 
 
+def naive_set_groups(sets) -> dict[int, list[tuple[int, list[int]]]]:
+    """Each set's position and sorted distinct members, grouped by size."""
+    groups: dict[int, list[tuple[int, list[int]]]] = {}
+    for t, s in enumerate(sets):
+        members = sorted(set(int(v) for v in s))
+        groups.setdefault(len(members), []).append((t, members))
+    return groups
+
+
 def naive_e2n(h: Hypergraph, edge_feats, node_x) -> np.ndarray:
     """Mean over incident edges, then the node tag, all by explicit loops."""
     edge_feats = np.asarray(edge_feats, dtype=np.float64)
     node_x = np.asarray(node_x, dtype=np.float64)
     d_e = edge_feats.shape[1]
     rows = []
-    for v in range(h.num_nodes):
-        inc = h.node_incidence[v]
+    for v, inc in enumerate(naive_incidence(h)):
         agg = [0.0] * d_e
         for e in inc:
             for j in range(d_e):

@@ -1,8 +1,12 @@
 import base64
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.checkpoint import (
     FORMAT_NAME,
@@ -10,10 +14,13 @@ from hyperconv.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from hyperconv.convolution import OMEGA_KINDS
 from hyperconv.training import (
+    TASKS,
     TrainConfig,
     predict_edge,
     predict_relation,
+    train_classification,
     train_completion,
     train_prediction,
 )
@@ -196,3 +203,98 @@ def test_out_of_range_node_id_rejected(completion_model, tmp_path):
 def test_head_bias_shape_checked(prediction_model, tmp_path):
     path = _corrupt(prediction_model, tmp_path, lambda d: _resize(d, "bh", rows=1))
     _expect_field_error(path, "arrays.bh")
+
+
+def _drop(*keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+
+    return edit
+
+
+def _set(value, *keys):
+    def edit(doc):
+        new = value(doc) if callable(value) else value
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = new
+
+    return edit
+
+
+SHORT_DATA = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_drop("arrays", "W1"), "arrays.W1"),
+    (_drop("structure"), "structure"),
+    (_set("!!!!", "arrays", "W1", "data"), "arrays.W1"),
+    (_set(SHORT_DATA, "arrays", "W2", "data"), "arrays.W2"),
+    (_set(lambda doc: doc["clusters"]["k"], "clusters", "cluster_of", 0), "clusters.cluster_of"),
+    (_set("tanh", "activations", 1), "activations"),
+    (_set([-1], "arrays", "W1", "shape"), "arrays.W1"),
+], ids=["missing-array", "missing-section", "bad-base64", "data-short-of-shape",
+        "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix"])
+def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)
+
+
+def test_non_json_file_is_named(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("not a checkpoint\n", "utf-8")
+    with pytest.raises(ValueError, match="not a JSON document") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
+def _round_trip_data(task, rng):
+    if task == "prediction":
+        edges, _ = planted_communities(rng, 2, 8, 40, 3, 4)
+        return build_hypergraph(edges, num_nodes=16)
+    return planted_knowledge(rng, num_communities=3, nodes_per=6, num_edges=45)
+
+
+TRAIN = {"completion": train_completion, "classification": train_classification,
+         "prediction": train_prediction}
+
+
+@pytest.mark.parametrize("bilinear", [True, False], ids=["bilinear", "linear"])
+@pytest.mark.parametrize("omega", OMEGA_KINDS)
+@pytest.mark.parametrize("task", TASKS)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_save_load_round_trip_property(task, omega, bilinear, data):
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    cfg = TrainConfig(task=task, clusters=2, omega=omega, bilinear=bilinear, hidden_dim=4,
+                      epochs=2, patience=1, batch_size=16, seed=seed)
+    model, _ = TRAIN[task](_round_trip_data(task, np.random.default_rng(seed)), cfg)
+    n = model.structure.num_nodes
+    queries = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5),
+                                 min_size=1, max_size=3), label="queries")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_checkpoint(model, path)
+        again = load_checkpoint(path)
+    assert again.task == model.task
+    assert again.config == model.config
+    assert again.structure.edge_members == model.structure.edge_members
+    assert again.relation_names == model.relation_names
+    assert again.entity_names == model.entity_names
+    assert [layer.activation for layer in again.layers] == [
+        layer.activation for layer in model.layers]
+    assert (again.clusters.k, again.clusters.balance_epsilon) == (
+        model.clusters.k, model.clusters.balance_epsilon)
+    pairs = [(again.clusters.cluster_of, model.clusters.cluster_of),
+             (again.edge_init, model.edge_init), (again.node_x, model.node_x)]
+    pairs += [(again.params.trainable()[name], w)
+              for name, w in model.params.trainable().items()]
+    assert again.params.trainable().keys() == model.params.trainable().keys()
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for q in queries:
+        if task == "prediction":
+            assert predict_edge(again, q) == predict_edge(model, q)
+        else:
+            assert predict_relation(again, q) == predict_relation(model, q)

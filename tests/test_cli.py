@@ -62,6 +62,15 @@ class TestPartitionCommand:
         assert main(["partition", str(tmp_path / "nope.txt"), "--k", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_edge_file_too_small_to_split(self, tmp_path, capsys):
+        # partitioning reads the structure only, so no split is drawn
+        p = tmp_path / "cycle.txt"
+        p.write_text("a b\nb c\nc d\nd a\n", "utf-8")
+        assert main(["partition", str(p), "--k", "2"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().splitlines()) == 4
+        assert "cut: " in captured.err
+
 
 class TestTrainCommand:
     def test_report_checkpoint_and_summary(self, knowledge_dir, tmp_path, capsys):
@@ -179,3 +188,12 @@ class TestSweepCommand:
             k, metric = line.split(",")
             assert int(k) == expected_k
             assert 0.0 <= float(metric) <= 1.0
+
+    def test_non_integer_value_names_the_flag(self, knowledge_dir, capsys):
+        args = ["sweep", "--task", "completion", "--data", str(knowledge_dir),
+                "--param", "k", "--values", "2,x"]
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--values" in err and "'2,x'" in err

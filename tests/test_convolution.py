@@ -8,6 +8,8 @@ from hyperconv.convolution import (
     OMEGA_KINDS,
     E2ECache,
     LayerParams,
+    _flat_sets,
+    _SetBatch,
     e2e_backward,
     e2e_forward,
     e2n,
@@ -17,9 +19,11 @@ from hyperconv.convolution import (
 from hyperconv.hypergraph import build_hypergraph
 
 from helpers import (
+    draw_hypergraph,
     gradcheck_max_error,
     naive_e2n,
     naive_n2e,
+    naive_set_groups,
     numeric_grad,
     random_hypergraph,
 )
@@ -174,6 +178,32 @@ class TestN2E:
         lp = LayerParams(np.ones((1, 1)))
         with pytest.raises(ValueError, match="empty"):
             n2e(lp, "mean", np.ones((2, 1)), [[0], []], bilinear=False)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_set_batch_groups_match_a_naive_grouping(data):
+    # edge batches read the pin arrays; query batches may repeat members
+    h = draw_hypergraph(data)
+    picked = data.draw(st.lists(st.booleans(), min_size=h.num_edges, max_size=h.num_edges),
+                       label="picked")
+    needed = np.flatnonzero(np.asarray(picked, dtype=bool))
+    targets = data.draw(st.lists(st.lists(st.integers(0, h.num_nodes - 1), min_size=1,
+                                          max_size=6), max_size=6), label="targets")
+    starts = h.edge_ptr[needed]
+    cases = [
+        (_SetBatch(h.pins, starts, h.edge_ptr[needed + 1] - starts),
+         [h.edge_members[e] for e in needed.tolist()]),
+        (_SetBatch(*_flat_sets(targets)), targets),
+    ]
+    for batch, sets in cases:
+        naive = naive_set_groups(sets)
+        assert batch.count == len(sets)
+        assert list(batch.groups) == sorted(naive)
+        for size, (pos, ids) in batch.groups.items():
+            assert pos.tolist() == [t for t, _ in naive[size]]
+            assert ids.dtype == np.int64
+            assert ids.tolist() == [members for _, members in naive[size]]
 
 
 def tiny_model(rng, h, k=2, d_e=2, bilinear=True):

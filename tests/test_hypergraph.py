@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from hyperconv.hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
 
-from helpers import draw_hypergraph, random_hypergraph
+from helpers import draw_hypergraph, naive_incidence, random_hypergraph
+
+
+def incidence_rows(h):
+    """Each node's edges read off the node-major CSR."""
+    ptr, edges = h.node_ptr.tolist(), h.node_edges.tolist()
+    return [tuple(edges[a:b]) for a, b in zip(ptr, ptr[1:])]
 
 
 def test_incidence_is_the_transpose_of_membership():
@@ -13,13 +19,14 @@ def test_incidence_is_the_transpose_of_membership():
     assert h.num_nodes == 3
     assert h.num_edges == 2
     assert h.edge_members == ((0, 1, 2), (1, 2))
-    assert h.node_incidence == ((0,), (0, 1), (0, 1))
+    assert incidence_rows(h) == [(0,), (0, 1), (0, 1)]
 
 
 def test_single_unary_edge():
     h = build_hypergraph([[0]])
     assert h.edge_members == ((0,),)
-    assert h.node_incidence == ((0,),)
+    assert incidence_rows(h) == [(0,)]
+    assert h.edge_ptr.tolist() == [0, 1]
     assert h.pins.tolist() == [0]
     assert h.pin_edge.tolist() == [0]
     assert h.node_ptr.tolist() == [0, 1]
@@ -35,7 +42,7 @@ def test_member_lists_are_sorted_and_deduplicated():
 def test_repeated_member_sets_stay_distinct_edges():
     h = build_hypergraph([[0, 1], [0, 1]])
     assert h.num_edges == 2
-    assert h.node_incidence[0] == (0, 1)
+    assert incidence_rows(h)[0] == (0, 1)
 
 
 def test_empty_edge_rejected_with_index():
@@ -53,7 +60,7 @@ def test_out_of_range_ids_rejected():
 def test_isolated_nodes_allowed_via_explicit_count():
     h = build_hypergraph([[0, 1]], num_nodes=4)
     assert h.num_nodes == 4
-    assert h.node_incidence[3] == ()
+    assert incidence_rows(h)[3] == ()
 
 
 def test_instances_are_immutable():
@@ -67,7 +74,7 @@ def test_transpose_round_trip():
     for _ in range(200):
         h = random_hypergraph(rng, max_nodes=50, max_edges=50)
         rebuilt = [[] for _ in range(h.num_edges)]
-        for v, inc in enumerate(h.node_incidence):
+        for v, inc in enumerate(incidence_rows(h)):
             for e in inc:
                 rebuilt[e].append(v)
         assert tuple(tuple(m) for m in rebuilt) == h.edge_members
@@ -75,7 +82,7 @@ def test_transpose_round_trip():
 
 def test_incidence_arrays_are_read_only():
     h = build_hypergraph([[0, 1], [1, 2]])
-    for arr in (h.pins, h.pin_edge, h.node_ptr, h.node_edges):
+    for arr in (h.edge_ptr, h.pins, h.pin_edge, h.node_ptr, h.node_edges):
         assert arr.dtype == np.int64
         with pytest.raises(ValueError):
             arr[0] = 5
@@ -88,10 +95,11 @@ def test_incidence_arrays_match_the_tuple_views(data):
     assert h.pins.tolist() == [v for members in h.edge_members for v in members]
     assert h.pin_edge.tolist() == [e for e, members in enumerate(h.edge_members)
                                    for _ in members]
+    assert h.edge_ptr.shape == (h.num_edges + 1,)
+    for e, members in enumerate(h.edge_members):
+        assert tuple(h.pins[h.edge_ptr[e]:h.edge_ptr[e + 1]].tolist()) == members
     assert h.node_ptr.shape == (h.num_nodes + 1,)
-    for v in range(h.num_nodes):
-        row = h.node_edges[h.node_ptr[v]:h.node_ptr[v + 1]]
-        assert tuple(row.tolist()) == h.node_incidence[v]
+    assert incidence_rows(h) == naive_incidence(h)
 
 
 def test_construction_is_deterministic():
@@ -99,7 +107,8 @@ def test_construction_is_deterministic():
     a = build_hypergraph(edges)
     b = build_hypergraph(edges)
     assert a.edge_members == b.edge_members
-    assert a.node_incidence == b.node_incidence
+    for name in ("edge_ptr", "pins", "pin_edge", "node_ptr", "node_edges"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestKnowledgeHypergraph:

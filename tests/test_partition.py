@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hyperconv.hypergraph import build_hypergraph
 from hyperconv.partition import (
     ClusterAssignment,
+    _bfs_order,
+    _edge_order,
     _RefineState,
     coarse_weights,
     coarsen,
@@ -20,6 +22,8 @@ from hyperconv.partition import (
 
 from helpers import (
     draw_hypergraph,
+    naive_bfs_order,
+    naive_edge_order,
     naive_gains,
     optimal_balanced_cut,
     random_hypergraph,
@@ -235,6 +239,13 @@ class TestGainTable:
 
 
 class TestPartition:
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_seeding_orders_match_loops_over_the_tuple_views_property(self, data):
+        h = draw_hypergraph(data, max_nodes=20, max_edges=15)
+        assert _bfs_order(h) == naive_bfs_order(h)
+        assert _edge_order(h) == naive_edge_order(h)
+
     def test_k1_is_trivial(self):
         h = build_hypergraph([[0, 1], [1, 2]])
         c = partition(h, 1)

@@ -1,0 +1,108 @@
+"""Hash every seeded output of the pipeline, one line per configuration.
+
+A change that must keep behaviour bit-identical runs this script on the
+parent commit and on the change, each against its own ``src/``, and
+diffs the two outputs:
+
+    PYTHONPATH=src python tools/exactness.py > after.txt
+    PYTHONPATH=/path/to/parent/src python tools/exactness.py > before.txt
+    diff before.txt after.txt
+
+A training line hashes the report minus ``wall_seconds``, the final
+weights, ``edge_init``, ``cluster_of``, ``evaluate()`` and one
+``predict_relation``/``predict_edge`` call. The grid is task x omega x
+aggregation x bilinear x two sizes, 72 lines. A partition line hashes
+``cluster_of`` of ``partition`` on a random 4-uniform graph; the 20k-edge
+line is the one the partition tests pin as ``9d1d289d83853d70``. The
+whole run takes under a minute on one core.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+
+import numpy as np
+
+import hyperconv as hc
+
+TASKS = ("completion", "classification", "prediction")
+OMEGAS = ("mean", "var", "minmax")
+AGGS = ("mean", "harmonic")
+# (name, communities, nodes per community, edges, hidden width, clusters)
+SIZES = (("small", 4, 12, 120, 8, 4), ("large", 6, 20, 300, 16, 8))
+PARTITIONS = ((5000, 2), (5000, 3), (5000, 8), (5000, 16), (20000, 16))
+
+
+def planted(rng, communities, nodes_per, num_edges, size_lo, size_hi):
+    """Edges drawn inside one community each, and each edge's community."""
+    edges, homes = [], []
+    for _ in range(num_edges):
+        c = int(rng.integers(communities))
+        pool = np.arange(c * nodes_per, (c + 1) * nodes_per)
+        size = int(rng.integers(size_lo, size_hi + 1))
+        edges.append(sorted(rng.choice(pool, size=size, replace=False).tolist()))
+        homes.append(c)
+    return edges, homes
+
+
+def knowledge(communities, nodes_per, num_edges):
+    """Facts whose relation is their community, split 70/15/15 in file order."""
+    edges, homes = planted(np.random.default_rng(1), communities, nodes_per, num_edges, 3, 3)
+    n = communities * nodes_per
+    base = hc.build_hypergraph(edges, num_nodes=n)
+    kh = hc.KnowledgeHypergraph(base, homes, tuple(f"r{c}" for c in range(communities)),
+                                tuple(f"e{v}" for v in range(n)))
+    a, b = int(0.7 * num_edges), int(0.85 * num_edges)
+    splits = hc.Splits(np.arange(a), np.arange(a, b), np.arange(b, num_edges))
+    return kh, splits
+
+
+def training_hash(task, omega, agg, bilinear, size) -> str:
+    _, communities, nodes_per, num_edges, hidden, k = size
+    cfg = hc.TrainConfig(task=task, clusters=k, omega=omega, bilinear=bilinear,
+                         hidden_dim=hidden, epochs=4, patience=2, learning_rate=1e-2,
+                         batch_size=32, seed=3, agg=agg)
+    if task == "prediction":
+        edges, _ = planted(np.random.default_rng(2), communities, nodes_per, num_edges, 3, 5)
+        data = hc.build_hypergraph(edges, num_nodes=communities * nodes_per)
+        splits = hc.Splits.from_ratios(data.num_edges, cfg.split_ratios, cfg.seed)
+        model, report = hc.train_prediction(data, cfg, splits=splits)
+        query = hc.predict_edge(model, [0, 1, nodes_per])
+    else:
+        data, splits = knowledge(communities, nodes_per, num_edges)
+        train = hc.train_completion if task == "completion" else hc.train_classification
+        model, report = train(data, cfg, splits)
+        query = hc.predict_relation(model, [0, 1, 1, nodes_per])
+    doc = report.to_dict()
+    del doc["wall_seconds"]
+    digest = hashlib.sha256()
+    digest.update(json.dumps([doc, hc.evaluate(model, data, splits), query],
+                             sort_keys=True).encode())
+    for arr in (*model.params.trainable().values(), model.edge_init,
+                model.clusters.cluster_of):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def partition_hash(num_edges, k) -> str:
+    rng = np.random.default_rng(0)
+    n = num_edges // 2
+    edges = [rng.choice(n, size=4, replace=False).tolist() for _ in range(num_edges)]
+    c = hc.partition(hc.build_hypergraph(edges, num_nodes=n), k)
+    return hashlib.sha256(c.cluster_of.tobytes()).hexdigest()[:16]
+
+
+def main() -> None:
+    for size, task, omega, agg, bilinear in itertools.product(SIZES, TASKS, OMEGAS, AGGS,
+                                                              (True, False)):
+        name = f"{task} omega={omega} agg={agg} bilinear={'on' if bilinear else 'off'}"
+        print(f"{size[0]} {name} {training_hash(task, omega, agg, bilinear, size)}",
+              flush=True)
+    for num_edges, k in PARTITIONS:
+        print(f"partition m={num_edges} k={k} {partition_hash(num_edges, k)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
