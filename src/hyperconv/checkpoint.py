@@ -120,6 +120,14 @@ def _check_shapes(path, task, config, structure, clusters, params, edge_init, no
             raise ValueError(f"{path}: field {field} has {found}, expected shape {list(want)}")
 
 
+def _reject_ids(path, name: str, kind: str, bad: list, bound) -> None:
+    """Fail naming the field and the first of ``bad``, its entries that
+    are not an int in [0, bound)."""
+    if bad:
+        raise ValueError(f"{path}: field {name} holds {kind} id {bad[0]!r}, "
+                         f"expected an integer in [0, {bound})")
+
+
 def load_checkpoint(path) -> TrainedModel:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -136,17 +144,14 @@ def load_checkpoint(path) -> TrainedModel:
         )
     edges = [tuple(m) for m in _field(path, doc, "structure.edges")]
     n = _field(path, doc, "structure.num_nodes")
-    bad = next((v for m in edges for v in m if not 0 <= v < n), None)
-    if bad is not None:
-        raise ValueError(f"{path}: field structure.edges holds node id {bad}, "
-                         f"out of range [0, {n})")
+    # one pass over the pins; JSON floats, strings and booleans are not ids
+    bad = [v for m in edges for v in m if type(v) is not int or not 0 <= v < n]
+    _reject_ids(path, "structure.edges", "node", bad, n)
     structure = Hypergraph(edges, n)
-    cluster_of = np.asarray(_field(path, doc, "clusters.cluster_of"), dtype=np.int64)
+    cluster_of = _field(path, doc, "clusters.cluster_of")
     k = _field(path, doc, "clusters.k")
-    bad = cluster_of[(cluster_of < 0) | (cluster_of >= k)]
-    if bad.size:
-        raise ValueError(f"{path}: field clusters.cluster_of holds cluster id {bad[0]}, "
-                         f"out of range [0, {k})")
+    bad = [c for c in cluster_of if type(c) is not int or not 0 <= c < k]
+    _reject_ids(path, "clusters.cluster_of", "cluster", bad, k)
     clusters = ClusterAssignment(cluster_of, k, _field(path, doc, "clusters.balance_epsilon"))
     activations = _field(path, doc, "activations")
     if (not isinstance(activations, list) or len(activations) != 2
@@ -175,6 +180,8 @@ def load_checkpoint(path) -> TrainedModel:
     names = _field(path, doc, "relation_names")
     relation_names = tuple(names) if names else None
     task = _field(path, doc, "task")
+    if task != config.task:
+        raise ValueError(f"{path}: field task is {task!r} but config.task is {config.task!r}")
     _check_shapes(path, task, config, structure, clusters, params, edge_init,
                   node_x, relation_names)
     entity_names = _field(path, doc, "entity_names")

@@ -51,13 +51,26 @@ def _parse_ints(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+_TRAIN = {"completion": train_completion, "classification": train_classification,
+          "prediction": train_prediction}
+
+
 def _load_structure(path: Path):
-    """Any dataset as a bare hypergraph: knowledge dir or edge-list file."""
+    """Any dataset as a bare hypergraph and its node names: knowledge dir
+    or edge-list file."""
     if path.is_dir():
         kh, _ = load_knowledge(path)
-        return kh.base
-    h, _ = _read_edge_file(path)
-    return h
+        return kh.base, kh.entity_names
+    return _read_edge_file(path)
+
+
+def _load_task_data(cfg: TrainConfig, path: Path):
+    """The task's dataset: (hypergraph or knowledge hypergraph, splits,
+    node names)."""
+    if cfg.task == "prediction":
+        return load_simple(path, cfg.split_ratios, cfg.seed)
+    kh, splits = load_knowledge(path)
+    return kh, splits, kh.entity_names
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -78,14 +91,9 @@ def _config_from_args(args) -> TrainConfig:
 
 def _run_training(cfg: TrainConfig, data_path: Path):
     """Load data for the task, train, and return (model, report)."""
-    if cfg.task in ("completion", "classification"):
-        kh, splits = load_knowledge(data_path)
-        train_fn = train_completion if cfg.task == "completion" else train_classification
-        model, report = train_fn(kh, cfg, splits)
-    else:
-        h, splits, vocab = load_simple(data_path, cfg.split_ratios, cfg.seed)
-        model, report = train_prediction(h, cfg, splits=splits)
-        model.entity_names = vocab
+    data, splits, names = _load_task_data(cfg, data_path)
+    model, report = _TRAIN[cfg.task](data, cfg, splits)
+    model.entity_names = names
     return model, report
 
 
@@ -107,9 +115,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_partition(args) -> int:
-    h = _load_structure(args.data)
+    h, names = _load_structure(args.data)
     c = partition(h, args.k, balance_epsilon=args.epsilon)
-    lines = "".join(f"{v} {c.cluster_of[v]}\n" for v in range(h.num_nodes))
+    lines = "".join(f"{name} {c.cluster_of[v]}\n" for v, name in enumerate(names))
     if args.output:
         Path(args.output).write_text(lines, encoding="utf-8")
     else:
@@ -141,15 +149,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    if model.task in ("completion", "classification"):
-        kh, splits = load_knowledge(args.data)
-        metrics = evaluate(model, kh, splits)
-    else:
-        h, splits, _ = load_simple(
-            args.data, model.config.split_ratios, model.config.seed
-        )
-        metrics = evaluate(model, h, splits)
-    print(json.dumps(metrics, sort_keys=True))
+    data, splits, _ = _load_task_data(model.config, args.data)
+    print(json.dumps(evaluate(model, data, splits), sort_keys=True))
     return 0
 
 
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("partition", help="cluster nodes, write `node cluster` lines")
+    p = sub.add_parser("partition", help="cluster nodes, write `name cluster` lines")
     p.add_argument("data", type=Path, help="knowledge dir or hyperedge file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.05)

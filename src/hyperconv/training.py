@@ -10,9 +10,11 @@ stages, a cluster-id pretext task followed by a frozen-representation
 binary head. One function, ``_test_metrics``, scores the test sets for
 the drivers and for ``evaluate``.
 
-Message-passing structure, and the partition that seeds the features,
-come from training edges only. Validation and test edges enter solely as
-query sets.
+Every driver sets a run up the same way: ``_prepare`` fixes the splits and
+builds and partitions the training-edge structure, and ``_new_model``
+draws both layers over it. Message-passing structure, and the partition
+that seeds the features, therefore come from training edges only.
+Validation and test edges enter solely as query sets.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import logging
 import math
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -98,27 +100,13 @@ class TrainConfig:
         return self.omega if self.omega is not None else _OMEGA_DEFAULT[self.task]
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "clusters": self.clusters,
-            "omega": self.omega_kind,
-            "bilinear": self.bilinear,
-            "hidden_dim": self.hidden_dim,
-            "epochs": self.epochs,
-            "patience": self.patience,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "split_ratios": list(self.split_ratios),
-            "agg": self.agg,
-            "balance_epsilon": self.balance_epsilon,
-        }
+        """The fields, with ``omega`` resolved and ``split_ratios`` a list."""
+        return {**asdict(self), "omega": self.omega_kind,
+                "split_ratios": list(self.split_ratios)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["split_ratios"] = tuple(d["split_ratios"])
-        return cls(**d)
+        return cls(**{**d, "split_ratios": tuple(d["split_ratios"])})
 
 
 @dataclass
@@ -179,17 +167,7 @@ class RunReport:
     wall_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "seed": self.seed,
-            "config": self.config,
-            "partition": self.partition,
-            "history": self.history,
-            "test_metrics": self.test_metrics,
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
@@ -459,6 +437,40 @@ def _report(model: TrainedModel, history, test_metrics, best_epoch, start) -> Ru
 
 
 # ---------------------------------------------------------------------------
+# the shared run set-up
+
+
+def _prepare(cfg: TrainConfig, h: Hypergraph, splits: Splits | None
+             ) -> tuple[Splits, Hypergraph, ClusterAssignment]:
+    """The run's splits (seeded from the config when not given), the
+    structure of its training edges, and that structure's partition.
+
+    Draws nothing from the run's rng.
+    """
+    if splits is None:
+        splits = Splits.from_ratios(h.num_edges, cfg.split_ratios, cfg.seed)
+    splits.check(h.num_edges)
+    structure = build_hypergraph(
+        (h.edge_members[int(e)] for e in splits.train), num_nodes=h.num_nodes
+    )
+    clusters = partition(structure, cfg.clusters, balance_epsilon=cfg.balance_epsilon)
+    return splits, structure, clusters
+
+
+def _new_model(cfg: TrainConfig, rng: np.random.Generator, structure: Hypergraph,
+               clusters: ClusterAssignment, edge_init: np.ndarray, out2: int, act2: str,
+               **names) -> TrainedModel:
+    """A model over the training structure with both layers freshly drawn
+    from ``rng``, layer 1 first; ``names`` are the vocabularies."""
+    k = cfg.clusters
+    layer1 = init_layer(cfg.hidden_dim, edge_init.shape[1] + k, rng, cfg.bilinear, "relu")
+    layer2 = init_layer(out2, cfg.hidden_dim + k, rng, cfg.bilinear, act2)
+    return TrainedModel(task=cfg.task, config=cfg, structure=structure, clusters=clusters,
+                        params=ModelParams(layer1, layer2), edge_init=edge_init,
+                        node_x=node_onehot(clusters), **names)
+
+
+# ---------------------------------------------------------------------------
 # completion and classification
 
 
@@ -469,51 +481,22 @@ def _facts(kh: KnowledgeHypergraph, ids) -> tuple[list, np.ndarray]:
 
 
 def _train_relational(
-    kh: KnowledgeHypergraph, cfg: TrainConfig, splits: Splits | None
+    kh: KnowledgeHypergraph, cfg: TrainConfig, splits: Splits | None, task: str
 ) -> tuple[TrainedModel, RunReport]:
+    if cfg.task != task:
+        raise ValueError(f"config is for task {cfg.task!r}")
     start = time.perf_counter()
     num_rel = kh.num_relations
     if num_rel < 2:
         raise ValueError("need at least 2 relation types")
-    if splits is None:
-        splits = Splits.from_ratios(kh.base.num_edges, cfg.split_ratios, cfg.seed)
-    splits.check(kh.base.num_edges)
-
-    rng = np.random.default_rng(cfg.seed)
-    train_ids = splits.train
-    structure = build_hypergraph(
-        (kh.base.edge_members[int(e)] for e in train_ids),
-        num_nodes=kh.base.num_nodes,
-    )
-    sub = KnowledgeHypergraph(
-        structure,
-        [kh.edge_type[int(e)] for e in train_ids],
-        kh.relation_names,
-        kh.entity_names,
-    )
-    clusters = partition(structure, cfg.clusters, balance_epsilon=cfg.balance_epsilon)
-    node_x = node_onehot(clusters)
+    splits, structure, clusters = _prepare(cfg, kh.base, splits)
+    sub = KnowledgeHypergraph(structure, [kh.edge_type[int(e)] for e in splits.train],
+                              kh.relation_names, kh.entity_names)
     edge_init = knowledge_edge_init(sub, clusters)
-
-    layer1 = init_layer(
-        cfg.hidden_dim, edge_init.shape[1] + cfg.clusters, rng, cfg.bilinear, "relu"
-    )
-    layer2 = init_layer(
-        num_rel, cfg.hidden_dim + cfg.clusters, rng, cfg.bilinear, "identity"
-    )
-    params = ModelParams(layer1, layer2)
-    model = TrainedModel(
-        task=cfg.task,
-        config=cfg,
-        structure=structure,
-        clusters=clusters,
-        params=params,
-        edge_init=edge_init,
-        node_x=node_x,
-        relation_names=kh.relation_names,
-        entity_names=kh.entity_names,
-    )
-    adam = Adam(params.trainable(), lr=cfg.learning_rate)
+    rng = np.random.default_rng(cfg.seed)
+    model = _new_model(cfg, rng, structure, clusters, edge_init, num_rel, "identity",
+                       relation_names=kh.relation_names, entity_names=kh.entity_names)
+    adam = Adam(model.params.trainable(), lr=cfg.learning_rate)
     labels = np.asarray(sub.edge_type, dtype=np.int64)
 
     def step(batch):
@@ -536,8 +519,8 @@ def _train_relational(
         return mrr(ranks) if cfg.task == "completion" else hit_at(ranks, 1)
 
     history: list[dict] = []
-    best_epoch = _fit(cfg, rng, len(train_ids), step, validate,
-                      [layer1.weight, layer2.weight], history)
+    best_epoch = _fit(cfg, rng, len(labels), step, validate,
+                      [layer.weight for layer in model.layers], history)
     test_metrics = _test_metrics(model, *_facts(kh, splits.test))
     return model, _report(model, history, test_metrics, best_epoch, start)
 
@@ -547,9 +530,7 @@ def train_completion(
 ) -> tuple[TrainedModel, RunReport]:
     """Learn to name the relation of an entity tuple; early-stops on
     validation MRR, reports test MRR and Hit@1/3."""
-    if cfg.task != "completion":
-        raise ValueError(f"config is for task {cfg.task!r}")
-    return _train_relational(kh, cfg, splits)
+    return _train_relational(kh, cfg, splits, "completion")
 
 
 def train_classification(
@@ -557,9 +538,7 @@ def train_classification(
 ) -> tuple[TrainedModel, RunReport]:
     """Same machinery as completion with class labels; early-stops on
     validation Hit@1, reports test accuracy."""
-    if cfg.task != "classification":
-        raise ValueError(f"config is for task {cfg.task!r}")
-    return _train_relational(kh, cfg, splits)
+    return _train_relational(kh, cfg, splits, "classification")
 
 
 # ---------------------------------------------------------------------------
@@ -595,36 +574,18 @@ def train_prediction(
     if cfg.task != "prediction":
         raise ValueError(f"config is for task {cfg.task!r}")
     start = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)
-    if splits is None:
-        splits = Splits.from_ratios(h.num_edges, cfg.split_ratios, cfg.seed)
-    splits.check(h.num_edges)
     k = cfg.clusters
-
-    structure = build_hypergraph(
-        (h.edge_members[int(e)] for e in splits.train), num_nodes=h.num_nodes
-    )
-    clusters = partition(structure, k, balance_epsilon=cfg.balance_epsilon)
-    node_x = node_onehot(clusters)
+    splits, structure, clusters = _prepare(cfg, h, splits)
     edge_init = edge_cluster_onehot(structure, clusters)
-
+    rng = np.random.default_rng(cfg.seed)
+    # the negatives are the seed's first draws, which ``evaluate`` replays
     neg = _draw_run_negatives(h, splits, rng)
-
-    layer1 = init_layer(cfg.hidden_dim, edge_init.shape[1] + k, rng, cfg.bilinear, "relu")
-    layer2 = init_layer(cfg.hidden_dim, cfg.hidden_dim + k, rng, cfg.bilinear, "relu")
+    model = _new_model(cfg, rng, structure, clusters, edge_init, cfg.hidden_dim, "relu")
+    layer1, layer2 = model.layers
+    params = model.params
     bound = np.sqrt(6.0 / (cfg.hidden_dim + k + 1))
-    head_w = rng.uniform(-bound, bound, size=(k + 1, cfg.hidden_dim))
-    head_b = np.zeros(k + 1)
-    params = ModelParams(layer1, layer2, head_w, head_b)
-    model = TrainedModel(
-        task=cfg.task,
-        config=cfg,
-        structure=structure,
-        clusters=clusters,
-        params=params,
-        edge_init=edge_init,
-        node_x=node_x,
-    )
+    params.head_weight = head_w = rng.uniform(-bound, bound, size=(k + 1, cfg.hidden_dim))
+    params.head_bias = head_b = np.zeros(k + 1)
 
     # stage 1: pretext classes, k for a negative
     pooled = edge_cluster_pool(h, clusters)
@@ -698,28 +659,20 @@ def evaluate(model: TrainedModel, data, splits: Splits) -> dict[str, float]:
     run seed with the training draw order, so the result matches the
     original report exactly.
     """
+    h: Hypergraph = data if model.task == "prediction" else data.base
+    if h.num_nodes != model.structure.num_nodes:
+        raise ValueError(
+            f"dataset has {h.num_nodes} nodes, model expects {model.structure.num_nodes}"
+        )
     if model.task == "prediction":
-        h: Hypergraph = data
-        if h.num_nodes != model.structure.num_nodes:
-            raise ValueError(
-                f"dataset has {h.num_nodes} nodes, model expects "
-                f"{model.structure.num_nodes}"
-            )
         neg = _draw_run_negatives(h, splits, np.random.default_rng(model.config.seed))
         return _test_metrics(model, *_test_candidates(h, splits, neg["test"]))
-
-    kh: KnowledgeHypergraph = data
-    if kh.base.num_nodes != model.structure.num_nodes:
+    if model.relation_names and data.num_relations != len(model.relation_names):
         raise ValueError(
-            f"dataset has {kh.base.num_nodes} entities, model expects "
-            f"{model.structure.num_nodes}"
-        )
-    if model.relation_names and kh.num_relations != len(model.relation_names):
-        raise ValueError(
-            f"dataset has {kh.num_relations} relations, model expects "
+            f"dataset has {data.num_relations} relations, model expects "
             f"{len(model.relation_names)}"
         )
-    return _test_metrics(model, *_facts(kh, splits.test))
+    return _test_metrics(model, *_facts(data, splits.test))
 
 
 def _check_candidate(model: TrainedModel, candidate) -> tuple[int, ...]:

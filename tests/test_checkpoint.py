@@ -235,8 +235,15 @@ SHORT_DATA = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
     (_set(lambda doc: doc["clusters"]["k"], "clusters", "cluster_of", 0), "clusters.cluster_of"),
     (_set("tanh", "activations", 1), "activations"),
     (_set([-1], "arrays", "W1", "shape"), "arrays.W1"),
+    (_set("a", "structure", "edges", 0, 0), "structure.edges"),
+    (_set(35.5, "structure", "edges", 0, 0), "structure.edges"),
+    (_set(1.7, "clusters", "cluster_of", 0), "clusters.cluster_of"),
+    (_set("a", "clusters", "cluster_of", 0), "clusters.cluster_of"),
+    (_set("prediction", "task"), "config.task"),
 ], ids=["missing-array", "missing-section", "bad-base64", "data-short-of-shape",
-        "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix"])
+        "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix",
+        "string-node-id", "float-node-id", "float-cluster-id", "string-cluster-id",
+        "task-disagrees-with-config"])
 def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)
 

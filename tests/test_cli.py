@@ -71,6 +71,14 @@ class TestPartitionCommand:
         assert len(captured.out.strip().splitlines()) == 4
         assert "cut: " in captured.err
 
+    def test_writes_node_names(self, tmp_path, capsys):
+        p = tmp_path / "cycle.txt"
+        p.write_text("a b\nb c\nc d\nd a\n", "utf-8")
+        assert main(["partition", str(p), "--k", "2"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [name for name, _ in rows] == ["a", "b", "c", "d"]
+        assert {cluster for _, cluster in rows} <= {"0", "1"}
+
 
 class TestTrainCommand:
     def test_report_checkpoint_and_summary(self, knowledge_dir, tmp_path, capsys):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperconv.convolution import e2e_backward, e2e_forward, init_layer
+from hyperconv.convolution import AGG_KINDS, OMEGA_KINDS, e2e_backward, e2e_forward, init_layer
 from hyperconv.data import Splits
 from hyperconv.hypergraph import build_hypergraph
 from hyperconv.training import (
+    TASKS,
     Adam,
     RunReport,
     SamplingError,
@@ -34,6 +35,37 @@ from helpers import (
 )
 
 
+CONFIG_KEYS = {"task", "clusters", "omega", "bilinear", "hidden_dim", "epochs", "patience",
+               "learning_rate", "batch_size", "seed", "split_ratios", "agg", "balance_epsilon"}
+
+
+@st.composite
+def split_ratios(draw):
+    train = draw(st.floats(0.0, 1.0))
+    valid = draw(st.floats(0.0, 1.0 - train))
+    return (train, valid, 1.0 - train - valid)
+
+
+def configs():
+    """Every TrainConfig field, each drawn over its valid values."""
+    return st.builds(
+        TrainConfig,
+        task=st.sampled_from(TASKS),
+        clusters=st.integers(1, 64),
+        omega=st.sampled_from((None, *OMEGA_KINDS)),
+        bilinear=st.booleans(),
+        hidden_dim=st.integers(1, 256),
+        epochs=st.integers(1, 1000),
+        patience=st.integers(1, 100),
+        learning_rate=st.floats(1e-9, 10.0),
+        batch_size=st.integers(1, 1024),
+        seed=st.integers(0, 2**32 - 1),
+        split_ratios=split_ratios(),
+        agg=st.sampled_from(AGG_KINDS),
+        balance_epsilon=st.floats(0.0, 1.0),
+    )
+
+
 class TestTrainConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="task"):
@@ -53,12 +85,14 @@ class TestTrainConfig:
         assert TrainConfig(task="prediction").omega_kind == "minmax"
         assert TrainConfig(task="prediction", omega="var").omega_kind == "var"
 
-    def test_dict_round_trip(self):
-        cfg = TrainConfig(task="prediction", clusters=8, epochs=12, seed=3)
-        again = TrainConfig.from_dict(cfg.to_dict())
-        assert again.clusters == 8
-        assert again.omega == "minmax"  # serialization pins the resolved default
-        assert again.split_ratios == cfg.split_ratios
+    @settings(max_examples=200)
+    @given(cfg=configs())
+    def test_dict_round_trip(self, cfg):
+        d = cfg.to_dict()
+        assert d.keys() == CONFIG_KEYS
+        assert d["omega"] == cfg.omega_kind  # serialization pins the resolved default
+        assert d["split_ratios"] == list(cfg.split_ratios)
+        assert TrainConfig.from_dict(d).to_dict() == d
 
 
 def one_row_cross_entropy(logits, label):

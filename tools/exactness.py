@@ -10,7 +10,9 @@ diffs the two outputs:
 
 A training line hashes the report minus ``wall_seconds``, the final
 weights, ``edge_init``, ``cluster_of``, ``evaluate()`` and one
-``predict_relation``/``predict_edge`` call. The grid is task x omega x
+``predict_relation``/``predict_edge`` call, and the same ``evaluate()``
+and call again on the model after a ``save_checkpoint`` ->
+``load_checkpoint`` round trip. The grid is task x omega x
 aggregation x bilinear x two sizes, 72 lines. A partition line hashes
 ``cluster_of`` of ``partition`` on a random 4-uniform graph; the 20k-edge
 line is the one the partition tests pin as ``9d1d289d83853d70``. The
@@ -22,6 +24,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -69,17 +73,23 @@ def training_hash(task, omega, agg, bilinear, size) -> str:
         data = hc.build_hypergraph(edges, num_nodes=communities * nodes_per)
         splits = hc.Splits.from_ratios(data.num_edges, cfg.split_ratios, cfg.seed)
         model, report = hc.train_prediction(data, cfg, splits=splits)
-        query = hc.predict_edge(model, [0, 1, nodes_per])
+        predict, candidate = hc.predict_edge, [0, 1, nodes_per]
     else:
         data, splits = knowledge(communities, nodes_per, num_edges)
         train = hc.train_completion if task == "completion" else hc.train_classification
         model, report = train(data, cfg, splits)
-        query = hc.predict_relation(model, [0, 1, 1, nodes_per])
+        predict, candidate = hc.predict_relation, [0, 1, 1, nodes_per]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        hc.save_checkpoint(model, path)
+        loaded = hc.load_checkpoint(path)
     doc = report.to_dict()
     del doc["wall_seconds"]
+    outputs = [doc]
+    for m in (model, loaded):
+        outputs += [hc.evaluate(m, data, splits), predict(m, candidate)]
     digest = hashlib.sha256()
-    digest.update(json.dumps([doc, hc.evaluate(model, data, splits), query],
-                             sort_keys=True).encode())
+    digest.update(json.dumps(outputs, sort_keys=True).encode())
     for arr in (*model.params.trainable().values(), model.edge_init,
                 model.clusters.cluster_of):
         digest.update(np.ascontiguousarray(arr).tobytes())
