@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,19 @@ def _field(path, doc: dict, name: str):
         if not isinstance(value, dict) or key not in value:
             raise ValueError(f"{path}: field {'.'.join(keys[:i + 1])} is missing")
         value = value[key]
+    return value
+
+
+_EXPECTED = {int: "an integer", float: "a number", list: "a list", type(None): "null"}
+
+
+def _typed(path, doc: dict, name: str, *types):
+    """The value at ``name``; fails naming the field unless its type is one
+    of ``types`` (a JSON true or false is not an integer)."""
+    value = _field(path, doc, name)
+    if type(value) not in types:
+        expected = " or ".join(_EXPECTED[t] for t in types)
+        raise ValueError(f"{path}: field {name} is {reprlib.repr(value)}, expected {expected}")
     return value
 
 
@@ -142,17 +156,26 @@ def load_checkpoint(path) -> TrainedModel:
             f"{path}: checkpoint version {doc.get('version')} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
-    edges = [tuple(m) for m in _field(path, doc, "structure.edges")]
-    n = _field(path, doc, "structure.num_nodes")
+    # sections and scalars first, so the one pass over the pins below can
+    # trust their types
+    raw_edges = _typed(path, doc, "structure.edges", list)
+    n = _typed(path, doc, "structure.num_nodes", int)
+    cluster_of = _typed(path, doc, "clusters.cluster_of", list)
+    k = _typed(path, doc, "clusters.k", int)
+    epsilon = _typed(path, doc, "clusters.balance_epsilon", float, int)
+    try:
+        edges = [tuple(m) for m in raw_edges]
+    except TypeError:
+        entry = next(m for m in raw_edges if type(m) is not list)
+        raise ValueError(f"{path}: field structure.edges holds {reprlib.repr(entry)}, "
+                         f"expected a list of node ids") from None
     # one pass over the pins; JSON floats, strings and booleans are not ids
     bad = [v for m in edges for v in m if type(v) is not int or not 0 <= v < n]
     _reject_ids(path, "structure.edges", "node", bad, n)
     structure = Hypergraph(edges, n)
-    cluster_of = _field(path, doc, "clusters.cluster_of")
-    k = _field(path, doc, "clusters.k")
     bad = [c for c in cluster_of if type(c) is not int or not 0 <= c < k]
     _reject_ids(path, "clusters.cluster_of", "cluster", bad, k)
-    clusters = ClusterAssignment(cluster_of, k, _field(path, doc, "clusters.balance_epsilon"))
+    clusters = ClusterAssignment(cluster_of, k, epsilon)
     activations = _field(path, doc, "activations")
     if (not isinstance(activations, list) or len(activations) != 2
             or any(a not in ACTIVATIONS for a in activations)):
@@ -177,14 +200,14 @@ def load_checkpoint(path) -> TrainedModel:
         raise ValueError(f"{path}: field config: {exc}") from None
     edge_init = _unpack(path, doc, "arrays.edge_init")
     node_x = _unpack(path, doc, "arrays.node_x")
-    names = _field(path, doc, "relation_names")
+    names = _typed(path, doc, "relation_names", list, type(None))
     relation_names = tuple(names) if names else None
     task = _field(path, doc, "task")
     if task != config.task:
         raise ValueError(f"{path}: field task is {task!r} but config.task is {config.task!r}")
     _check_shapes(path, task, config, structure, clusters, params, edge_init,
                   node_x, relation_names)
-    entity_names = _field(path, doc, "entity_names")
+    entity_names = _typed(path, doc, "entity_names", list, type(None))
     return TrainedModel(
         task=task,
         config=config,

@@ -11,6 +11,13 @@ an (nodes, k) array of the cut reduction for moving each node into each
 cluster. It is counted once per refinement run and then updated on each
 move from the change in the pin counts of the mover's edges, as in the
 direct k-way FM of KaHyPar (Akhremtsev et al., ALENEX 2017) and hMETIS.
+
+The move order is the partitioner's contract: each step of a pass applies
+the least (-gain, node, target cluster) over unlocked nodes, positive
+gains and targets with room for the node's weight, and each node moves at
+most once per pass. A priority queue serves that order. After a move it
+receives only the entries whose gain the move changed, as in Fiduccia and
+Mattheyses (DAC 1982); an unchanged entry is already queued.
 """
 
 from __future__ import annotations
@@ -206,44 +213,37 @@ class _RefineState:
         self.weights = weights
         self.counts = pin_counts(h, labels, k)
         self.loads = np.bincount(labels, weights=weights, minlength=k).astype(np.int64)
-        self.gain = np.zeros((h.num_nodes, k), dtype=np.int64)
-        self._recount(np.arange(h.num_nodes))
-
-    def _recount(self, nodes: np.ndarray) -> None:
-        """Recompute the gain rows of ``nodes`` from ``counts``.
-
-        A node's gain into c is the number of its edges where it is the
-        only member of its own cluster, minus the number of its edges with
-        no member in c.
-        """
-        k = self.k
-        pos, degree = _segments(self.h.node_ptr, nodes)
-        owner = np.repeat(np.arange(nodes.size), degree)
-        rows = self.counts[self.h.node_edges[pos]]
-        own = self.labels[nodes]
-        sole = rows[np.arange(owner.size), own[owner]] == 1
-        leave = np.bincount(owner[sole], minlength=nodes.size)
-        # edges with no member in c = degree - edges with some member in c
+        # a node's gain into c is the number of its edges where it is the
+        # only member of its own cluster, minus the number of its edges with
+        # no member in c (its degree minus the edges with some member in c)
+        n = h.num_nodes
+        degree = np.diff(h.node_ptr)
+        owner = np.repeat(np.arange(n), degree)
+        rows = self.counts[h.node_edges]
+        leave = np.bincount(owner[rows[np.arange(owner.size), labels[owner]] == 1],
+                            minlength=n)
         r, c = np.nonzero(rows)
-        present = np.bincount(owner[r] * k + c, minlength=nodes.size * k)
-        g = (leave - degree)[:, None] + present.reshape(nodes.size, k)
-        g[np.arange(nodes.size), own] = 0
-        self.gain[nodes] = g
+        present = np.bincount(owner[r] * k + c, minlength=n * k).reshape(n, k)
+        self.gain = (leave - degree)[:, None] + present
+        self.gain[np.arange(n), labels] = 0
 
-    def apply(self, v: int, b: int) -> np.ndarray:
-        """Move v into cluster b; returns v and the members of its edges,
-        sorted: the nodes whose gain rows the move changed."""
+    def apply(self, v: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Move v into cluster b. Returns v and the members of its edges,
+        sorted, which are the only nodes whose gain rows the move can
+        change, and those rows as they were before the move."""
         a = self.labels[v]
         inc = self.h.node_edges[self.h.node_ptr[v]:self.h.node_ptr[v + 1]]
+        pos, sizes = _segments(self.h.edge_ptr, inc)
+        u = self.h.pins[pos]
+        other = u != v
+        u, edge = u[other], np.repeat(inc, sizes)[other]
+        touched = np.union1d(u, [v])
+        before = self.gain[touched]
         self.counts[inc, a] -= 1
         self.counts[inc, b] += 1
         self.loads[a] -= self.weights[v]
         self.loads[b] += self.weights[v]
         self.labels[v] = b
-        pos, sizes = _segments(self.h.edge_ptr, inc)
-        u = self.h.pins[pos]
-        other = u != v
-        u, edge = u[other], np.repeat(inc, sizes)[other]
         # only counts[e, a] and counts[e, b] moved, each by one: u's leave
         # term follows its own cluster's count, its column a loses the edges
         # a left and its column b gains the edges b entered
@@ -254,18 +254,29 @@ class _RefineState:
         np.add.at(self.gain, u, sole[:, None])
         np.subtract.at(self.gain, (u, a), self.counts[edge, a] == 0)
         np.add.at(self.gain, (u, b), self.counts[edge, b] == 1)
-        touched = np.union1d(u, [v])
-        self.gain[touched, self.labels[touched]] = 0
-        self._recount(np.array([v]))
-        return touched
+        self.gain[u, self.labels[u]] = 0
+        # v's own row, counted as in ``__init__`` from its edges' counts
+        rows = self.counts[inc]
+        self.gain[v] = np.count_nonzero(rows[:, b] == 1) - np.count_nonzero(rows == 0, axis=0)
+        self.gain[v, b] = 0
+        return touched, before
 
 
 def _fm_pass(state: _RefineState, cap: int) -> int:
     """One greedy pass: apply positive-gain, balance-feasible moves.
 
-    The move with the largest cut reduction goes first; ties break on the
-    lower node id, then the lower target cluster. Each node moves at most
-    once per pass. Returns the number of moves applied.
+    Each step applies the least (-gain, v, b) over unlocked v, b not v's
+    cluster, gain > 0 and ``loads[b] + weights[v] <= cap``: the largest cut
+    reduction first, ties to the lower node id, then the lower target
+    cluster. Each node moves at most once per pass. Returns the number of
+    moves applied.
+
+    The heap holds an entry for every such (v, b) whose gain is positive,
+    except those parked in ``blocked[b]`` because b was too full. After a
+    move only the entries whose gain it changed to a new positive value
+    are pushed; an unchanged entry is still in the heap or parked. A parked
+    entry stays infeasible until its cluster loses weight, which re-pushes
+    it. So the heap's first live, feasible entry is always the least one.
     """
     gain = state.gain
     locked = np.zeros(state.h.num_nodes, dtype=bool)
@@ -277,22 +288,19 @@ def _fm_pass(state: _RefineState, cap: int) -> int:
     moves = 0
     while heap:
         neg_g, v, b = heapq.heappop(heap)
-        if locked[v] or state.labels[v] == b:
+        # stale unless it is v's gain now; an unlocked v's own column is 0
+        if locked[v] or gain[v, b] != -neg_g:
             continue
-        cur = int(gain[v, b])
-        if cur <= 0 or cur != -neg_g:
-            continue  # stale entry; a fresh one was pushed when gains changed
         if state.loads[b] + state.weights[v] > cap:
             blocked.setdefault(b, []).append((neg_g, v, b))
             continue
         a = int(state.labels[v])
-        touched = state.apply(v, b)
+        touched, before = state.apply(v, b)
         locked[v] = True
         moves += 1
-        touched = touched[~locked[touched]]
-        rows = gain[touched]
-        r, c = np.nonzero(rows > 0)
-        for entry in zip((-rows[r, c]).tolist(), touched[r].tolist(), c.tolist()):
+        after = gain[touched]
+        r, c = np.nonzero((after > 0) & (after != before) & ~locked[touched, None])
+        for entry in zip((-after[r, c]).tolist(), touched[r].tolist(), c.tolist()):
             heapq.heappush(heap, entry)
         # cluster a lost weight: retry moves it previously blocked
         for entry in blocked.pop(a, []):

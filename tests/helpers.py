@@ -107,6 +107,48 @@ def naive_gains(h: Hypergraph, labels, counts) -> np.ndarray:
     return out
 
 
+def naive_refine(h: Hypergraph, labels, k: int, weights, cap: int, max_passes: int = 8):
+    """Greedy refinement by the move-order contract, recounting every gain
+    before each move: apply the least (-gain, v, b) over unlocked v, b not
+    v's cluster, gain > 0 and load[b] + weight[v] <= cap; a pass ends when
+    no such move is left, and a pass that moves nothing ends the run.
+    Returns the labels and the cut after each pass that moved."""
+    labels = [int(c) for c in labels]
+    weights = [int(w) for w in weights]
+    n = h.num_nodes
+    pass_cuts = []
+    for _ in range(max_passes):
+        locked = [False] * n
+        moves = 0
+        while True:
+            counts = np.zeros((h.num_edges, k), dtype=np.int64)
+            for e, members in enumerate(h.edge_members):
+                for v in members:
+                    counts[e, labels[v]] += 1
+            gains = naive_gains(h, labels, counts)
+            loads = [0] * k
+            for v in range(n):
+                loads[labels[v]] += weights[v]
+            best = None
+            for v in range(n):
+                for b in range(k):
+                    if (locked[v] or b == labels[v] or gains[v, b] <= 0
+                            or loads[b] + weights[v] > cap):
+                        continue
+                    if best is None or (-gains[v, b], v, b) < best:
+                        best = (-gains[v, b], v, b)
+            if best is None:
+                break
+            _, v, b = best
+            labels[v] = b
+            locked[v] = True
+            moves += 1
+        if moves == 0:
+            break
+        pass_cuts.append(recount_cut(h, labels))
+    return labels, pass_cuts
+
+
 def naive_pool(h: Hypergraph, labels) -> list[int]:
     """Per-edge majority cluster by counting votes; ties to the lowest id."""
     out = []

@@ -240,10 +240,17 @@ SHORT_DATA = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
     (_set(1.7, "clusters", "cluster_of", 0), "clusters.cluster_of"),
     (_set("a", "clusters", "cluster_of", 0), "clusters.cluster_of"),
     (_set("prediction", "task"), "config.task"),
+    (_set("40", "structure", "num_nodes"), "structure.num_nodes"),
+    (_set("4", "clusters", "k"), "clusters.k"),
+    (_set(5, "structure", "edges", 0), "structure.edges"),
+    (_set(3, "clusters", "cluster_of"), "clusters.cluster_of"),
+    (_set("0.05", "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
+    (_set(5, "relation_names"), "relation_names"),
 ], ids=["missing-array", "missing-section", "bad-base64", "data-short-of-shape",
         "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix",
         "string-node-id", "float-node-id", "float-cluster-id", "string-cluster-id",
-        "task-disagrees-with-config"])
+        "task-disagrees-with-config", "string-num-nodes", "string-k", "integer-edge",
+        "integer-cluster-of", "string-balance-epsilon", "integer-relation-names"])
 def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)
 

@@ -12,6 +12,7 @@ from hyperconv.partition import (
     _bfs_order,
     _edge_order,
     _RefineState,
+    _refine,
     coarse_weights,
     coarsen,
     cut,
@@ -25,6 +26,7 @@ from helpers import (
     naive_bfs_order,
     naive_edge_order,
     naive_gains,
+    naive_refine,
     optimal_balanced_cut,
     random_hypergraph,
     recount_cut,
@@ -217,6 +219,25 @@ class TestFMRefine:
         assert cut(h, out) == trail[-1]
         assert out.is_balanced()
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_move_order_with_mixed_weights_matches_a_recount_per_move_property(self, data):
+        # coarse levels refine nodes of unequal weight; the pinned hashes only
+        # sample them. Dense graphs, so a move can lower a gain that stays positive
+        h = draw_hypergraph(data, max_nodes=16, max_edges=40)
+        n = h.num_nodes
+        k = data.draw(st.integers(2, 4), label="k")
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                             max_size=n), label="labels"))
+        weights = np.array(data.draw(st.lists(st.integers(1, 5), min_size=n,
+                                              max_size=n), label="weights"))
+        cap = data.draw(st.integers(int(weights.max()), int(weights.sum())), label="cap")
+        want_labels, want_cuts = naive_refine(h, labels, k, weights, cap)
+        pass_cuts: list[int] = []
+        got = _refine(h, labels.copy(), k, weights, cap, pass_cuts)
+        assert got.tolist() == want_labels
+        assert pass_cuts == want_cuts
+
 
 class TestGainTable:
     @settings(max_examples=200)
@@ -233,9 +254,14 @@ class TestGainTable:
                                              st.integers(1, k - 1)), max_size=8),
                           label="moves")
         for v, shift in moves:
-            state.apply(v, (int(state.labels[v]) + shift) % k)
+            table = state.gain.copy()
+            touched, before = state.apply(v, (int(state.labels[v]) + shift) % k)
             assert (state.counts == pin_counts(h, state.labels, k)).all()
             assert (state.gain == naive_gains(h, state.labels, state.counts)).all()
+            # the pass re-queues only touched rows, so no other row may move
+            assert (before == table[touched]).all()
+            outside = np.setdiff1d(np.arange(n), touched)
+            assert (state.gain[outside] == table[outside]).all()
 
 
 class TestPartition:

@@ -14,9 +14,11 @@ weights, ``edge_init``, ``cluster_of``, ``evaluate()`` and one
 and call again on the model after a ``save_checkpoint`` ->
 ``load_checkpoint`` round trip. The grid is task x omega x
 aggregation x bilinear x two sizes, 72 lines. A partition line hashes
-``cluster_of`` of ``partition`` on a random 4-uniform graph; the 20k-edge
-line is the one the partition tests pin as ``9d1d289d83853d70``. The
-whole run takes under a minute on one core.
+``cluster_of`` of ``partition``: five on random 4-uniform graphs, where
+the 20k-edge line is the one the partition tests pin as
+``9d1d289d83853d70``, and two on planted graphs of mixed arity shaped
+like the benchmark's training structures. The whole run takes under a
+minute on one core.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ AGGS = ("mean", "harmonic")
 # (name, communities, nodes per community, edges, hidden width, clusters)
 SIZES = (("small", 4, 12, 120, 8, 4), ("large", 6, 20, 300, 16, 8))
 PARTITIONS = ((5000, 2), (5000, 3), (5000, 8), (5000, 16), (20000, 16))
+# (nodes, edges, smallest and largest arity, clusters), 16 communities each
+PLANTED_PARTITIONS = ((1600, 1680, 3, 10, 16), (1280, 2240, 2, 6, 16))
 
 
 def planted(rng, communities, nodes_per, num_edges, size_lo, size_hi):
@@ -96,12 +100,16 @@ def training_hash(task, omega, agg, bilinear, size) -> str:
     return digest.hexdigest()[:16]
 
 
-def partition_hash(num_edges, k) -> str:
-    rng = np.random.default_rng(0)
-    n = num_edges // 2
-    edges = [rng.choice(n, size=4, replace=False).tolist() for _ in range(num_edges)]
-    c = hc.partition(hc.build_hypergraph(edges, num_nodes=n), k)
+def partition_hash(edges, num_nodes, k) -> str:
+    c = hc.partition(hc.build_hypergraph(edges, num_nodes=num_nodes), k)
     return hashlib.sha256(c.cluster_of.tobytes()).hexdigest()[:16]
+
+
+def uniform_edges(num_edges):
+    """``num_edges`` random 4-member edges on num_edges / 2 nodes."""
+    rng = np.random.default_rng(0)
+    return [rng.choice(num_edges // 2, size=4, replace=False).tolist()
+            for _ in range(num_edges)]
 
 
 def main() -> None:
@@ -111,7 +119,13 @@ def main() -> None:
         print(f"{size[0]} {name} {training_hash(task, omega, agg, bilinear, size)}",
               flush=True)
     for num_edges, k in PARTITIONS:
-        print(f"partition m={num_edges} k={k} {partition_hash(num_edges, k)}", flush=True)
+        digest = partition_hash(uniform_edges(num_edges), num_edges // 2, k)
+        print(f"partition m={num_edges} k={k} {digest}", flush=True)
+    for n, num_edges, lo, hi, k in PLANTED_PARTITIONS:
+        edges, _ = planted(np.random.default_rng(0), 16, n // 16, num_edges, lo, hi)
+        digest = partition_hash(edges, n, k)
+        print(f"partition planted n={n} m={num_edges} arity={lo}-{hi} k={k} {digest}",
+              flush=True)
 
 
 if __name__ == "__main__":
