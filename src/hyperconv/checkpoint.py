@@ -173,6 +173,15 @@ def load_checkpoint(path) -> TrainedModel:
     bad = [v for m in edges for v in m if type(v) is not int or not 0 <= v < n]
     _reject_ids(path, "structure.edges", "node", bad, n)
     structure = Hypergraph(edges, n)
+    # entries list distinct ids in ascending order, as ``build_hypergraph``
+    # stores them, so the pins' (edge, node) codes rise strictly
+    codes = structure.pin_edge * n + structure.pins
+    wrong = np.append(np.flatnonzero(np.diff(structure.edge_ptr) == 0),
+                      structure.pin_edge[1:][np.diff(codes) <= 0])
+    if wrong.size:
+        i = int(wrong.min())
+        raise ValueError(f"{path}: field structure.edges entry {i} is {reprlib.repr(edges[i])}, "
+                         "expected nonempty, ascending and distinct node ids")
     bad = [c for c in cluster_of if type(c) is not int or not 0 <= c < k]
     _reject_ids(path, "clusters.cluster_of", "cluster", bad, k)
     clusters = ClusterAssignment(cluster_of, k, epsilon)

@@ -15,14 +15,13 @@ direct k-way FM of KaHyPar (Akhremtsev et al., ALENEX 2017) and hMETIS.
 The move order is the partitioner's contract: each step of a pass applies
 the least (-gain, node, target cluster) over unlocked nodes, positive
 gains and targets with room for the node's weight, and each node moves at
-most once per pass. A priority queue serves that order. After a move it
-receives only the entries whose gain the move changed, as in Fiduccia and
-Mattheyses (DAC 1982); an unchanged entry is already queued.
+most once per pass. Because the table is exact after every move, that
+move is read straight off it: the first maximum of the masked table. The
+priority queue of Fiduccia and Mattheyses (DAC 1982) is not needed.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -227,18 +226,16 @@ class _RefineState:
         self.gain = (leave - degree)[:, None] + present
         self.gain[np.arange(n), labels] = 0
 
-    def apply(self, v: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Move v into cluster b. Returns v and the members of its edges,
-        sorted, which are the only nodes whose gain rows the move can
-        change, and those rows as they were before the move."""
+    def apply(self, v: int, b: int) -> np.ndarray:
+        """Move v into cluster b. Returns the other members of its edges,
+        with repeats: with v, the only nodes whose gain rows the move can
+        change."""
         a = self.labels[v]
         inc = self.h.node_edges[self.h.node_ptr[v]:self.h.node_ptr[v + 1]]
         pos, sizes = _segments(self.h.edge_ptr, inc)
         u = self.h.pins[pos]
         other = u != v
         u, edge = u[other], np.repeat(inc, sizes)[other]
-        touched = np.union1d(u, [v])
-        before = self.gain[touched]
         self.counts[inc, a] -= 1
         self.counts[inc, b] += 1
         self.loads[a] -= self.weights[v]
@@ -259,7 +256,7 @@ class _RefineState:
         rows = self.counts[inc]
         self.gain[v] = np.count_nonzero(rows[:, b] == 1) - np.count_nonzero(rows == 0, axis=0)
         self.gain[v, b] = 0
-        return touched, before
+        return u
 
 
 def _fm_pass(state: _RefineState, cap: int) -> int:
@@ -271,40 +268,29 @@ def _fm_pass(state: _RefineState, cap: int) -> int:
     cluster. Each node moves at most once per pass. Returns the number of
     moves applied.
 
-    The heap holds an entry for every such (v, b) whose gain is positive,
-    except those parked in ``blocked[b]`` because b was too full. After a
-    move only the entries whose gain it changed to a new positive value
-    are pushed; an unchanged entry is still in the heap or parked. A parked
-    entry stays infeasible until its cluster loses weight, which re-pushes
-    it. So the heap's first live, feasible entry is always the least one.
+    A step scans the rows of the ``live`` nodes, unlocked with some
+    positive gain, in ascending order, so the first maximum of the masked
+    rows is that least move. A move changes only the rows of v and of the
+    nodes ``apply`` returns, so only theirs need ``live`` re-read.
     """
-    gain = state.gain
+    gain, weights = state.gain, state.weights
     locked = np.zeros(state.h.num_nodes, dtype=bool)
-    r, c = np.nonzero(gain > 0)
-    heap = list(zip((-gain[r, c]).tolist(), r.tolist(), c.tolist()))
-    heapq.heapify(heap)
-    blocked: dict[int, list[tuple[int, int, int]]] = {}
-
+    live = (gain > 0).any(axis=1)
     moves = 0
-    while heap:
-        neg_g, v, b = heapq.heappop(heap)
-        # stale unless it is v's gain now; an unlocked v's own column is 0
-        if locked[v] or gain[v, b] != -neg_g:
-            continue
-        if state.loads[b] + state.weights[v] > cap:
-            blocked.setdefault(b, []).append((neg_g, v, b))
-            continue
-        a = int(state.labels[v])
-        touched, before = state.apply(v, b)
+    while live.any():
+        rows = np.flatnonzero(live)
+        # a target without room reads 0, below any positive gain
+        g = gain[rows]
+        g *= weights[rows, None] <= cap - state.loads
+        best = int(g.argmax())
+        if g.flat[best] <= 0:
+            break
+        v, b = int(rows[best // state.k]), best % state.k
+        u = state.apply(v, b)
         locked[v] = True
+        live[v] = False
+        live[u] = (gain[u] > 0).any(axis=1) & ~locked[u]
         moves += 1
-        after = gain[touched]
-        r, c = np.nonzero((after > 0) & (after != before) & ~locked[touched, None])
-        for entry in zip((-after[r, c]).tolist(), touched[r].tolist(), c.tolist()):
-            heapq.heappush(heap, entry)
-        # cluster a lost weight: retry moves it previously blocked
-        for entry in blocked.pop(a, []):
-            heapq.heappush(heap, entry)
     return moves
 
 
@@ -347,23 +333,15 @@ def fm_refine(
     return ClusterAssignment(labels, c.k, c.balance_epsilon)
 
 
-def _initial_partition(weights: np.ndarray, k: int, cap: int) -> np.ndarray:
+def _initial_partition(weights: np.ndarray, k: int) -> np.ndarray:
     """Round-robin over nodes sorted by descending weight (ties: id order).
 
-    A round-robin slot already at capacity falls back to the lightest
-    feasible cluster so the balance bound holds unconditionally.
+    No cluster then outweighs the lightest by more than one node, so the
+    balance bound holds while no node outweighs max(1, cap - ceil(total
+    weight / k)); ``partition`` caps merge groups at that slack.
     """
-    n = len(weights)
-    order = sorted(range(n), key=lambda v: (-int(weights[v]), v))
-    labels = np.zeros(n, dtype=np.int64)
-    loads = np.zeros(k, dtype=np.int64)
-    for i, v in enumerate(order):
-        b = i % k
-        if loads[b] + weights[v] > cap:
-            feasible = [c for c in range(k) if loads[c] + weights[v] <= cap]
-            b = min(feasible, key=lambda c: (int(loads[c]), c))
-        labels[v] = b
-        loads[b] += weights[v]
+    labels = np.empty(len(weights), dtype=np.int64)
+    labels[np.argsort(-weights, kind="stable")] = np.arange(len(weights)) % k
     return labels
 
 
@@ -469,6 +447,8 @@ def partition(
     identical across runs for fixed inputs.
     """
     n = h.num_nodes
+    if not balance_epsilon >= 0:
+        raise ValueError(f"balance_epsilon must be >= 0, got {balance_epsilon}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
@@ -477,8 +457,9 @@ def partition(
         return ClusterAssignment(np.zeros(n, dtype=np.int64), 1, balance_epsilon)
 
     cap = _balance_cap(n, k, balance_epsilon)
-    # merge groups heavier than the cap slack could break round-robin balance
-    weight_cap = max(MERGE_GROUP_CAP, cap - int(math.ceil(n / k)))
+    # no merge group outweighs the cap slack, so round-robin seeding stays
+    # balanced; a slack below 2 allows no merge and refines flat
+    weight_cap = cap - int(math.ceil(n / k))
     floor = max(20 * k, 200)
 
     levels: list[CoarseLevel] = []
@@ -497,7 +478,7 @@ def partition(
     # refinement cannot escape a bad basin on its own
     wts = weight_stack[-1]
     candidates = [
-        _initial_partition(wts, k, cap),
+        _initial_partition(wts, k),
         _packed_partition(_bfs_order(cur), wts, k, cap),
         _packed_partition(_edge_order(cur), wts, k, cap),
     ]

@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
+        if not self.balance_epsilon >= 0:
+            raise ValueError(f"balance_epsilon must be >= 0, got {self.balance_epsilon}")
 
     @property
     def omega_kind(self) -> str:

@@ -246,11 +246,17 @@ SHORT_DATA = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
     (_set(3, "clusters", "cluster_of"), "clusters.cluster_of"),
     (_set("0.05", "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
     (_set(5, "relation_names"), "relation_names"),
+    (_set([], "structure", "edges", 0), "structure.edges entry 0"),
+    (_set(lambda doc: doc["structure"]["edges"][1][::-1], "structure", "edges", 1),
+     "structure.edges entry 1"),
+    (_set(lambda doc: doc["structure"]["edges"][2][:1] + doc["structure"]["edges"][2],
+          "structure", "edges", 2), "structure.edges entry 2"),
 ], ids=["missing-array", "missing-section", "bad-base64", "data-short-of-shape",
         "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix",
         "string-node-id", "float-node-id", "float-cluster-id", "string-cluster-id",
         "task-disagrees-with-config", "string-num-nodes", "string-k", "integer-edge",
-        "integer-cluster-of", "string-balance-epsilon", "integer-relation-names"])
+        "integer-cluster-of", "string-balance-epsilon", "integer-relation-names",
+        "empty-edge", "descending-edge", "repeated-member"])
 def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)
 

@@ -62,6 +62,11 @@ class TestPartitionCommand:
         assert main(["partition", str(tmp_path / "nope.txt"), "--k", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_epsilon_fails_in_one_line(self, edges_file, capsys):
+        assert main(["partition", str(edges_file), "--k", "2", "--epsilon", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: balance_epsilon") and err.count("\n") == 1
+
     def test_edge_file_too_small_to_split(self, tmp_path, capsys):
         # partitioning reads the structure only, so no split is drawn
         p = tmp_path / "cycle.txt"

@@ -11,6 +11,7 @@ from hyperconv.partition import (
     ClusterAssignment,
     _bfs_order,
     _edge_order,
+    _initial_partition,
     _RefineState,
     _refine,
     coarse_weights,
@@ -255,12 +256,12 @@ class TestGainTable:
                           label="moves")
         for v, shift in moves:
             table = state.gain.copy()
-            touched, before = state.apply(v, (int(state.labels[v]) + shift) % k)
+            others = state.apply(v, (int(state.labels[v]) + shift) % k)
             assert (state.counts == pin_counts(h, state.labels, k)).all()
             assert (state.gain == naive_gains(h, state.labels, state.counts)).all()
-            # the pass re-queues only touched rows, so no other row may move
-            assert (before == table[touched]).all()
-            outside = np.setdiff1d(np.arange(n), touched)
+            # the pass re-reads only v's and the returned rows, so no other
+            # row may move
+            outside = np.setdiff1d(np.arange(n), np.append(others, v))
             assert (state.gain[outside] == table[outside]).all()
 
 
@@ -271,6 +272,18 @@ class TestPartition:
         h = draw_hypergraph(data, max_nodes=20, max_edges=15)
         assert _bfs_order(h) == naive_bfs_order(h)
         assert _edge_order(h) == naive_edge_order(h)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_round_robin_seed_fits_a_slack_of_one_node_property(self, data):
+        weights = np.array(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=40),
+                                     label="weights"))
+        k = data.draw(st.integers(1, weights.size), label="k")
+        # the tightest cap the seed promises to meet: unit weights need no slack
+        heaviest = int(weights.max())
+        cap = -(-int(weights.sum()) // k) + (heaviest if heaviest > 1 else 0)
+        loads = np.bincount(_initial_partition(weights, k), weights=weights, minlength=k)
+        assert loads.max() <= cap
 
     def test_k1_is_trivial(self):
         h = build_hypergraph([[0, 1], [1, 2]])
@@ -310,6 +323,17 @@ class TestPartition:
             h = random_hypergraph(rng, max_nodes=30, max_edges=25)
             k = int(rng.integers(2, min(6, h.num_nodes) + 1))
             assert partition(h, k).is_balanced()
+
+    @pytest.mark.parametrize("eps, k", [(0.0, 4), (0.0, 16), (0.01, 16)])
+    def test_balanced_under_a_tight_bound(self, eps, k):
+        # a cap slack below MERGE_GROUP_CAP: coarse nodes must not outweigh it
+        h = uniform_hypergraph(seed=0, num_edges=2000, arity=4)
+        assert partition(h, k, balance_epsilon=eps).is_balanced()
+
+    def test_negative_epsilon_rejected(self):
+        h = build_hypergraph([[0, 1], [2, 3]])
+        with pytest.raises(ValueError, match="balance_epsilon"):
+            partition(h, 2, balance_epsilon=-0.1)
 
     def test_near_optimal_on_tiny_bipartitions(self):
         rng = np.random.default_rng(17)

@@ -78,6 +78,8 @@ class TestTrainConfig:
             TrainConfig(task="completion", learning_rate=0.0)
         with pytest.raises(ValueError, match="start at 1"):
             TrainConfig(task="completion", epochs=0)
+        with pytest.raises(ValueError, match="balance_epsilon"):
+            TrainConfig(task="completion", balance_epsilon=-0.01)
 
     def test_omega_defaults_per_task(self):
         assert TrainConfig(task="completion").omega_kind == "mean"
