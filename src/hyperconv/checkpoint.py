@@ -163,6 +163,9 @@ def load_checkpoint(path) -> TrainedModel:
     cluster_of = _typed(path, doc, "clusters.cluster_of", list)
     k = _typed(path, doc, "clusters.k", int)
     epsilon = _typed(path, doc, "clusters.balance_epsilon", float, int)
+    if not epsilon >= 0:
+        raise ValueError(f"{path}: field clusters.balance_epsilon is {epsilon!r}, "
+                         "expected a number >= 0")
     try:
         edges = [tuple(m) for m in raw_edges]
     except TypeError:
@@ -214,6 +217,9 @@ def load_checkpoint(path) -> TrainedModel:
     task = _field(path, doc, "task")
     if task != config.task:
         raise ValueError(f"{path}: field task is {task!r} but config.task is {config.task!r}")
+    if epsilon != config.balance_epsilon:
+        raise ValueError(f"{path}: field clusters.balance_epsilon is {epsilon!r} but "
+                         f"config.balance_epsilon is {config.balance_epsilon!r}")
     _check_shapes(path, task, config, structure, clusters, params, edge_init,
                   node_x, relation_names)
     entity_names = _typed(path, doc, "entity_names", list, type(None))

@@ -262,8 +262,19 @@ class _SetBatch:
 # linear map over (optionally bilinear-lifted) summary vectors
 
 
+_BLOCK_BYTES = 1 << 20
+
+
 def _affine_forward(weight: np.ndarray, z: np.ndarray, bilinear: bool) -> np.ndarray:
-    """weight @ flat(z z^T) per row without materializing the outer products."""
+    """weight @ flat(z z^T) per row without materializing the outer products.
+
+    Output j is z_t^T M_j z_t with M_j = weight[j] viewed as d x d. The
+    columns go in blocks [a, b) sized so the (b - a, t, d) products
+    z @ M_j, the only scratch, stay within ``_BLOCK_BYTES``. One stacked
+    matmul per block makes the same per-column GEMMs a column loop
+    would, and one einsum reduces them straight into the output's
+    columns, so the result is bit-identical to that loop.
+    """
     if not bilinear:
         return z @ weight.T
     t, d = z.shape
@@ -272,10 +283,12 @@ def _affine_forward(weight: np.ndarray, z: np.ndarray, bilinear: bool) -> np.nda
         raise ValueError(
             f"weight expects input dim {weight.shape[1]}, bilinear gives {d * d}"
         )
+    m = weight.reshape(out_dim, d, d)
+    width = max(1, _BLOCK_BYTES // (8 * max(t * d, 1)))
     pre = np.empty((t, out_dim), dtype=np.float64)
-    for j in range(out_dim):
-        mj = weight[j].reshape(d, d)
-        pre[:, j] = np.einsum("ti,ti->t", z @ mj, z)
+    for a in range(0, out_dim, width):
+        y = np.matmul(z, m[a:a + width])
+        np.einsum("jti,ti->jt", y, z, out=pre[:, a:a + width].T)
     return pre
 
 

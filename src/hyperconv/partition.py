@@ -177,8 +177,10 @@ def coarsen(
     projection = rank[inverse]
     n_coarse = int(first.size)
 
-    # one sort of (edge, coarse node) codes lists each edge's image in turn
-    codes = np.unique(h.pin_edge * n_coarse + projection[h.pins])
+    # one sort of (edge, coarse node) codes lists each edge's image in turn;
+    # a sort plus a neighbour mask (codes are >= 0), where np.unique hashes
+    codes = np.sort(h.pin_edge * n_coarse + projection[h.pins])
+    codes = codes[np.diff(codes, prepend=-1) != 0]
     image_edge = codes // n_coarse
     sizes = np.bincount(image_edge, minlength=h.num_edges)
     kept = sizes[image_edge] >= 2

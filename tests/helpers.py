@@ -253,6 +253,19 @@ def naive_n2e(weight, activation, kind, node_feats, sets, bilinear) -> np.ndarra
     return np.asarray(out, dtype=np.float64)
 
 
+def loop_affine_forward(weight, z, bilinear) -> np.ndarray:
+    """The layer's linear map, with the bilinear lift one output column at
+    a time: z_t^T M_j z_t with M_j = weight[j] viewed as d x d."""
+    if not bilinear:
+        return z @ weight.T
+    t, d = z.shape
+    pre = np.empty((t, weight.shape[0]), dtype=np.float64)
+    for j in range(weight.shape[0]):
+        mj = weight[j].reshape(d, d)
+        pre[:, j] = np.einsum("ti,ti->t", z @ mj, z)
+    return pre
+
+
 def naive_sample_negative(h: Hypergraph, edge: int, rng: np.random.Generator):
     """``sample_negative`` drawing its fills from the explicit complement of
     the edge: the same draws, so the same sample and the same generator

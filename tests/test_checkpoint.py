@@ -245,6 +245,9 @@ SHORT_DATA = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
     (_set(5, "structure", "edges", 0), "structure.edges"),
     (_set(3, "clusters", "cluster_of"), "clusters.cluster_of"),
     (_set("0.05", "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
+    (_set(-1, "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
+    (_set(float("nan"), "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
+    (_set(0.1, "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
     (_set(5, "relation_names"), "relation_names"),
     (_set([], "structure", "edges", 0), "structure.edges entry 0"),
     (_set(lambda doc: doc["structure"]["edges"][1][::-1], "structure", "edges", 1),
@@ -255,7 +258,8 @@ SHORT_DATA = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
         "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix",
         "string-node-id", "float-node-id", "float-cluster-id", "string-cluster-id",
         "task-disagrees-with-config", "string-num-nodes", "string-k", "integer-edge",
-        "integer-cluster-of", "string-balance-epsilon", "integer-relation-names",
+        "integer-cluster-of", "string-balance-epsilon", "negative-balance-epsilon",
+        "nan-balance-epsilon", "balance-epsilon-disagrees-with-config", "integer-relation-names",
         "empty-edge", "descending-edge", "repeated-member"])
 def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperconv import convolution
 from hyperconv.convolution import (
     AGG_KINDS,
     OMEGA_KINDS,
     E2ECache,
     LayerParams,
     _flat_sets,
+    _affine_forward,
     _SetBatch,
     e2e_backward,
     e2e_forward,
@@ -21,6 +25,7 @@ from hyperconv.hypergraph import build_hypergraph
 from helpers import (
     draw_hypergraph,
     gradcheck_max_error,
+    loop_affine_forward,
     naive_e2n,
     naive_n2e,
     naive_set_groups,
@@ -88,6 +93,45 @@ class TestBilinearFlat:
                 for j in range(d):
                     assert flat[i * d + j] == flat[j * d + i]
                     assert flat[i * d + j] == v[i] * v[j]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_affine_forward_matches_the_column_loop(data):
+    # t = 0 is a query whose nodes are all isolated: no layer-1 rows
+    t = data.draw(st.integers(0, 40), label="t")
+    d = data.draw(st.integers(1, 6), label="d")
+    out = data.draw(st.integers(1, 7), label="out")
+    bilinear = data.draw(st.booleans(), label="bilinear")
+    # a block budget giving `width` columns per block, the last block short
+    # whenever width does not divide out
+    width = data.draw(st.integers(1, out + 1), label="width")
+    per_column = 8 * max(t * d, 1)
+    spare = data.draw(st.integers(0, per_column - 1), label="spare")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    weight = rng.normal(size=(out, d * d if bilinear else d))
+    z = rng.normal(size=(t, d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convolution, "_BLOCK_BYTES", width * per_column + spare)
+        got = _affine_forward(weight, z, bilinear)
+    want = loop_affine_forward(weight, z, bilinear)
+    assert got.shape == (t, out) and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+def test_bilinear_forward_scratch_is_bounded():
+    # the (columns, t, d) products stay within one block budget; without
+    # blocks this call would hold all 64 of them, 24 MB
+    rng = np.random.default_rng(0)
+    t, d, out = 1500, 32, 64
+    weight, z = rng.normal(size=(out, d * d)), rng.normal(size=(t, d))
+    tracemalloc.start()
+    try:
+        pre = _affine_forward(weight, z, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * convolution._BLOCK_BYTES + pre.nbytes
 
 
 def test_layer_params_validation():

@@ -8,6 +8,10 @@ diffs the two outputs:
     PYTHONPATH=/path/to/parent/src python tools/exactness.py > before.txt
     diff before.txt after.txt
 
+Both runs need the same BLAS thread count (``OPENBLAS_NUM_THREADS=1``,
+say): the kernel line's products round differently when BLAS splits
+them over more threads.
+
 A training line hashes the report minus ``wall_seconds``, the final
 weights, ``edge_init``, ``cluster_of``, ``evaluate()`` and one
 ``predict_relation``/``predict_edge`` call, and the same ``evaluate()``
@@ -17,8 +21,12 @@ aggregation x bilinear x two sizes, 72 lines. A partition line hashes
 ``cluster_of`` of ``partition``: five on random 4-uniform graphs, where
 the 20k-edge line is the one the partition tests pin as
 ``9d1d289d83853d70``, and two on planted graphs of mixed arity shaped
-like the benchmark's training structures. The whole run takes under a
-minute on one core.
+like the benchmark's training structures. A kernel line hashes the
+scores of one ``e2e_forward`` call on a 128-edge batch of a planted
+graph, at hidden width 64 and 16 clusters, and the weight gradients
+``e2e_backward`` returns for it; at that size both bilinear layers run
+several column blocks, and the second layer's last block is short. The
+whole run takes under a minute on one core.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ SIZES = (("small", 4, 12, 120, 8, 4), ("large", 6, 20, 300, 16, 8))
 PARTITIONS = ((5000, 2), (5000, 3), (5000, 8), (5000, 16), (20000, 16))
 # (nodes, edges, smallest and largest arity, clusters), 16 communities each
 PLANTED_PARTITIONS = ((1600, 1680, 3, 10, 16), (1280, 2240, 2, 6, 16))
+# (nodes, edges, smallest and largest arity, hidden width, clusters, batch)
+KERNEL = (1600, 2000, 3, 10, 64, 16, 128)
 
 
 def planted(rng, communities, nodes_per, num_edges, size_lo, size_hi):
@@ -105,6 +115,24 @@ def partition_hash(edges, num_nodes, k) -> str:
     return hashlib.sha256(c.cluster_of.tobytes()).hexdigest()[:16]
 
 
+def kernel_hash() -> str:
+    n, num_edges, lo, hi, hidden, k, batch = KERNEL
+    rng = np.random.default_rng(4)
+    edges, _ = planted(rng, 16, n // 16, num_edges, lo, hi)
+    h = hc.build_hypergraph(edges, num_nodes=n)
+    node_x = np.eye(k)[np.arange(n) * k // n]
+    edge_init = rng.uniform(size=(num_edges, k))
+    layers = (hc.init_layer(hidden, 2 * k, rng, True, "relu"),
+              hc.init_layer(hidden, hidden + k, rng, True, "identity"))
+    targets = [h.edge_members[e] for e in rng.choice(num_edges, size=batch, replace=False)]
+    scores, cache = hc.e2e_forward(layers, "minmax", h, edge_init, node_x, targets)
+    grads = hc.e2e_backward(cache, rng.normal(size=scores.shape))
+    digest = hashlib.sha256()
+    for arr in (scores, grads["W1"], grads["W2"]):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()[:16]
+
+
 def uniform_edges(num_edges):
     """``num_edges`` random 4-member edges on num_edges / 2 nodes."""
     rng = np.random.default_rng(0)
@@ -126,6 +154,9 @@ def main() -> None:
         digest = partition_hash(edges, n, k)
         print(f"partition planted n={n} m={num_edges} arity={lo}-{hi} k={k} {digest}",
               flush=True)
+    n, num_edges, lo, hi, hidden, k, batch = KERNEL
+    print(f"kernel n={n} m={num_edges} arity={lo}-{hi} hidden={hidden} k={k} batch={batch} "
+          f"{kernel_hash()}", flush=True)
 
 
 if __name__ == "__main__":
