@@ -262,7 +262,7 @@ class _SetBatch:
 # linear map over (optionally bilinear-lifted) summary vectors
 
 
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 256 << 10
 
 
 def _affine_forward(weight: np.ndarray, z: np.ndarray, bilinear: bool) -> np.ndarray:
@@ -270,10 +270,14 @@ def _affine_forward(weight: np.ndarray, z: np.ndarray, bilinear: bool) -> np.nda
 
     Output j is z_t^T M_j z_t with M_j = weight[j] viewed as d x d. The
     columns go in blocks [a, b) sized so the (b - a, t, d) products
-    z @ M_j, the only scratch, stay within ``_BLOCK_BYTES``. One stacked
-    matmul per block makes the same per-column GEMMs a column loop
-    would, and one einsum reduces them straight into the output's
-    columns, so the result is bit-identical to that loop.
+    z @ M_j, the only scratch, stay within ``_BLOCK_BYTES`` (or one
+    column, if that is larger). One stacked matmul per block makes the
+    same per-column GEMMs a column loop would, and one einsum reduces
+    them straight into the output's columns, so the result is
+    bit-identical to that loop. The blocks share one scratch buffer per
+    call: a fresh one per block, or a 1 MiB budget, made glibc return
+    heap pages and fault them in again, and page faults cost what the
+    machine's load makes them cost.
     """
     if not bilinear:
         return z @ weight.T
@@ -286,9 +290,11 @@ def _affine_forward(weight: np.ndarray, z: np.ndarray, bilinear: bool) -> np.nda
     m = weight.reshape(out_dim, d, d)
     width = max(1, _BLOCK_BYTES // (8 * max(t * d, 1)))
     pre = np.empty((t, out_dim), dtype=np.float64)
+    y = np.empty((min(width, out_dim), t, d), dtype=np.float64)
     for a in range(0, out_dim, width):
-        y = np.matmul(z, m[a:a + width])
-        np.einsum("jti,ti->jt", y, z, out=pre[:, a:a + width].T)
+        b = min(a + width, out_dim)
+        np.matmul(z, m[a:b], out=y[: b - a])
+        np.einsum("jti,ti->jt", y[: b - a], z, out=pre[:, a:b].T)
     return pre
 
 

@@ -120,8 +120,9 @@ def test_affine_forward_matches_the_column_loop(data):
 
 
 def test_bilinear_forward_scratch_is_bounded():
-    # the (columns, t, d) products stay within one block budget; without
-    # blocks this call would hold all 64 of them, 24 MB
+    # the (columns, t, d) products stay within one block budget, or one
+    # column where that is larger (here 384 KB); without blocks this call
+    # would hold all 64 of them, 24 MB
     rng = np.random.default_rng(0)
     t, d, out = 1500, 32, 64
     weight, z = rng.normal(size=(out, d * d)), rng.normal(size=(t, d))
