@@ -9,6 +9,7 @@ echo are all stored; optimizer state is not.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import reprlib
 from pathlib import Path
@@ -167,24 +168,28 @@ def load_checkpoint(path) -> TrainedModel:
         raise ValueError(f"{path}: field clusters.balance_epsilon is {epsilon!r}, "
                          "expected a number >= 0")
     try:
-        edges = [tuple(m) for m in raw_edges]
+        sizes = np.fromiter(map(len, raw_edges), dtype=np.int64, count=len(raw_edges))
     except TypeError:
         entry = next(m for m in raw_edges if type(m) is not list)
         raise ValueError(f"{path}: field structure.edges holds {reprlib.repr(entry)}, "
                          f"expected a list of node ids") from None
     # one pass over the pins; JSON floats, strings and booleans are not ids
-    bad = [v for m in edges for v in m if type(v) is not int or not 0 <= v < n]
+    flat = list(itertools.chain.from_iterable(raw_edges))
+    bad = [v for v in flat if type(v) is not int or not 0 <= v < n]
     _reject_ids(path, "structure.edges", "node", bad, n)
-    structure = Hypergraph(edges, n)
+    pins = np.array(flat, dtype=np.int64)
+    edge_ptr = np.concatenate([[0], np.cumsum(sizes)])
     # entries list distinct ids in ascending order, as ``build_hypergraph``
     # stores them, so the pins' (edge, node) codes rise strictly
-    codes = structure.pin_edge * n + structure.pins
-    wrong = np.append(np.flatnonzero(np.diff(structure.edge_ptr) == 0),
-                      structure.pin_edge[1:][np.diff(codes) <= 0])
+    pin_edge = np.repeat(np.arange(sizes.size), sizes)
+    wrong = np.append(np.flatnonzero(sizes == 0),
+                      pin_edge[1:][np.diff(pin_edge * n + pins) <= 0])
     if wrong.size:
         i = int(wrong.min())
-        raise ValueError(f"{path}: field structure.edges entry {i} is {reprlib.repr(edges[i])}, "
+        raise ValueError(f"{path}: field structure.edges entry {i} is "
+                         f"{reprlib.repr(tuple(raw_edges[i]))}, "
                          "expected nonempty, ascending and distinct node ids")
+    structure = Hypergraph(edge_ptr, pins, n)
     bad = [c for c in cluster_of if type(c) is not int or not 0 <= c < k]
     _reject_ids(path, "clusters.cluster_of", "cluster", bad, k)
     clusters = ClusterAssignment(cluster_of, k, epsilon)

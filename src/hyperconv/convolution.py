@@ -271,13 +271,10 @@ def _affine_forward(weight: np.ndarray, z: np.ndarray, bilinear: bool) -> np.nda
     Output j is z_t^T M_j z_t with M_j = weight[j] viewed as d x d. The
     columns go in blocks [a, b) sized so the (b - a, t, d) products
     z @ M_j, the only scratch, stay within ``_BLOCK_BYTES`` (or one
-    column, if that is larger). One stacked matmul per block makes the
-    same per-column GEMMs a column loop would, and one einsum reduces
-    them straight into the output's columns, so the result is
-    bit-identical to that loop. The blocks share one scratch buffer per
-    call: a fresh one per block, or a 1 MiB budget, made glibc return
-    heap pages and fault them in again, and page faults cost what the
-    machine's load makes them cost.
+    column, if that is larger), one buffer shared by the blocks of a
+    call. One stacked matmul per block makes the same per-column GEMMs a
+    column loop would, and one einsum reduces them straight into the
+    output's columns, so the result is bit-identical to that loop.
     """
     if not bilinear:
         return z @ weight.T

@@ -1,17 +1,16 @@
 """Immutable hypergraph and knowledge-hypergraph structures.
 
-``Hypergraph`` owns the one incidence layout of the package, built once
-at construction as read-only int64 arrays: the edge-major CSR (``pins``
-segmented by ``edge_ptr``, with each pin's edge in ``pin_edge``) and the
-node-major CSR (``node_edges`` segmented by ``node_ptr``). The
-partitioner, the features and the convolution all read these arrays,
-through ``_segments`` where they gather several segments at once; none
-keeps a private copy. ``edge_members`` keeps the input member tuples.
+``Hypergraph`` stores its edges in one layout, read-only int64 arrays: the
+edge-major CSR (``pins`` segmented by ``edge_ptr``, with each pin's edge in
+``pin_edge``) and the node-major CSR (``node_edges`` segmented by
+``node_ptr``). The partitioner, the features and the convolution all read
+these arrays, through ``_segments`` where they gather several segments at
+once; none keeps a private copy. Member tuples exist only on demand, built
+from ``pins`` by ``edge_members`` or ``_edge_sets``.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from collections.abc import Iterable, Sequence
 
@@ -23,52 +22,34 @@ logger = logging.getLogger(__name__)
 class Hypergraph:
     """A set of nodes plus hyperedges, each a nonempty subset of the nodes.
 
-    Instances are immutable after construction: member lists are stored as
-    sorted tuples, the arrays are read-only, and the two incidence
-    directions are exact transposes of each other. Safe for unrestricted
-    concurrent reads.
+    Instances are immutable after construction: the arrays are read-only,
+    and the two incidence directions are exact transposes of each other.
+    Safe for unrestricted concurrent reads.
 
     Attributes:
         num_nodes: number of nodes (ids 0..num_nodes-1).
         num_edges: number of hyperedges (ids 0..num_edges-1).
-        edge_members: tuple of sorted node-id tuples, one per hyperedge.
         edge_ptr, pins: edge-major CSR of the incidence; edge e's members,
             ascending, are ``pins[edge_ptr[e]:edge_ptr[e + 1]]``.
         pin_edge: the edge of each entry of ``pins``.
         node_ptr, node_edges: node-major CSR of the incidence; node v's
             edges, ascending, are ``node_edges[node_ptr[v]:node_ptr[v + 1]]``.
-        duplicates_removed: count of repeated node ids dropped from input
-            edges during construction.
+        duplicates_removed: count of repeated node ids ``build_hypergraph``
+            dropped from its input edges.
     """
 
-    __slots__ = (
-        "num_nodes",
-        "num_edges",
-        "edge_members",
-        "edge_ptr",
-        "pins",
-        "pin_edge",
-        "node_ptr",
-        "node_edges",
-        "duplicates_removed",
-        "__weakref__",
-    )
+    __slots__ = ("num_nodes", "num_edges", "edge_ptr", "pins", "pin_edge", "node_ptr",
+                 "node_edges", "duplicates_removed", "__weakref__")
 
-    def __init__(
-        self,
-        edge_members: Sequence[tuple[int, ...]],
-        num_nodes: int,
-        duplicates_removed: int = 0,
-    ):
-        edge_members = tuple(edge_members)
-        m = len(edge_members)
-        sizes = np.fromiter(map(len, edge_members), dtype=np.int64, count=m)
-        pins = np.fromiter(
-            itertools.chain.from_iterable(edge_members), dtype=np.int64, count=int(sizes.sum())
-        )
-        edge_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(sizes, out=edge_ptr[1:])
-        pin_edge = np.repeat(np.arange(m, dtype=np.int64), sizes)
+    def __init__(self, edge_ptr: np.ndarray, pins: np.ndarray, num_nodes: int,
+                 duplicates_removed: int = 0):
+        """From the edge-major CSR, taken as given: each segment of ``pins``
+        must be nonempty, ascending and distinct, with ids in [0, num_nodes).
+        ``build_hypergraph`` makes such arrays from raw member lists."""
+        edge_ptr = np.array(edge_ptr, dtype=np.int64)
+        pins = np.array(pins, dtype=np.int64)
+        m = edge_ptr.size - 1
+        pin_edge = np.repeat(np.arange(m, dtype=np.int64), np.diff(edge_ptr))
         # sorted (node, edge) codes list each node's edges in ascending order
         node_edges = np.sort(pins * m + pin_edge) % max(m, 1)
         node_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -77,10 +58,15 @@ class Hypergraph:
                           ("node_ptr", node_ptr), ("node_edges", node_edges)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "edge_members", edge_members)
         object.__setattr__(self, "num_nodes", num_nodes)
         object.__setattr__(self, "num_edges", m)
         object.__setattr__(self, "duplicates_removed", duplicates_removed)
+
+    @property
+    def edge_members(self) -> tuple[tuple[int, ...], ...]:
+        """Each hyperedge's members as a sorted tuple of node ids, built
+        from ``pins`` on every access: each read costs O(pins)."""
+        return tuple(_edge_sets(self, range(self.num_edges)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
@@ -96,6 +82,12 @@ def _segments(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     lens = ptr[ids + 1] - starts
     offsets = np.cumsum(lens) - lens
     return np.arange(int(lens.sum())) + np.repeat(starts - offsets, lens), lens
+
+
+def _edge_sets(h: Hypergraph, ids: Iterable[int]) -> list[tuple[int, ...]]:
+    """The sorted member tuples of the edges ``ids``, in that order."""
+    pins, ptr = h.pins.tolist(), h.edge_ptr.tolist()
+    return [tuple(pins[ptr[e]:ptr[e + 1]]) for e in map(int, ids)]
 
 
 def build_hypergraph(
@@ -115,7 +107,8 @@ def build_hypergraph(
         ValueError: on an empty edge (reported with its index) or an id
             outside [0, num_nodes).
     """
-    members: list[tuple[int, ...]] = []
+    pins: list[int] = []
+    ptr = [0]
     duplicates = 0
     max_id = -1
     for idx, edge in enumerate(edges):
@@ -131,11 +124,12 @@ def build_hypergraph(
                 f"node id {uniq[-1]} in edge {idx} out of range [0, {num_nodes})"
             )
         max_id = max(max_id, uniq[-1])
-        members.append(tuple(uniq))
+        pins += uniq
+        ptr.append(len(pins))
     n = (max_id + 1) if num_nodes is None else num_nodes
     if duplicates:
         logger.debug("dropped %d duplicate member ids during construction", duplicates)
-    return Hypergraph(members, n, duplicates_removed=duplicates)
+    return Hypergraph(ptr, pins, n, duplicates_removed=duplicates)
 
 
 class KnowledgeHypergraph:

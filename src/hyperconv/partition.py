@@ -141,12 +141,13 @@ def coarsen(
     if node_weights is None:
         node_weights = np.ones(n, dtype=np.int64)
     weights = node_weights.tolist()
+    pins, ptr = h.pins.tolist(), h.edge_ptr.tolist()
     group_of = [-1] * n
     next_group = 0
     for e in _size_order(h).tolist():
         pending: list[int] = []
         pending_weight = 0
-        for v in h.edge_members[e]:
+        for v in pins[ptr[e]:ptr[e + 1]]:
             if group_of[v] >= 0:
                 continue
             w = weights[v]
@@ -184,10 +185,8 @@ def coarsen(
     image_edge = codes // n_coarse
     sizes = np.bincount(image_edge, minlength=h.num_edges)
     kept = sizes[image_edge] >= 2
-    ends = np.cumsum(sizes[sizes >= 2]).tolist()
-    nodes = (codes[kept] % n_coarse).tolist()
-    coarse_edges = [tuple(nodes[a:b]) for a, b in zip([0] + ends, ends)]
-    coarse = Hypergraph(coarse_edges, n_coarse)
+    coarse_ptr = np.concatenate([[0], np.cumsum(sizes[sizes >= 2])])
+    coarse = Hypergraph(coarse_ptr, codes[kept] % n_coarse, n_coarse)
     return CoarseLevel(coarse, projection, progress=n_coarse < n)
 
 
@@ -427,9 +426,10 @@ def _exact_bipartition(
     if not feasible.any():
         return None
     cuts = np.zeros(count, dtype=np.int64)
-    for members in h.edge_members:
-        s = labels[:, list(members)].sum(axis=1, dtype=np.int64)
-        cuts += (s > 0) & (s < len(members))
+    ptr = h.edge_ptr.tolist()
+    for a, b in zip(ptr, ptr[1:]):
+        s = labels[:, h.pins[a:b]].sum(axis=1, dtype=np.int64)
+        cuts += (s > 0) & (s < b - a)
     cuts[~feasible] = np.iinfo(np.int64).max
     return labels[int(cuts.argmin())].astype(np.int64)
 

@@ -42,7 +42,7 @@ from .features import (
     knowledge_edge_init,
     node_onehot,
 )
-from .hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
+from .hypergraph import Hypergraph, KnowledgeHypergraph, _edge_sets, build_hypergraph
 from .metrics import accuracy, auc, hit_at, mrr, rank_of_true
 from .partition import ClusterAssignment, cut, partition
 
@@ -259,7 +259,7 @@ _member_set_cache: "weakref.WeakKeyDictionary[Hypergraph, frozenset]" = (
 def _member_sets(h: Hypergraph) -> frozenset:
     sets = _member_set_cache.get(h)
     if sets is None:
-        sets = frozenset(frozenset(m) for m in h.edge_members)
+        sets = frozenset(map(frozenset, _edge_sets(h, range(h.num_edges))))
         _member_set_cache[h] = sets
     return sets
 
@@ -277,7 +277,7 @@ def sample_negative(
         ValueError: no nodes exist outside the edge.
         SamplingError: 100 attempts produced only collisions.
     """
-    members = h.edge_members[edge]
+    members = h.pins[h.edge_ptr[edge]:h.edge_ptr[edge + 1]]
     size = len(members)
     if h.num_nodes <= size:
         raise ValueError(f"edge {edge} spans every node; nothing to swap in")
@@ -288,12 +288,11 @@ def sample_negative(
             f"edge {edge}: only {outside} nodes outside, need {size - keep}"
         )
     existing = _member_sets(h)
-    members_arr = np.asarray(members)
     # the r-th node outside the sorted members is r plus the number of
     # members m_i with m_i - i <= r (m_i - i nodes outside lie below m_i)
-    below = members_arr - np.arange(size)
+    below = members - np.arange(size)
     for _ in range(100):
-        kept = rng.choice(members_arr, size=keep, replace=False)
+        kept = rng.choice(members, size=keep, replace=False)
         pick = rng.choice(outside, size=size - keep, replace=False)
         fill = pick + np.searchsorted(below, pick, side="right")
         cand = tuple(sorted(int(v) for v in np.concatenate([kept, fill])))
@@ -452,9 +451,7 @@ def _prepare(cfg: TrainConfig, h: Hypergraph, splits: Splits | None
     if splits is None:
         splits = Splits.from_ratios(h.num_edges, cfg.split_ratios, cfg.seed)
     splits.check(h.num_edges)
-    structure = build_hypergraph(
-        (h.edge_members[int(e)] for e in splits.train), num_nodes=h.num_nodes
-    )
+    structure = build_hypergraph(_edge_sets(h, splits.train), num_nodes=h.num_nodes)
     clusters = partition(structure, cfg.clusters, balance_epsilon=cfg.balance_epsilon)
     return splits, structure, clusters
 
@@ -478,7 +475,7 @@ def _new_model(cfg: TrainConfig, rng: np.random.Generator, structure: Hypergraph
 
 def _facts(kh: KnowledgeHypergraph, ids) -> tuple[list, np.ndarray]:
     """Member sets and relation labels of the given edges."""
-    sets = [kh.base.edge_members[int(e)] for e in ids]
+    sets = _edge_sets(kh.base, ids)
     return sets, np.asarray([kh.edge_type[int(e)] for e in ids], dtype=np.int64)
 
 
@@ -492,14 +489,14 @@ def _train_relational(
     if num_rel < 2:
         raise ValueError("need at least 2 relation types")
     splits, structure, clusters = _prepare(cfg, kh.base, splits)
-    sub = KnowledgeHypergraph(structure, [kh.edge_type[int(e)] for e in splits.train],
-                              kh.relation_names, kh.entity_names)
+    # structure edge i is base edge splits.train[i]
+    train_sets, labels = _facts(kh, splits.train)
+    sub = KnowledgeHypergraph(structure, labels, kh.relation_names, kh.entity_names)
     edge_init = knowledge_edge_init(sub, clusters)
     rng = np.random.default_rng(cfg.seed)
     model = _new_model(cfg, rng, structure, clusters, edge_init, num_rel, "identity",
                        relation_names=kh.relation_names, entity_names=kh.entity_names)
     adam = Adam(model.params.trainable(), lr=cfg.learning_rate)
-    labels = np.asarray(sub.edge_type, dtype=np.int64)
 
     def step(batch):
         # hide the targets' own labels from the message passing; the
@@ -507,7 +504,7 @@ def _train_relational(
         # forward is enough
         edge_init[batch, :num_rel] = 0.0
         try:
-            out, cache = _forward(model, [structure.edge_members[int(b)] for b in batch])
+            out, cache = _forward(model, [train_sets[int(b)] for b in batch])
         finally:
             edge_init[batch, labels[batch]] = 1.0
         loss, dlogits = _batch_cross_entropy(out, labels[batch])
@@ -550,7 +547,7 @@ def train_classification(
 def _with_negatives(h: Hypergraph, ids, negatives: list[NegativeSample],
                     pos_labels: np.ndarray, neg_label: int) -> tuple[list, np.ndarray]:
     """The positives' member sets then the negatives', with their labels."""
-    sets = [h.edge_members[int(e)] for e in ids] + [s.members for s in negatives]
+    sets = _edge_sets(h, ids) + [s.members for s in negatives]
     labels = np.concatenate(
         [pos_labels, np.full(len(negatives), neg_label, dtype=np.int64)]
     )

@@ -29,15 +29,22 @@ def random_hypergraph(
     return build_hypergraph(edges, num_nodes=n)
 
 
-def draw_hypergraph(data, max_nodes: int = 12, max_edges: int = 10, max_size: int = 5):
-    """A hypergraph drawn through hypothesis' ``st.data()``: isolated nodes,
-    unary edges and repeated member ids all occur."""
+def draw_edges(data, max_nodes: int = 12, max_edges: int = 10, max_size: int = 5):
+    """Raw member lists and a node count drawn through hypothesis'
+    ``st.data()``: isolated nodes, unary edges and repeated member ids all
+    occur."""
     from hypothesis import strategies as st
 
     n = data.draw(st.integers(1, max_nodes), label="num_nodes")
     member = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.lists(member, min_size=1, max_size=max_size),
                                max_size=max_edges), label="edges")
+    return edges, n
+
+
+def draw_hypergraph(data, **sizes):
+    """The hypergraph ``build_hypergraph`` makes of ``draw_edges``."""
+    edges, n = draw_edges(data, **sizes)
     return build_hypergraph(edges, num_nodes=n)
 
 
@@ -54,6 +61,7 @@ def naive_bfs_order(h: Hypergraph) -> list[int]:
     """Breadth-first discovery order over the tuple views, one queue per
     component, components started from the lowest unseen id."""
     incidence = naive_incidence(h)
+    edge_members = h.edge_members
     seen = [False] * h.num_nodes
     order = []
     for start in range(h.num_nodes):
@@ -65,7 +73,7 @@ def naive_bfs_order(h: Hypergraph) -> list[int]:
             v = queue.pop(0)
             order.append(v)
             for e in incidence[v]:
-                for u in h.edge_members[e]:
+                for u in edge_members[e]:
                     if not seen[u]:
                         seen[u] = True
                         queue.append(u)
@@ -76,8 +84,9 @@ def naive_edge_order(h: Hypergraph) -> list[int]:
     """Nodes by first appearance over edges sorted by (size, id), then the
     nodes no edge holds, by id."""
     order = []
-    for e in sorted(range(h.num_edges), key=lambda e: (len(h.edge_members[e]), e)):
-        order += [v for v in h.edge_members[e] if v not in order]
+    edge_members = h.edge_members
+    for e in sorted(range(h.num_edges), key=lambda e: (len(edge_members[e]), e)):
+        order += [v for v in edge_members[e] if v not in order]
     return order + [v for v in range(h.num_nodes) if v not in order]
 
 

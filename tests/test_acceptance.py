@@ -179,9 +179,10 @@ def test_a06_negative_samples_satisfy_invariants():
     checked = 0
     while checked < 1000:
         h = random_hypergraph(rng, max_nodes=25, max_edges=12)
-        existing = set(frozenset(m) for m in h.edge_members)
+        edge_members = h.edge_members
+        existing = set(frozenset(m) for m in edge_members)
         for e in range(h.num_edges):
-            members = h.edge_members[e]
+            members = edge_members[e]
             need = len(members) - math.ceil(len(members) / 2)
             if h.num_nodes - len(members) < max(need, 1):
                 continue  # no legal corruption exists for this edge

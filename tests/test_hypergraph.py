@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from hyperconv.hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
 
-from helpers import draw_hypergraph, naive_incidence, random_hypergraph
+from helpers import draw_edges, random_hypergraph
 
 
 def incidence_rows(h):
@@ -31,6 +33,14 @@ def test_single_unary_edge():
     assert h.pin_edge.tolist() == [0]
     assert h.node_ptr.tolist() == [0, 1]
     assert h.node_edges.tolist() == [0]
+
+
+def test_constructor_takes_the_edge_major_csr():
+    h = Hypergraph(np.array([0, 2, 3]), np.array([0, 2, 2]), 4)
+    assert (h.num_nodes, h.num_edges, h.duplicates_removed) == (4, 2, 0)
+    assert h.edge_members == ((0, 2), (2,))
+    assert h.pin_edge.tolist() == [0, 0, 1]
+    assert incidence_rows(h) == [(0,), (), (0, 1), ()]
 
 
 def test_member_lists_are_sorted_and_deduplicated():
@@ -90,16 +100,18 @@ def test_incidence_arrays_are_read_only():
 
 @settings(max_examples=200)
 @given(data=st.data())
-def test_incidence_arrays_match_the_tuple_views(data):
-    h = draw_hypergraph(data)
-    assert h.pins.tolist() == [v for members in h.edge_members for v in members]
-    assert h.pin_edge.tolist() == [e for e, members in enumerate(h.edge_members)
-                                   for _ in members]
-    assert h.edge_ptr.shape == (h.num_edges + 1,)
-    for e, members in enumerate(h.edge_members):
-        assert tuple(h.pins[h.edge_ptr[e]:h.edge_ptr[e + 1]].tolist()) == members
-    assert h.node_ptr.shape == (h.num_nodes + 1,)
-    assert incidence_rows(h) == naive_incidence(h)
+def test_incidence_arrays_match_the_input_edges(data):
+    edges, n = draw_edges(data)
+    h = build_hypergraph(edges, num_nodes=n)
+    canon = [sorted(set(e)) for e in edges]
+    assert h.edge_ptr.tolist() == [0, *itertools.accumulate(map(len, canon))]
+    assert h.pins.tolist() == [v for members in canon for v in members]
+    assert h.pin_edge.tolist() == [e for e, members in enumerate(canon) for _ in members]
+    rows = [[e for e, members in enumerate(canon) if v in members] for v in range(n)]
+    assert h.node_ptr.tolist() == [0, *itertools.accumulate(map(len, rows))]
+    assert h.node_edges.tolist() == [e for row in rows for e in row]
+    assert h.duplicates_removed == sum(len(e) - len(set(e)) for e in edges)
+    assert "edge_members" not in Hypergraph.__slots__
 
 
 def test_construction_is_deterministic():

@@ -174,10 +174,11 @@ class TestNegativeSampling:
             [sorted(rng.choice(30, size=s, replace=False).tolist()) for s in [2, 3, 4, 5] * 5],
             num_nodes=30,
         )
-        existing = set(frozenset(m) for m in h.edge_members)
+        edge_members = h.edge_members
+        existing = set(frozenset(m) for m in edge_members)
         for _ in range(200):
             e = int(rng.integers(h.num_edges))
-            members = h.edge_members[e]
+            members = edge_members[e]
             neg = sample_negative(h, e, rng)
             assert len(neg.members) == len(members)
             assert len(set(neg.members)) == len(neg.members)

@@ -14,14 +14,17 @@ them over more threads.
 
 A training line hashes the report minus ``wall_seconds``, the final
 weights, ``edge_init``, ``cluster_of``, ``evaluate()`` and one
-``predict_relation``/``predict_edge`` call, and the same ``evaluate()``
-and call again on the model after a ``save_checkpoint`` ->
-``load_checkpoint`` round trip. The grid is task x omega x
-aggregation x bilinear x two sizes, 72 lines. A partition line hashes
-``cluster_of`` of ``partition``: five on random 4-uniform graphs, where
-the 20k-edge line is the one the partition tests pin as
-``9d1d289d83853d70``, and two on planted graphs of mixed arity shaped
-like the benchmark's training structures. A kernel line hashes the
+``predict_relation``/``predict_edge`` call, the bytes
+``save_checkpoint`` writes, and the same ``evaluate()`` and call again
+on the model after a ``save_checkpoint`` -> ``load_checkpoint`` round
+trip. The grid is task x omega x aggregation x bilinear x two sizes, 72
+lines. A partition line hashes ``cluster_of`` of ``partition``: five on
+random 4-uniform graphs, where the 20k-edge line is the one the
+partition tests pin as ``9d1d289d83853d70``, and two on planted graphs
+of mixed arity shaped like the benchmark's training structures. The
+coarsen line hashes the four CSR arrays (``edge_ptr``, ``pins``,
+``node_ptr``, ``node_edges``) of those two planted graphs and of every
+level ``partition(k=16)`` coarsens them to. A kernel line hashes the
 scores of one ``e2e_forward`` call on a 128-edge batch of a planted
 graph, at hidden width 64 and 16 clusters, and the weight gradients
 ``e2e_backward`` returns for it; at that size both bilinear layers run
@@ -34,12 +37,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import hyperconv as hc
+from hyperconv.partition import coarse_weights
 
 TASKS = ("completion", "classification", "prediction")
 OMEGAS = ("mean", "var", "minmax")
@@ -96,6 +101,7 @@ def training_hash(task, omega, agg, bilinear, size) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         hc.save_checkpoint(model, path)
+        saved = path.read_bytes()
         loaded = hc.load_checkpoint(path)
     doc = report.to_dict()
     del doc["wall_seconds"]
@@ -104,6 +110,7 @@ def training_hash(task, omega, agg, bilinear, size) -> str:
         outputs += [hc.evaluate(m, data, splits), predict(m, candidate)]
     digest = hashlib.sha256()
     digest.update(json.dumps(outputs, sort_keys=True).encode())
+    digest.update(saved)
     for arr in (*model.params.trainable().values(), model.edge_init,
                 model.clusters.cluster_of):
         digest.update(np.ascontiguousarray(arr).tobytes())
@@ -124,12 +131,34 @@ def kernel_hash() -> str:
     edge_init = rng.uniform(size=(num_edges, k))
     layers = (hc.init_layer(hidden, 2 * k, rng, True, "relu"),
               hc.init_layer(hidden, hidden + k, rng, True, "identity"))
-    targets = [h.edge_members[e] for e in rng.choice(num_edges, size=batch, replace=False)]
+    members = h.edge_members
+    targets = [members[e] for e in rng.choice(num_edges, size=batch, replace=False)]
     scores, cache = hc.e2e_forward(layers, "minmax", h, edge_init, node_x, targets)
     grads = hc.e2e_backward(cache, rng.normal(size=scores.shape))
     digest = hashlib.sha256()
     for arr in (scores, grads["W1"], grads["W2"]):
         digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def coarsen_hash() -> str:
+    digest = hashlib.sha256()
+    for n, num_edges, lo, hi, k in PLANTED_PARTITIONS:
+        edges, _ = planted(np.random.default_rng(0), 16, n // 16, num_edges, lo, hi)
+        h = hc.build_hypergraph(edges, num_nodes=n)
+        # the levels ``partition`` builds: its weight cap, floor and stop rule
+        cap = hc.ClusterAssignment(np.zeros(n, dtype=np.int64), k).capacity()
+        weight_cap = cap - math.ceil(n / k)
+        weights = np.ones(n, dtype=np.int64)
+        while True:
+            for arr in (h.edge_ptr, h.pins, h.node_ptr, h.node_edges):
+                digest.update(arr.tobytes())
+            if h.num_nodes <= max(20 * k, 200):
+                break
+            level = hc.coarsen(h, weights, weight_cap)
+            if not level.progress:
+                break
+            weights, h = coarse_weights(level, weights), level.coarse
     return digest.hexdigest()[:16]
 
 
@@ -154,6 +183,7 @@ def main() -> None:
         digest = partition_hash(edges, n, k)
         print(f"partition planted n={n} m={num_edges} arity={lo}-{hi} k={k} {digest}",
               flush=True)
+    print(f"coarsen planted levels {coarsen_hash()}", flush=True)
     n, num_edges, lo, hi, hidden, k, batch = KERNEL
     print(f"kernel n={n} m={num_edges} arity={lo}-{hi} hidden={hidden} k={k} batch={batch} "
           f"{kernel_hash()}", flush=True)
