@@ -1,15 +1,15 @@
 """Versioned checkpoint container for trained models.
 
-JSON with float64 arrays packed as base64 little-endian bytes, so a
-reloaded model reproduces every prediction bit-exactly. The structure,
-cluster assignment, initial features, weights, vocabularies, and config
-echo are all stored; optimizer state is not.
+JSON with float64 weights and int64 ids packed as base64 little-endian
+bytes, so a reloaded model reproduces every prediction bit-exactly. It
+stores what cannot be derived: the structure's CSR arrays, the edge types
+(relational tasks), the cluster ids, the weights, the vocabularies and the
+config. The initial features, one-hots of those, are rebuilt on load.
 """
 
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import reprlib
 from pathlib import Path
@@ -17,20 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from .convolution import ACTIVATIONS, LayerParams
-from .hypergraph import Hypergraph
+from .features import node_onehot
+from .hypergraph import Hypergraph, KnowledgeHypergraph
 from .partition import ClusterAssignment
-from .training import ModelParams, TrainConfig, TrainedModel
+from .training import ModelParams, TrainConfig, TrainedModel, _edge_init
 
 FORMAT_NAME = "hyperconv-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def _pack(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
-    }
+def _pack(arr: np.ndarray, dtype: str = "<f8") -> dict:
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
 def _field(path, doc: dict, name: str):
@@ -45,7 +43,7 @@ def _field(path, doc: dict, name: str):
     return value
 
 
-_EXPECTED = {int: "an integer", float: "a number", list: "a list", type(None): "null"}
+_EXPECTED = {int: "an integer", list: "a list", type(None): "null"}
 
 
 def _typed(path, doc: dict, name: str, *types):
@@ -58,22 +56,59 @@ def _typed(path, doc: dict, name: str, *types):
     return value
 
 
-def _unpack(path, doc: dict, name: str) -> np.ndarray:
+def _unpack(path, doc: dict, name: str, dtype: str = "<f8") -> np.ndarray:
     data, shape = _field(path, doc, f"{name}.data"), _field(path, doc, f"{name}.shape")
     try:
-        arr = np.frombuffer(base64.b64decode(data), dtype="<f8").astype(np.float64)
-        return arr.reshape(shape)
+        arr = np.frombuffer(base64.b64decode(data, validate=True), dtype=dtype)
+        return arr.astype(arr.dtype.newbyteorder("=")).reshape(shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: field {name} does not decode to shape {shape}: {exc}") from None
 
 
+def _ids(path, doc: dict, name: str, bound: int, size: int | None = None) -> np.ndarray:
+    """The packed int64 array at ``name``: one-dimensional, ``size`` long
+    when given, each entry in [0, bound). Fails naming the field and the
+    first bad id."""
+    ids = _unpack(path, doc, name, "<i8")
+    if ids.ndim != 1 or size not in (None, ids.size):
+        expected = "one dimension" if size is None else f"shape [{size}]"
+        raise ValueError(f"{path}: field {name} has shape {list(ids.shape)}, expected {expected}")
+    bad = np.flatnonzero((ids < 0) | (ids >= bound))
+    if bad.size:
+        raise ValueError(f"{path}: field {name} holds id {ids[bad[0]]} at entry {bad[0]}, "
+                         f"expected an integer in [0, {bound})")
+    return ids
+
+
+def _derive(config: TrainConfig, structure: Hypergraph, cluster_of, edge_type,
+            relation_names, entity_names):
+    """The cluster assignment, ``edge_init`` and ``node_x`` that the config,
+    the cluster ids and the edge types (None for prediction) determine."""
+    clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
+    data = structure if edge_type is None else KnowledgeHypergraph(
+        structure, edge_type, relation_names, entity_names)
+    return clusters, _edge_init(data, clusters), node_onehot(clusters)
+
+
 def save_checkpoint(model: TrainedModel, path) -> None:
-    arrays = {
-        "edge_init": _pack(model.edge_init),
-        "node_x": _pack(model.node_x),
-        "W1": _pack(model.params.layer1.weight),
-        "W2": _pack(model.params.layer2.weight),
-    }
+    """Write ``model`` to ``path``. Refuses a model whose clusters or
+    features differ from the ones ``load_checkpoint`` would rebuild."""
+    edge_type = None
+    if model.task != "prediction":
+        # the relation one-hot leads each edge_init row
+        edge_type = model.edge_init[:, :len(model.relation_names)].argmax(axis=1)
+    clusters, edge_init, node_x = _derive(model.config, model.structure,
+                                          model.clusters.cluster_of, edge_type,
+                                          model.relation_names, model.entity_names)
+    same = {"clusters": (clusters.k, clusters.balance_epsilon)
+            == (model.clusters.k, model.clusters.balance_epsilon),
+            "edge_init": np.array_equal(edge_init, model.edge_init),
+            "node_x": np.array_equal(node_x, model.node_x)}
+    wrong = [name for name, ok in same.items() if not ok]
+    if wrong:
+        raise ValueError(f"{path}: not saved, the model's {wrong[0]} is not the one its "
+                         "config, cluster ids and edge types derive")
+    arrays = {"W1": _pack(model.params.layer1.weight), "W2": _pack(model.params.layer2.weight)}
     if model.params.head_weight is not None:
         arrays["Wh"] = _pack(model.params.head_weight)
         arrays["bh"] = _pack(model.params.head_bias)
@@ -85,13 +120,11 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         "activations": [model.params.layer1.activation, model.params.layer2.activation],
         "structure": {
             "num_nodes": model.structure.num_nodes,
-            "edges": [list(m) for m in model.structure.edge_members],
+            "edge_ptr": _pack(model.structure.edge_ptr, "<i8"),
+            "pins": _pack(model.structure.pins, "<i8"),
+            "edge_type": None if edge_type is None else _pack(edge_type, "<i8"),
         },
-        "clusters": {
-            "k": model.clusters.k,
-            "balance_epsilon": model.clusters.balance_epsilon,
-            "cluster_of": [int(c) for c in model.clusters.cluster_of],
-        },
+        "clusters": {"cluster_of": _pack(model.clusters.cluster_of, "<i8")},
         "arrays": arrays,
         "relation_names": list(model.relation_names) if model.relation_names else None,
         "entity_names": list(model.entity_names) if model.entity_names else None,
@@ -100,47 +133,23 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         json.dump(doc, fh, sort_keys=True)
 
 
-def _check_shapes(path, task, config, structure, clusters, params, edge_init, node_x,
-                  relation_names) -> None:
-    """Reject arrays that disagree with the structure, the config or the
-    vocabularies, naming the first offending field."""
-    n, m, k, hidden = structure.num_nodes, structure.num_edges, config.clusters, config.hidden_dim
+def _check_shapes(path, task, config, params, relation_names) -> None:
+    """Reject weights that disagree with the config or the relation
+    vocabulary, naming the first offending field."""
+    k, hidden = config.clusters, config.hidden_dim
+    r = 0 if task == "prediction" else len(relation_names)  # edge_init's type columns
+    out2 = hidden if task == "prediction" else r
+    power = 2 if config.bilinear else 1
+    expected = [("arrays.W1", params.layer1.weight, (hidden, (r + 2 * k) ** power)),
+                ("arrays.W2", params.layer2.weight, (out2, (hidden + k) ** power))]
     if task == "prediction":
-        edge_dim, out2 = k, hidden
-    else:
-        r = len(relation_names) if relation_names else params.layer2.out_dim
-        edge_dim, out2 = r + k, r
-
-    def fan_in(d):
-        return d * d if config.bilinear else d
-
-    def shape(arr):
-        return None if arr is None else arr.shape
-
-    expected = [
-        ("clusters.cluster_of", clusters.cluster_of.shape, (n,)),
-        ("arrays.edge_init", edge_init.shape, (m, edge_dim)),
-        ("arrays.node_x", node_x.shape, (n, k)),
-        ("arrays.W1", params.layer1.weight.shape, (hidden, fan_in(edge_dim + k))),
-        ("arrays.W2", params.layer2.weight.shape, (out2, fan_in(hidden + k))),
-    ]
-    if task == "prediction":
-        expected += [
-            ("arrays.Wh", shape(params.head_weight), (2, hidden)),
-            ("arrays.bh", shape(params.head_bias), (2,)),
-        ]
-    for field, got, want in expected:
+        expected += [("arrays.Wh", params.head_weight, (2, hidden)),
+                     ("arrays.bh", params.head_bias, (2,))]
+    for field, arr, want in expected:
+        got = None if arr is None else arr.shape
         if got != want:
             found = "missing" if got is None else f"shape {list(got)}"
             raise ValueError(f"{path}: field {field} has {found}, expected shape {list(want)}")
-
-
-def _reject_ids(path, name: str, kind: str, bad: list, bound) -> None:
-    """Fail naming the field and the first of ``bad``, its entries that
-    are not an int in [0, bound)."""
-    if bad:
-        raise ValueError(f"{path}: field {name} holds {kind} id {bad[0]!r}, "
-                         f"expected an integer in [0, {bound})")
 
 
 def load_checkpoint(path) -> TrainedModel:
@@ -157,42 +166,45 @@ def load_checkpoint(path) -> TrainedModel:
             f"{path}: checkpoint version {doc.get('version')} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
-    # sections and scalars first, so the one pass over the pins below can
-    # trust their types
-    raw_edges = _typed(path, doc, "structure.edges", list)
-    n = _typed(path, doc, "structure.num_nodes", int)
-    cluster_of = _typed(path, doc, "clusters.cluster_of", list)
-    k = _typed(path, doc, "clusters.k", int)
-    epsilon = _typed(path, doc, "clusters.balance_epsilon", float, int)
-    if not epsilon >= 0:
-        raise ValueError(f"{path}: field clusters.balance_epsilon is {epsilon!r}, "
-                         "expected a number >= 0")
     try:
-        sizes = np.fromiter(map(len, raw_edges), dtype=np.int64, count=len(raw_edges))
-    except TypeError:
-        entry = next(m for m in raw_edges if type(m) is not list)
-        raise ValueError(f"{path}: field structure.edges holds {reprlib.repr(entry)}, "
-                         f"expected a list of node ids") from None
-    # one pass over the pins; JSON floats, strings and booleans are not ids
-    flat = list(itertools.chain.from_iterable(raw_edges))
-    bad = [v for v in flat if type(v) is not int or not 0 <= v < n]
-    _reject_ids(path, "structure.edges", "node", bad, n)
-    pins = np.array(flat, dtype=np.int64)
-    edge_ptr = np.concatenate([[0], np.cumsum(sizes)])
-    # entries list distinct ids in ascending order, as ``build_hypergraph``
-    # stores them, so the pins' (edge, node) codes rise strictly
-    pin_edge = np.repeat(np.arange(sizes.size), sizes)
-    wrong = np.append(np.flatnonzero(sizes == 0),
-                      pin_edge[1:][np.diff(pin_edge * n + pins) <= 0])
-    if wrong.size:
-        i = int(wrong.min())
-        raise ValueError(f"{path}: field structure.edges entry {i} is "
-                         f"{reprlib.repr(tuple(raw_edges[i]))}, "
-                         "expected nonempty, ascending and distinct node ids")
+        config = TrainConfig.from_dict(_field(path, doc, "config"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field config: {exc}") from None
+    k = _typed(path, doc, "config.clusters", int)
+    task = _field(path, doc, "task")
+    if task != config.task:
+        raise ValueError(f"{path}: field task is {task!r} but config.task is {config.task!r}")
+    # the relational tasks rebuild their typed structure from the vocabularies
+    vocabulary = (list, type(None)) if task == "prediction" else (list,)
+    relation_names = _typed(path, doc, "relation_names", *vocabulary)
+    entity_names = _typed(path, doc, "entity_names", *vocabulary)
+    n = _typed(path, doc, "structure.num_nodes", int)
+    pins = _ids(path, doc, "structure.pins", n)
+    edge_ptr = _ids(path, doc, "structure.edge_ptr", pins.size + 1)
+    empty = np.flatnonzero(np.diff(edge_ptr) <= 0)
+    if edge_ptr[:1].tolist() != [0] or edge_ptr[-1:].tolist() != [pins.size] or empty.size:
+        where = f"edge {empty[0]} is empty; " if empty.size else ""
+        raise ValueError(f"{path}: field structure.edge_ptr: {where}expected offsets rising "
+                         f"strictly from 0 to {pins.size}, the pin count")
     structure = Hypergraph(edge_ptr, pins, n)
-    bad = [c for c in cluster_of if type(c) is not int or not 0 <= c < k]
-    _reject_ids(path, "clusters.cluster_of", "cluster", bad, k)
-    clusters = ClusterAssignment(cluster_of, k, epsilon)
+    # each edge lists distinct ids in ascending order, as ``build_hypergraph``
+    # stores them, so the pins' (edge, node) codes rise strictly
+    wrong = structure.pin_edge[1:][np.diff(structure.pin_edge * n + pins) <= 0]
+    if wrong.size:
+        members = pins[edge_ptr[wrong[0]]:edge_ptr[wrong[0] + 1]].tolist()
+        raise ValueError(f"{path}: field structure.pins holds edge {wrong[0]} as "
+                         f"{reprlib.repr(members)}, expected ascending and distinct node ids")
+    cluster_of = _ids(path, doc, "clusters.cluster_of", k, n)
+    if task == "prediction":
+        edge_type = _typed(path, doc, "structure.edge_type", type(None))
+    else:
+        edge_type = _ids(path, doc, "structure.edge_type", len(relation_names),
+                         structure.num_edges).tolist()
+    try:
+        clusters, edge_init, node_x = _derive(config, structure, cluster_of, edge_type,
+                                              relation_names, entity_names)
+    except (TypeError, ValueError) as exc:  # only the vocabularies are left unchecked
+        raise ValueError(f"{path}: fields relation_names, entity_names: {exc}") from None
     activations = _field(path, doc, "activations")
     if (not isinstance(activations, list) or len(activations) != 2
             or any(a not in ACTIVATIONS for a in activations)):
@@ -211,31 +223,8 @@ def load_checkpoint(path) -> TrainedModel:
         head_weight=_unpack(path, doc, "arrays.Wh") if "Wh" in arrays else None,
         head_bias=_unpack(path, doc, "arrays.bh") if "bh" in arrays else None,
     )
-    try:
-        config = TrainConfig.from_dict(_field(path, doc, "config"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: field config: {exc}") from None
-    edge_init = _unpack(path, doc, "arrays.edge_init")
-    node_x = _unpack(path, doc, "arrays.node_x")
-    names = _typed(path, doc, "relation_names", list, type(None))
-    relation_names = tuple(names) if names else None
-    task = _field(path, doc, "task")
-    if task != config.task:
-        raise ValueError(f"{path}: field task is {task!r} but config.task is {config.task!r}")
-    if epsilon != config.balance_epsilon:
-        raise ValueError(f"{path}: field clusters.balance_epsilon is {epsilon!r} but "
-                         f"config.balance_epsilon is {config.balance_epsilon!r}")
-    _check_shapes(path, task, config, structure, clusters, params, edge_init,
-                  node_x, relation_names)
-    entity_names = _typed(path, doc, "entity_names", list, type(None))
-    return TrainedModel(
-        task=task,
-        config=config,
-        structure=structure,
-        clusters=clusters,
-        params=params,
-        edge_init=edge_init,
-        node_x=node_x,
-        relation_names=relation_names,
-        entity_names=tuple(entity_names) if entity_names else None,
-    )
+    _check_shapes(path, task, config, params, relation_names)
+    return TrainedModel(task=task, config=config, structure=structure, clusters=clusters,
+                        params=params, edge_init=edge_init, node_x=node_x,
+                        relation_names=tuple(relation_names) if relation_names else None,
+                        entity_names=tuple(entity_names) if entity_names else None)

@@ -47,7 +47,7 @@ class ClusterAssignment:
     balance_epsilon: float = 0.05
 
     def __post_init__(self):
-        arr = np.asarray(self.cluster_of, dtype=np.int64)
+        arr = np.array(self.cluster_of, dtype=np.int64)  # a copy: the caller's stays writeable
         arr.flags.writeable = False
         object.__setattr__(self, "cluster_of", arr)
         if self.k < 1:
@@ -83,7 +83,7 @@ class CoarseLevel:
     progress: bool = True
 
     def __post_init__(self):
-        arr = np.asarray(self.projection, dtype=np.int64)
+        arr = np.array(self.projection, dtype=np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "projection", arr)
 

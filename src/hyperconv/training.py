@@ -259,7 +259,7 @@ _member_set_cache: "weakref.WeakKeyDictionary[Hypergraph, frozenset]" = (
 def _member_sets(h: Hypergraph) -> frozenset:
     sets = _member_set_cache.get(h)
     if sets is None:
-        sets = frozenset(map(frozenset, _edge_sets(h, range(h.num_edges))))
+        sets = frozenset(_edge_sets(h, range(h.num_edges)))
         _member_set_cache[h] = sets
     return sets
 
@@ -295,8 +295,9 @@ def sample_negative(
         kept = rng.choice(members, size=keep, replace=False)
         pick = rng.choice(outside, size=size - keep, replace=False)
         fill = pick + np.searchsorted(below, pick, side="right")
+        # kept and fill are disjoint sets, so cand lists distinct ids
         cand = tuple(sorted(int(v) for v in np.concatenate([kept, fill])))
-        if frozenset(cand) not in existing:
+        if cand not in existing:
             return NegativeSample(cand, edge)
     raise SamplingError(f"edge {edge}: no novel corruption in 100 attempts")
 
@@ -456,6 +457,13 @@ def _prepare(cfg: TrainConfig, h: Hypergraph, splits: Splits | None
     return splits, structure, clusters
 
 
+def _edge_init(data: Hypergraph | KnowledgeHypergraph, clusters: ClusterAssignment):
+    """Each edge's pooled-cluster one-hot, after its type's when ``data`` is typed."""
+    if isinstance(data, KnowledgeHypergraph):
+        return knowledge_edge_init(data, clusters)
+    return edge_cluster_onehot(data, clusters)
+
+
 def _new_model(cfg: TrainConfig, rng: np.random.Generator, structure: Hypergraph,
                clusters: ClusterAssignment, edge_init: np.ndarray, out2: int, act2: str,
                **names) -> TrainedModel:
@@ -492,7 +500,7 @@ def _train_relational(
     # structure edge i is base edge splits.train[i]
     train_sets, labels = _facts(kh, splits.train)
     sub = KnowledgeHypergraph(structure, labels, kh.relation_names, kh.entity_names)
-    edge_init = knowledge_edge_init(sub, clusters)
+    edge_init = _edge_init(sub, clusters)
     rng = np.random.default_rng(cfg.seed)
     model = _new_model(cfg, rng, structure, clusters, edge_init, num_rel, "identity",
                        relation_names=kh.relation_names, entity_names=kh.entity_names)
@@ -575,7 +583,7 @@ def train_prediction(
     start = time.perf_counter()
     k = cfg.clusters
     splits, structure, clusters = _prepare(cfg, h, splits)
-    edge_init = edge_cluster_onehot(structure, clusters)
+    edge_init = _edge_init(structure, clusters)
     rng = np.random.default_rng(cfg.seed)
     # the negatives are the seed's first draws, which ``evaluate`` replays
     neg = _draw_run_negatives(h, splits, rng)

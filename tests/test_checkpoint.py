@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -15,6 +16,7 @@ from hyperconv.checkpoint import (
     save_checkpoint,
 )
 from hyperconv.convolution import OMEGA_KINDS
+from hyperconv.partition import ClusterAssignment
 from hyperconv.training import (
     TASKS,
     TrainConfig,
@@ -134,14 +136,65 @@ def _corrupt(model, tmp_path, edit):
     return path
 
 
+def _section(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def _packed(doc, *keys, dtype="<f8"):
+    """A copy of the packed array at ``keys``."""
+    field = _section(doc, keys)
+    arr = np.frombuffer(base64.b64decode(field["data"]), dtype=dtype)
+    return arr.reshape(field["shape"]).copy()
+
+
+def _store(doc, arr, *keys, dtype="<f8"):
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    field = _section(doc, keys)
+    field["shape"] = list(arr.shape)
+    field["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+
+
 def _resize(doc, name, rows=None, cols=None):
-    arr = np.frombuffer(base64.b64decode(doc["arrays"][name]["data"]), dtype="<f8")
-    arr = arr.reshape(doc["arrays"][name]["shape"])
-    arr = arr[:rows] if cols is None else arr[..., :cols]
-    doc["arrays"][name] = {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(np.ascontiguousarray(arr).tobytes()).decode("ascii"),
-    }
+    arr = _packed(doc, "arrays", name)
+    _store(doc, arr[:rows] if cols is None else arr[..., :cols], "arrays", name)
+
+
+def _rewrite(change, *keys):
+    """An edit replacing the packed ids at ``keys`` with ``change(ids, doc)``."""
+    def edit(doc):
+        _store(doc, change(_packed(doc, *keys, dtype="<i8"), doc), *keys, dtype="<i8")
+
+    return edit
+
+
+def _put(index, value, *keys):
+    """An edit setting entry ``index`` of the packed ids at ``keys`` to
+    ``value``, or to ``value(doc)`` when it is callable."""
+    def change(ids, doc):
+        ids[index] = value(doc) if callable(value) else value
+        return ids
+
+    return _rewrite(change, *keys)
+
+
+def _edge(ids, doc, e):
+    """Edge ``e``'s slice of the pins."""
+    ptr = _packed(doc, "structure", "edge_ptr", dtype="<i8")
+    return ids[ptr[e]:ptr[e + 1]]
+
+
+def _reverse_edge(ids, doc):
+    members = _edge(ids, doc, 1)
+    members[:] = members[::-1].copy()
+    return ids
+
+
+def _repeat_member(ids, doc):
+    members = _edge(ids, doc, 2)
+    members[1] = members[0]
+    return ids
 
 
 def _expect_field_error(path, field):
@@ -153,19 +206,19 @@ def _expect_field_error(path, field):
 
 
 def test_edge_init_rows_checked_against_structure(completion_model, tmp_path):
-    path = _corrupt(completion_model, tmp_path, lambda d: _resize(d, "edge_init", rows=-1))
-    _expect_field_error(path, "arrays.edge_init")
+    # edge_init is rebuilt from the edge types, one per structure edge
+    edit = _rewrite(lambda ids, doc: ids[:-1], "structure", "edge_type")
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "structure.edge_type")
 
 
 def test_node_x_shape_checked(completion_model, tmp_path):
-    path = _corrupt(completion_model, tmp_path, lambda d: _resize(d, "node_x", cols=-1))
-    _expect_field_error(path, "arrays.node_x")
+    model = dataclasses.replace(completion_model, node_x=completion_model.node_x[:, :-1])
+    with pytest.raises(ValueError, match="node_x"):
+        save_checkpoint(model, tmp_path / "model.json")
 
 
 def test_cluster_of_length_checked(completion_model, tmp_path):
-    def edit(doc):
-        doc["clusters"]["cluster_of"] = doc["clusters"]["cluster_of"][:-1]
-
+    edit = _rewrite(lambda ids, doc: ids[:-1], "clusters", "cluster_of")
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), "clusters.cluster_of")
 
 
@@ -194,10 +247,8 @@ def test_unknown_config_key_rejected(completion_model, tmp_path):
 
 
 def test_out_of_range_node_id_rejected(completion_model, tmp_path):
-    def edit(doc):
-        doc["structure"]["edges"][0][0] = doc["structure"]["num_nodes"]
-
-    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "structure.edges")
+    edit = _put(0, lambda doc: doc["structure"]["num_nodes"], "structure", "pins")
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "structure.pins")
 
 
 def test_head_bias_shape_checked(prediction_model, tmp_path):
@@ -227,42 +278,134 @@ def _set(value, *keys):
 SHORT_DATA = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
 
 
+def _as_float_bytes(ids, doc):
+    """The ids packed as float64, read back as int64."""
+    return ids.astype("<f8").view("<i8")
+
+
 @pytest.mark.parametrize("edit, field", [
     (_drop("arrays", "W1"), "arrays.W1"),
     (_drop("structure"), "structure"),
     (_set("!!!!", "arrays", "W1", "data"), "arrays.W1"),
     (_set(SHORT_DATA, "arrays", "W2", "data"), "arrays.W2"),
-    (_set(lambda doc: doc["clusters"]["k"], "clusters", "cluster_of", 0), "clusters.cluster_of"),
+    (_put(0, lambda doc: doc["config"]["clusters"], "clusters", "cluster_of"),
+     "clusters.cluster_of"),
     (_set("tanh", "activations", 1), "activations"),
     (_set([-1], "arrays", "W1", "shape"), "arrays.W1"),
-    (_set("a", "structure", "edges", 0, 0), "structure.edges"),
-    (_set(35.5, "structure", "edges", 0, 0), "structure.edges"),
-    (_set(1.7, "clusters", "cluster_of", 0), "clusters.cluster_of"),
-    (_set("a", "clusters", "cluster_of", 0), "clusters.cluster_of"),
+    (_rewrite(_as_float_bytes, "structure", "pins"), "structure.pins"),
+    (_rewrite(_as_float_bytes, "clusters", "cluster_of"), "clusters.cluster_of"),
     (_set("prediction", "task"), "config.task"),
     (_set("40", "structure", "num_nodes"), "structure.num_nodes"),
-    (_set("4", "clusters", "k"), "clusters.k"),
-    (_set(5, "structure", "edges", 0), "structure.edges"),
+    (_set("4", "config", "clusters"), "config"),
+    (_set(5, "structure", "edge_ptr"), "structure.edge_ptr"),
     (_set(3, "clusters", "cluster_of"), "clusters.cluster_of"),
-    (_set("0.05", "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
-    (_set(-1, "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
-    (_set(float("nan"), "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
-    (_set(0.1, "clusters", "balance_epsilon"), "clusters.balance_epsilon"),
+    (_set("0.05", "config", "balance_epsilon"), "config"),
+    (_set(-1, "config", "balance_epsilon"), "config"),
+    (_set(float("nan"), "config", "balance_epsilon"), "config"),
     (_set(5, "relation_names"), "relation_names"),
-    (_set([], "structure", "edges", 0), "structure.edges entry 0"),
-    (_set(lambda doc: doc["structure"]["edges"][1][::-1], "structure", "edges", 1),
-     "structure.edges entry 1"),
-    (_set(lambda doc: doc["structure"]["edges"][2][:1] + doc["structure"]["edges"][2],
-          "structure", "edges", 2), "structure.edges entry 2"),
+    (_put(1, 0, "structure", "edge_ptr"), "structure.edge_ptr"),
+    (_rewrite(_reverse_edge, "structure", "pins"), "structure.pins"),
+    (_rewrite(_repeat_member, "structure", "pins"), "structure.pins"),
+    (_set("!!!!", "structure", "edge_ptr", "data"), "structure.edge_ptr"),
+    (_set("!!!!", "structure", "pins", "data"), "structure.pins"),
+    (_set("!!!!", "structure", "edge_type", "data"), "structure.edge_type"),
+    (_set("!!!!", "clusters", "cluster_of", "data"), "clusters.cluster_of"),
+    (_rewrite(lambda ids, doc: ids.reshape(1, -1), "structure", "edge_ptr"),
+     "structure.edge_ptr"),
+    (_rewrite(lambda ids, doc: ids.reshape(1, -1), "structure", "pins"), "structure.pins"),
+    (_put(-1, lambda doc: doc["structure"]["pins"]["shape"][0] + 1, "structure", "edge_ptr"),
+     "structure.edge_ptr"),
+    (_put(0, -1, "structure", "pins"), "structure.pins"),
+    (_put(0, lambda doc: len(doc["relation_names"]), "structure", "edge_type"),
+     "structure.edge_type"),
+    (_put(0, 1, "structure", "edge_ptr"), "structure.edge_ptr"),
+    (_set(None, "entity_names"), "entity_names"),
+    (_set(lambda doc: doc["entity_names"][:-1], "entity_names"), "entity_names"),
+    (_set(lambda doc: doc["relation_names"][:1] * len(doc["relation_names"]),
+          "relation_names"), "relation_names"),
 ], ids=["missing-array", "missing-section", "bad-base64", "data-short-of-shape",
         "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix",
-        "string-node-id", "float-node-id", "float-cluster-id", "string-cluster-id",
-        "task-disagrees-with-config", "string-num-nodes", "string-k", "integer-edge",
-        "integer-cluster-of", "string-balance-epsilon", "negative-balance-epsilon",
-        "nan-balance-epsilon", "balance-epsilon-disagrees-with-config", "integer-relation-names",
-        "empty-edge", "descending-edge", "repeated-member"])
+        "float-node-id", "float-cluster-id", "task-disagrees-with-config",
+        "string-num-nodes", "string-k", "integer-edge", "integer-cluster-of",
+        "string-balance-epsilon", "negative-balance-epsilon", "nan-balance-epsilon",
+        "integer-relation-names", "empty-edge", "descending-edge", "repeated-member",
+        "edge-ptr-bad-base64", "pins-bad-base64", "edge-type-bad-base64",
+        "cluster-of-bad-base64", "edge-ptr-not-one-dimensional",
+        "pins-not-one-dimensional", "edge-ptr-out-of-range", "negative-node-id",
+        "edge-type-out-of-range", "edge-ptr-not-from-zero", "null-entity-names",
+        "short-entity-names", "repeated-relation-name"])
 def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)
+
+
+def test_version_1_document_rejected(completion_model, tmp_path):
+    path = _corrupt(completion_model, tmp_path, _set(1, "version"))
+    with pytest.raises(ValueError, match="version 1 unsupported") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_saved_document_stores_no_derived_field(completion_model, prediction_model, tmp_path):
+    for model, stored in ((completion_model, dict), (prediction_model, type(None))):
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text("utf-8"))
+        assert set(doc["structure"]) == {"num_nodes", "edge_ptr", "pins", "edge_type"}
+        assert type(doc["structure"]["edge_type"]) is stored
+        assert set(doc["clusters"]) == {"cluster_of"}
+        assert not {"edge_init", "node_x"} & set(doc["arrays"])
+
+
+def test_prediction_edge_type_must_be_null(prediction_model, tmp_path):
+    edit = _set(lambda doc: doc["structure"]["pins"], "structure", "edge_type")
+    _expect_field_error(_corrupt(prediction_model, tmp_path, edit), "structure.edge_type")
+
+
+def _moved_row(arr):
+    arr = arr.copy()
+    arr[0] = np.roll(arr[0], 1)
+    return arr
+
+
+@pytest.mark.parametrize("name", ["node_x", "edge_init"])
+def test_save_refuses_features_not_derived(completion_model, tmp_path, name):
+    model = dataclasses.replace(completion_model,
+                                **{name: _moved_row(getattr(completion_model, name))})
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match=name) as info:
+        save_checkpoint(model, path)
+    assert "\n" not in str(info.value) and not path.exists()
+
+
+def test_save_refuses_clusters_disagreeing_with_config(completion_model, tmp_path):
+    clusters = ClusterAssignment(completion_model.clusters.cluster_of, 8)
+    model = dataclasses.replace(completion_model, clusters=clusters)
+    with pytest.raises(ValueError, match="clusters"):
+        save_checkpoint(model, tmp_path / "model.json")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_single_bad_pin_is_named(completion_model, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_checkpoint(completion_model, path)
+        doc = json.loads(path.read_text("utf-8"))
+        pins = _packed(doc, "structure", "pins", dtype="<i8")
+        ptr = _packed(doc, "structure", "edge_ptr", dtype="<i8")
+        n = doc["structure"]["num_nodes"]
+        if data.draw(st.booleans(), label="swap"):
+            # positions whose right neighbour is in the same edge
+            inner = np.setdiff1d(np.arange(pins.size - 1), ptr[1:] - 1)
+            i = int(inner[data.draw(st.integers(0, inner.size - 1), label="pair")])
+            pins[[i, i + 1]] = pins[[i + 1, i]]
+        else:
+            i = data.draw(st.integers(0, pins.size - 1), label="pin")
+            pins[i] = data.draw(st.integers(-2**63, -1) | st.integers(n, 2**63 - 1),
+                                label="id")
+        _store(doc, pins, "structure", "pins", dtype="<i8")
+        path.write_text(json.dumps(doc), "utf-8")
+        _expect_field_error(path, "structure.pins")
 
 
 def test_non_json_file_is_named(tmp_path):

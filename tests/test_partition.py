@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hyperconv.hypergraph import build_hypergraph
 from hyperconv.partition import (
     ClusterAssignment,
+    CoarseLevel,
     _bfs_order,
     _edge_order,
     _initial_partition,
@@ -105,6 +106,17 @@ class TestClusterAssignment:
         c = assignment([0, 1], 2)
         with pytest.raises(ValueError):
             c.cluster_of[0] = 1
+
+    def test_caller_array_stays_writeable(self):
+        labels = np.array([0, 1, 0, 1])
+        c = ClusterAssignment(labels, 2)
+        labels[0] = 1
+        assert c.cluster_of.tolist() == [0, 1, 0, 1]
+        projection = np.array([0, 0, 1])
+        level = CoarseLevel(build_hypergraph([[0, 1]]), projection)
+        projection[0] = 1
+        assert level.projection.tolist() == [0, 0, 1]
+        assert not level.projection.flags.writeable
 
 
 class TestCoarsen:
