@@ -4,7 +4,8 @@ JSON with float64 weights and int64 ids packed as base64 little-endian
 bytes, so a reloaded model reproduces every prediction bit-exactly. It
 stores what cannot be derived: the structure's CSR arrays, the edge types
 (relational tasks), the cluster ids, the weights, the vocabularies and the
-config. The initial features, one-hots of those, are rebuilt on load.
+config. The features, one-hots of those, and the layers' shapes and
+activations follow from them by the rules training builds a model by.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .convolution import ACTIVATIONS, LayerParams
-from .features import node_onehot
-from .hypergraph import Hypergraph, KnowledgeHypergraph
+from .convolution import LayerParams
+from .hypergraph import Hypergraph
 from .partition import ClusterAssignment
-from .training import ModelParams, TrainConfig, TrainedModel, _edge_init
+from .training import (_JSON_NAMES, ModelParams, TrainConfig, TrainedModel, _features,
+                       _layer_shapes)
 
 FORMAT_NAME = "hyperconv-checkpoint"
 FORMAT_VERSION = 2
@@ -43,15 +44,12 @@ def _field(path, doc: dict, name: str):
     return value
 
 
-_EXPECTED = {int: "an integer", list: "a list", type(None): "null"}
-
-
 def _typed(path, doc: dict, name: str, *types):
     """The value at ``name``; fails naming the field unless its type is one
     of ``types`` (a JSON true or false is not an integer)."""
     value = _field(path, doc, name)
     if type(value) not in types:
-        expected = " or ".join(_EXPECTED[t] for t in types)
+        expected = " or ".join(_JSON_NAMES[t] for t in types)
         raise ValueError(f"{path}: field {name} is {reprlib.repr(value)}, expected {expected}")
     return value
 
@@ -80,44 +78,44 @@ def _ids(path, doc: dict, name: str, bound: int, size: int | None = None) -> np.
     return ids
 
 
-def _derive(config: TrainConfig, structure: Hypergraph, cluster_of, edge_type,
-            relation_names, entity_names):
-    """The cluster assignment, ``edge_init`` and ``node_x`` that the config,
-    the cluster ids and the edge types (None for prediction) determine."""
-    clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
-    data = structure if edge_type is None else KnowledgeHypergraph(
-        structure, edge_type, relation_names, entity_names)
-    return clusters, _edge_init(data, clusters), node_onehot(clusters)
+def _task_layout(config: TrainConfig, edge_init: np.ndarray, relation_names):
+    """The activations and array shapes ``_layer_shapes`` gives (the width
+    squared when bilinear), plus the binary head's for prediction."""
+    layers = _layer_shapes(config, edge_init.shape[1], len(relation_names or ()))
+    power = 2 if config.bilinear else 1
+    shapes = {f"W{i}": (out, omega ** power) for i, (out, omega, _) in enumerate(layers, 1)}
+    if config.task == "prediction":
+        shapes.update(Wh=(2, config.hidden_dim), bh=(2,))
+    return [activation for _, _, activation in layers], shapes
 
 
 def save_checkpoint(model: TrainedModel, path) -> None:
-    """Write ``model`` to ``path``. Refuses a model whose clusters or
-    features differ from the ones ``load_checkpoint`` would rebuild."""
+    """Write ``model`` to ``path``. Refuses a model whose clusters, features,
+    activations or arrays ``load_checkpoint`` would not give back."""
     edge_type = None
     if model.task != "prediction":
         # the relation one-hot leads each edge_init row
         edge_type = model.edge_init[:, :len(model.relation_names)].argmax(axis=1)
-    clusters, edge_init, node_x = _derive(model.config, model.structure,
-                                          model.clusters.cluster_of, edge_type,
-                                          model.relation_names, model.entity_names)
-    same = {"clusters": (clusters.k, clusters.balance_epsilon)
-            == (model.clusters.k, model.clusters.balance_epsilon),
+    edge_init, node_x = _features(model.structure, model.clusters, edge_type,
+                                  model.relation_names, model.entity_names)
+    activations, shapes = _task_layout(model.config, edge_init, model.relation_names)
+    arrays = model.params.trainable()
+    same = {"clusters": (model.clusters.k, model.clusters.balance_epsilon)
+            == (model.config.clusters, model.config.balance_epsilon),
             "edge_init": np.array_equal(edge_init, model.edge_init),
-            "node_x": np.array_equal(node_x, model.node_x)}
+            "node_x": np.array_equal(node_x, model.node_x),
+            "activations": [layer.activation for layer in model.layers] == activations,
+            "arrays": {name: arr.shape for name, arr in arrays.items()} == shapes}
     wrong = [name for name, ok in same.items() if not ok]
     if wrong:
-        raise ValueError(f"{path}: not saved, the model's {wrong[0]} is not the one its "
-                         "config, cluster ids and edge types derive")
-    arrays = {"W1": _pack(model.params.layer1.weight), "W2": _pack(model.params.layer2.weight)}
-    if model.params.head_weight is not None:
-        arrays["Wh"] = _pack(model.params.head_weight)
-        arrays["bh"] = _pack(model.params.head_bias)
+        raise ValueError(f"{path}: not saved, the model's {wrong[0]} disagrees with its "
+                         "config, cluster ids and edge types")
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "task": model.task,
         "config": model.config.to_dict(),
-        "activations": [model.params.layer1.activation, model.params.layer2.activation],
+        "activations": activations,
         "structure": {
             "num_nodes": model.structure.num_nodes,
             "edge_ptr": _pack(model.structure.edge_ptr, "<i8"),
@@ -125,31 +123,12 @@ def save_checkpoint(model: TrainedModel, path) -> None:
             "edge_type": None if edge_type is None else _pack(edge_type, "<i8"),
         },
         "clusters": {"cluster_of": _pack(model.clusters.cluster_of, "<i8")},
-        "arrays": arrays,
+        "arrays": {name: _pack(arr) for name, arr in arrays.items()},
         "relation_names": list(model.relation_names) if model.relation_names else None,
         "entity_names": list(model.entity_names) if model.entity_names else None,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
-
-
-def _check_shapes(path, task, config, params, relation_names) -> None:
-    """Reject weights that disagree with the config or the relation
-    vocabulary, naming the first offending field."""
-    k, hidden = config.clusters, config.hidden_dim
-    r = 0 if task == "prediction" else len(relation_names)  # edge_init's type columns
-    out2 = hidden if task == "prediction" else r
-    power = 2 if config.bilinear else 1
-    expected = [("arrays.W1", params.layer1.weight, (hidden, (r + 2 * k) ** power)),
-                ("arrays.W2", params.layer2.weight, (out2, (hidden + k) ** power))]
-    if task == "prediction":
-        expected += [("arrays.Wh", params.head_weight, (2, hidden)),
-                     ("arrays.bh", params.head_bias, (2,))]
-    for field, arr, want in expected:
-        got = None if arr is None else arr.shape
-        if got != want:
-            found = "missing" if got is None else f"shape {list(got)}"
-            raise ValueError(f"{path}: field {field} has {found}, expected shape {list(want)}")
 
 
 def load_checkpoint(path) -> TrainedModel:
@@ -166,11 +145,11 @@ def load_checkpoint(path) -> TrainedModel:
             f"{path}: checkpoint version {doc.get('version')} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
+    fields = _typed(path, doc, "config", dict)
     try:
-        config = TrainConfig.from_dict(_field(path, doc, "config"))
-    except (KeyError, TypeError, ValueError) as exc:
+        config = TrainConfig.from_dict(fields)
+    except ValueError as exc:
         raise ValueError(f"{path}: field config: {exc}") from None
-    k = _typed(path, doc, "config.clusters", int)
     task = _field(path, doc, "task")
     if task != config.task:
         raise ValueError(f"{path}: field task is {task!r} but config.task is {config.task!r}")
@@ -194,36 +173,34 @@ def load_checkpoint(path) -> TrainedModel:
         members = pins[edge_ptr[wrong[0]]:edge_ptr[wrong[0] + 1]].tolist()
         raise ValueError(f"{path}: field structure.pins holds edge {wrong[0]} as "
                          f"{reprlib.repr(members)}, expected ascending and distinct node ids")
-    cluster_of = _ids(path, doc, "clusters.cluster_of", k, n)
+    cluster_of = _ids(path, doc, "clusters.cluster_of", config.clusters, n)
     if task == "prediction":
         edge_type = _typed(path, doc, "structure.edge_type", type(None))
     else:
         edge_type = _ids(path, doc, "structure.edge_type", len(relation_names),
-                         structure.num_edges).tolist()
+                         structure.num_edges)
+    clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
     try:
-        clusters, edge_init, node_x = _derive(config, structure, cluster_of, edge_type,
-                                              relation_names, entity_names)
+        edge_init, node_x = _features(structure, clusters, edge_type, relation_names,
+                                      entity_names)
     except (TypeError, ValueError) as exc:  # only the vocabularies are left unchecked
         raise ValueError(f"{path}: fields relation_names, entity_names: {exc}") from None
-    activations = _field(path, doc, "activations")
-    if (not isinstance(activations, list) or len(activations) != 2
-            or any(a not in ACTIVATIONS for a in activations)):
-        raise ValueError(f"{path}: field activations is {activations!r}, "
-                         f"expected two of {list(ACTIVATIONS)}")
-    layers = []
-    for name, activation in zip(("W1", "W2"), activations):
-        weight = _unpack(path, doc, f"arrays.{name}")
-        try:
-            layers.append(LayerParams(weight, activation))
-        except ValueError as exc:
-            raise ValueError(f"{path}: field arrays.{name}: {exc}") from None
-    arrays = _field(path, doc, "arrays")
-    params = ModelParams(
-        *layers,
-        head_weight=_unpack(path, doc, "arrays.Wh") if "Wh" in arrays else None,
-        head_bias=_unpack(path, doc, "arrays.bh") if "bh" in arrays else None,
-    )
-    _check_shapes(path, task, config, params, relation_names)
+    activations, shapes = _task_layout(config, edge_init, relation_names)
+    if _field(path, doc, "activations") != activations:
+        raise ValueError(f"{path}: field activations is {reprlib.repr(doc['activations'])}, "
+                         f"expected {activations}")
+    arrays = {}
+    for name, shape in shapes.items():
+        arr = arrays[name] = _unpack(path, doc, f"arrays.{name}")
+        if arr.shape != shape or not np.isfinite(arr).all():
+            raise ValueError(f"{path}: field arrays.{name} has shape {list(arr.shape)}, "
+                             f"expected shape {list(shape)} and finite values")
+    extra = sorted(doc["arrays"].keys() - shapes.keys())
+    if extra:
+        raise ValueError(f"{path}: field arrays.{extra[0]} is not an array of a {task} model")
+    params = ModelParams(LayerParams(arrays["W1"], activations[0]),
+                         LayerParams(arrays["W2"], activations[1]),
+                         arrays.get("Wh"), arrays.get("bh"))
     return TrainedModel(task=task, config=config, structure=structure, clusters=clusters,
                         params=params, edge_init=edge_init, node_x=node_x,
                         relation_names=tuple(relation_names) if relation_names else None,

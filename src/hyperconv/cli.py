@@ -169,20 +169,13 @@ def _resolve_nodes(model, tokens: list[str]) -> list[int]:
 
 def _cmd_query(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    tokens = [t for t in args.nodes.split(",") if t]
-    if not tokens:
-        raise ValueError("empty candidate")
-    ids = _resolve_nodes(model, tokens)
+    ids = _resolve_nodes(model, [t for t in args.nodes.split(",") if t])
     if model.task == "prediction":
         score = predict_edge(model, ids)
         print(f"edge score: {score:.6f}")
         return 0
-    ranked = predict_relation(model, ids)
-    names = model.relation_names or tuple(
-        str(i) for i in range(len(ranked))
-    )
-    for rel, score in ranked:
-        print(f"{names[rel]}\t{score:.6f}")
+    for rel, score in predict_relation(model, ids):
+        print(f"{model.relation_names[rel]}\t{score:.6f}")
     return 0
 
 

@@ -124,7 +124,7 @@ def _aggregate(
     ``edge_features`` has one row per column of ``incidence``, ``deg`` and
     ``node_x`` one per row. Returns the aggregates with ``node_x``
     appended, plus what the backward pass needs: the inverse degrees for
-    mean, the reciprocal sums and reciprocals for harmonic.
+    mean; the degrees, reciprocal sums and reciprocals for harmonic.
     """
     if agg == "mean":
         inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
@@ -134,7 +134,7 @@ def _aggregate(
         recip = 1.0 / (edge_features + HARMONIC_EPS)
         s = incidence @ recip
         agg_part = np.where(s != 0.0, deg[:, None] / np.where(s != 0.0, s, 1.0), 0.0)
-        aux = (s, recip)
+        aux = (deg, s, recip)
     else:
         raise ValueError(f"unknown aggregation {agg!r}")
     return np.concatenate([agg_part, node_x], axis=1), aux
@@ -358,11 +358,9 @@ class E2ECache:
     agg: str
     layers: tuple[LayerParams, ...]
     needed_edges: np.ndarray
-    batch1: _SetBatch
     z1: np.ndarray
     pre1: np.ndarray
     inc2: sp.csr_matrix
-    deg2: np.ndarray
     e2n2_aux: object
     batch2: _SetBatch
     red2_cache: dict
@@ -427,11 +425,9 @@ def e2e_forward(
         agg=agg,
         layers=tuple(layers),
         needed_edges=needed,
-        batch1=batch1,
         z1=z1,
         pre1=pre1,
         inc2=inc2,
-        deg2=deg2,
         e2n2_aux=aux2,
         batch2=batch2,
         red2_cache=red2_cache,
@@ -462,10 +458,10 @@ def e2e_backward(cache: E2ECache, upstream: np.ndarray) -> dict[str, np.ndarray]
     if cache.agg == "mean":
         def1 = cache.inc2.T @ (dagg * cache.e2n2_aux[:, None])
     else:
-        s, recip = cache.e2n2_aux
+        deg2, s, recip = cache.e2n2_aux
         with np.errstate(divide="ignore", invalid="ignore"):
             gs = np.where(
-                s != 0.0, dagg * cache.deg2[:, None] / np.square(np.where(s != 0.0, s, 1.0)), 0.0
+                s != 0.0, dagg * deg2[:, None] / np.square(np.where(s != 0.0, s, 1.0)), 0.0
             )
         def1 = (cache.inc2.T @ gs) * np.square(recip)
     g1 = def1 * _act_grad(cache.pre1, layer1.activation)

@@ -50,6 +50,6 @@ def knowledge_edge_init(kh: KnowledgeHypergraph, c: ClusterAssignment) -> np.nda
     num_rel = kh.num_relations
     m = kh.base.num_edges
     type_part = np.zeros((m, num_rel), dtype=np.float64)
-    type_part[np.arange(m), list(kh.edge_type)] = 1.0
+    type_part[np.arange(m), kh.edge_type] = 1.0
     cluster_part = edge_cluster_onehot(kh.base, c)
     return np.concatenate([type_part, cluster_part], axis=1)

@@ -135,8 +135,9 @@ def build_hypergraph(
 class KnowledgeHypergraph:
     """A hypergraph whose edges are typed n-ary facts.
 
-    Each hyperedge carries exactly one relation id; relation and entity
-    vocabularies map names to dense ids bijectively.
+    Each hyperedge carries exactly one relation id, held in the read-only
+    int64 array ``edge_type``; relation and entity vocabularies map names
+    to dense ids bijectively.
     """
 
     __slots__ = ("base", "edge_type", "relation_names", "entity_names")
@@ -156,14 +157,22 @@ class KnowledgeHypergraph:
             raise ValueError(
                 f"entity vocab size {len(entity_names)} != num_nodes {base.num_nodes}"
             )
+        if not (isinstance(edge_type, np.ndarray) and edge_type.ndim == 1
+                and edge_type.dtype.kind in "iu"):
+            # numpy reads [True, 1] as integers, so each entry's own type decides
+            for eid, t in enumerate(edge_type):
+                if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+                    raise ValueError(f"relation id {t!r} of edge {eid} is not an integer")
+        types = np.array(edge_type, dtype=np.int64)  # a copy: the caller's stays writeable
         num_rel = len(relation_names)
-        for eid, t in enumerate(edge_type):
-            if not 0 <= t < num_rel:
-                raise ValueError(f"relation id {t} of edge {eid} out of range")
+        bad = np.flatnonzero((types < 0) | (types >= num_rel))
+        if bad.size:
+            raise ValueError(f"relation id {types[bad[0]]} of edge {bad[0]} out of range")
         if len(set(relation_names)) != num_rel or len(set(entity_names)) != len(entity_names):
             raise ValueError("vocabulary names are not unique")
+        types.flags.writeable = False
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "edge_type", tuple(edge_type))
+        object.__setattr__(self, "edge_type", types)
         object.__setattr__(self, "relation_names", tuple(relation_names))
         object.__setattr__(self, "entity_names", tuple(entity_names))
 

@@ -12,8 +12,9 @@ the drivers and for ``evaluate``.
 
 Every driver sets a run up the same way: ``_prepare`` fixes the splits and
 builds and partitions the training-edge structure, and ``_new_model``
-draws both layers over it. Message-passing structure, and the partition
-that seeds the features, therefore come from training edges only.
+builds the features and draws both layers over it. Message-passing
+structure, and the partition that seeds the features, therefore come
+from training edges only.
 Validation and test edges enter solely as query sets.
 """
 
@@ -21,9 +22,11 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
+import reprlib
 import time
 import weakref
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -51,6 +54,14 @@ logger = logging.getLogger(__name__)
 TASKS = ("completion", "prediction", "classification")
 
 _OMEGA_DEFAULT = {"completion": "mean", "prediction": "minmax", "classification": "mean"}
+
+
+# the JSON types each TrainConfig annotation takes (a JSON true or false is
+# not a number), and their names in messages
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
+               "str | None": (str, type(None)), "tuple[float, float, float]": (list,)}
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a float", bool: "true or false",
+               list: "a list", dict: "an object", type(None): "null"}
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,9 @@ class TrainConfig:
             raise ValueError(f"unknown omega kind {self.omega!r}")
         if self.agg not in AGG_KINDS:
             raise ValueError(f"unknown aggregation {self.agg!r}")
-        if len(self.split_ratios) != 3 or any(r < 0 for r in self.split_ratios):
+        if len(self.split_ratios) != 3 or not all(
+                isinstance(r, numbers.Real) and not isinstance(r, bool) and r >= 0
+                for r in self.split_ratios):
             raise ValueError("split_ratios must be three nonnegative fractions")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ValueError("split_ratios must sum to 1")
@@ -108,6 +121,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """The config whose ``to_dict`` is ``d``: every field with its JSON
+        type, and no other key. Fails naming the first bad field."""
+        kinds = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+        for name in sorted(d.keys() - kinds.keys()):
+            raise ValueError(f"{name} is not a field")
+        for name, types in kinds.items():
+            if name not in d:
+                raise ValueError(f"{name} is missing")
+            if type(d[name]) not in types:
+                expected = " or ".join(_JSON_NAMES[t] for t in types)
+                raise ValueError(f"{name} is {reprlib.repr(d[name])}, expected {expected}")
         return cls(**{**d, "split_ratios": tuple(d["split_ratios"])})
 
 
@@ -457,24 +481,40 @@ def _prepare(cfg: TrainConfig, h: Hypergraph, splits: Splits | None
     return splits, structure, clusters
 
 
-def _edge_init(data: Hypergraph | KnowledgeHypergraph, clusters: ClusterAssignment):
-    """Each edge's pooled-cluster one-hot, after its type's when ``data`` is typed."""
-    if isinstance(data, KnowledgeHypergraph):
-        return knowledge_edge_init(data, clusters)
-    return edge_cluster_onehot(data, clusters)
+def _layer_shapes(cfg: TrainConfig, init_cols: int, num_relations: int) -> tuple:
+    """``(out_dim, omega_dim, activation)`` of layers 1 and 2 over
+    ``init_cols`` edge feature columns. Prediction's layer 2 is a relu of
+    width ``hidden_dim``, which its head reads; the relational tasks' is
+    identity with one logit per relation."""
+    k, hidden = cfg.clusters, cfg.hidden_dim
+    out2, act2 = (hidden, "relu") if cfg.task == "prediction" else (num_relations, "identity")
+    return (hidden, init_cols + k, "relu"), (out2, hidden + k, act2)
+
+
+def _features(structure: Hypergraph, clusters: ClusterAssignment, edge_type=None,
+              relation_names=None, entity_names=None) -> tuple[np.ndarray, np.ndarray]:
+    """``edge_init``, each edge's pooled-cluster one-hot after its type's
+    one-hot when ``edge_type`` is given (None for prediction), and
+    ``node_x``, each node's cluster one-hot."""
+    if edge_type is None:
+        edge_init = edge_cluster_onehot(structure, clusters)
+    else:
+        edge_init = knowledge_edge_init(
+            KnowledgeHypergraph(structure, edge_type, relation_names, entity_names), clusters)
+    return edge_init, node_onehot(clusters)
 
 
 def _new_model(cfg: TrainConfig, rng: np.random.Generator, structure: Hypergraph,
-               clusters: ClusterAssignment, edge_init: np.ndarray, out2: int, act2: str,
-               **names) -> TrainedModel:
-    """A model over the training structure with both layers freshly drawn
-    from ``rng``, layer 1 first; ``names`` are the vocabularies."""
-    k = cfg.clusters
-    layer1 = init_layer(cfg.hidden_dim, edge_init.shape[1] + k, rng, cfg.bilinear, "relu")
-    layer2 = init_layer(out2, cfg.hidden_dim + k, rng, cfg.bilinear, act2)
+               clusters: ClusterAssignment, edge_type=None, relation_names=None,
+               entity_names=None) -> TrainedModel:
+    """A model over the training structure, its features built by
+    ``_features`` and both layers freshly drawn from ``rng``, layer 1 first."""
+    edge_init, node_x = _features(structure, clusters, edge_type, relation_names, entity_names)
+    shapes = _layer_shapes(cfg, edge_init.shape[1], len(relation_names or ()))
+    layers = [init_layer(out, omega, rng, cfg.bilinear, act) for out, omega, act in shapes]
     return TrainedModel(task=cfg.task, config=cfg, structure=structure, clusters=clusters,
-                        params=ModelParams(layer1, layer2), edge_init=edge_init,
-                        node_x=node_onehot(clusters), **names)
+                        params=ModelParams(*layers), edge_init=edge_init, node_x=node_x,
+                        relation_names=relation_names, entity_names=entity_names)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +523,7 @@ def _new_model(cfg: TrainConfig, rng: np.random.Generator, structure: Hypergraph
 
 def _facts(kh: KnowledgeHypergraph, ids) -> tuple[list, np.ndarray]:
     """Member sets and relation labels of the given edges."""
-    sets = _edge_sets(kh.base, ids)
-    return sets, np.asarray([kh.edge_type[int(e)] for e in ids], dtype=np.int64)
+    return _edge_sets(kh.base, ids), kh.edge_type[ids]
 
 
 def _train_relational(
@@ -499,22 +538,20 @@ def _train_relational(
     splits, structure, clusters = _prepare(cfg, kh.base, splits)
     # structure edge i is base edge splits.train[i]
     train_sets, labels = _facts(kh, splits.train)
-    sub = KnowledgeHypergraph(structure, labels, kh.relation_names, kh.entity_names)
-    edge_init = _edge_init(sub, clusters)
     rng = np.random.default_rng(cfg.seed)
-    model = _new_model(cfg, rng, structure, clusters, edge_init, num_rel, "identity",
-                       relation_names=kh.relation_names, entity_names=kh.entity_names)
+    model = _new_model(cfg, rng, structure, clusters, labels, kh.relation_names,
+                       kh.entity_names)
     adam = Adam(model.params.trainable(), lr=cfg.learning_rate)
 
     def step(batch):
         # hide the targets' own labels from the message passing; the
         # backward pass never reads edge_init, so restoring after the
         # forward is enough
-        edge_init[batch, :num_rel] = 0.0
+        model.edge_init[batch, :num_rel] = 0.0
         try:
             out, cache = _forward(model, [train_sets[int(b)] for b in batch])
         finally:
-            edge_init[batch, labels[batch]] = 1.0
+            model.edge_init[batch, labels[batch]] = 1.0
         loss, dlogits = _batch_cross_entropy(out, labels[batch])
         adam.step(e2e_backward(cache, dlogits))
         return loss
@@ -583,15 +620,13 @@ def train_prediction(
     start = time.perf_counter()
     k = cfg.clusters
     splits, structure, clusters = _prepare(cfg, h, splits)
-    edge_init = _edge_init(structure, clusters)
     rng = np.random.default_rng(cfg.seed)
     # the negatives are the seed's first draws, which ``evaluate`` replays
     neg = _draw_run_negatives(h, splits, rng)
-    model = _new_model(cfg, rng, structure, clusters, edge_init, cfg.hidden_dim, "relu")
+    model = _new_model(cfg, rng, structure, clusters)
     layer1, layer2 = model.layers
     params = model.params
-    bound = np.sqrt(6.0 / (cfg.hidden_dim + k + 1))
-    params.head_weight = head_w = rng.uniform(-bound, bound, size=(k + 1, cfg.hidden_dim))
+    params.head_weight = head_w = init_layer(k + 1, cfg.hidden_dim, rng, False).weight
     params.head_bias = head_b = np.zeros(k + 1)
 
     # stage 1: pretext classes, k for a negative
@@ -630,11 +665,8 @@ def train_prediction(
     valid_reps = _forward(model, valid_sets)[0]
     valid_real = valid_labels != k
 
-    bound = np.sqrt(6.0 / (cfg.hidden_dim + 2))
-    head_w2 = rng.uniform(-bound, bound, size=(2, cfg.hidden_dim))
-    head_b2 = np.zeros(2)
-    params.head_weight = head_w2
-    params.head_bias = head_b2
+    params.head_weight = head_w2 = init_layer(2, cfg.hidden_dim, rng, False).weight
+    params.head_bias = head_b2 = np.zeros(2)
     adam2 = Adam({"Wh": head_w2, "bh": head_b2}, lr=cfg.learning_rate)
 
     def head_step(batch):

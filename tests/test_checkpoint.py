@@ -202,7 +202,7 @@ def _expect_field_error(path, field):
         load_checkpoint(path)
     message = str(info.value)
     assert "\n" not in message
-    assert str(path) in message and field in message
+    assert message.count(str(path)) == 1 and field in message
 
 
 def test_edge_init_rows_checked_against_structure(completion_model, tmp_path):
@@ -243,7 +243,16 @@ def test_unknown_config_key_rejected(completion_model, tmp_path):
     def edit(doc):
         doc["config"]["dropout"] = 0.5
 
-    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "config")
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "config: dropout")
+
+
+def test_config_fields_all_present_with_json_types(completion_model, tmp_path):
+    # a float width and a missing patience used to load as 16.0 and 20
+    def edit(doc):
+        doc["config"]["hidden_dim"] = float(doc["config"]["hidden_dim"])
+        del doc["config"]["patience"]
+
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "config: hidden_dim")
 
 
 def test_out_of_range_node_id_rejected(completion_model, tmp_path):
@@ -300,6 +309,12 @@ def _as_float_bytes(ids, doc):
     (_set(5, "structure", "edge_ptr"), "structure.edge_ptr"),
     (_set(3, "clusters", "cluster_of"), "clusters.cluster_of"),
     (_set("0.05", "config", "balance_epsilon"), "config"),
+    (_drop("config", "patience"), "config: patience"),
+    (_set(True, "config", "clusters"), "config: clusters"),
+    (_set(1, "config", "bilinear"), "config: bilinear"),
+    (_set(0, "config", "omega"), "config: omega"),
+    (_set([0.7, 0.3], "config", "split_ratios"), "config: split_ratios"),
+    (_set([], "config"), "config"),
     (_set(-1, "config", "balance_epsilon"), "config"),
     (_set(float("nan"), "config", "balance_epsilon"), "config"),
     (_set(5, "relation_names"), "relation_names"),
@@ -327,7 +342,9 @@ def _as_float_bytes(ids, doc):
         "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix",
         "float-node-id", "float-cluster-id", "task-disagrees-with-config",
         "string-num-nodes", "string-k", "integer-edge", "integer-cluster-of",
-        "string-balance-epsilon", "negative-balance-epsilon", "nan-balance-epsilon",
+        "string-balance-epsilon", "missing-patience", "boolean-k", "integer-bilinear",
+        "integer-omega", "two-split-ratios", "list-config", "negative-balance-epsilon",
+        "nan-balance-epsilon",
         "integer-relation-names", "empty-edge", "descending-edge", "repeated-member",
         "edge-ptr-bad-base64", "pins-bad-base64", "edge-type-bad-base64",
         "cluster-of-bad-base64", "edge-ptr-not-one-dimensional",
@@ -336,6 +353,51 @@ def _as_float_bytes(ids, doc):
         "short-entity-names", "repeated-relation-name"])
 def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)
+
+
+def _as_task(model, task):
+    """``model`` relabelled as a model of ``task``, which has the same layers."""
+    return dataclasses.replace(model, task=task,
+                               config=dataclasses.replace(model.config, task=task))
+
+
+@pytest.mark.parametrize("task, activations", [
+    ("completion", ["relu", "relu"]), ("classification", ["relu", "relu"]),
+    ("prediction", ["relu", "identity"])])
+def test_activations_must_be_the_tasks(completion_model, prediction_model, tmp_path,
+                                       task, activations):
+    model = prediction_model if task == "prediction" else _as_task(completion_model, task)
+    path = _corrupt(model, tmp_path, _set(activations, "activations"))
+    _expect_field_error(path, "activations")
+
+
+def _nan_at(name):
+    def edit(doc):
+        arr = _packed(doc, "arrays", name)
+        arr.flat[0] = np.nan
+        _store(doc, arr, "arrays", name)
+
+    return edit
+
+
+@pytest.mark.parametrize("name", ["W1", "W2", "Wh", "bh"])
+def test_non_finite_array_rejected(prediction_model, tmp_path, name):
+    _expect_field_error(_corrupt(prediction_model, tmp_path, _nan_at(name)), f"arrays.{name}")
+
+
+def test_array_of_another_task_rejected(completion_model, tmp_path):
+    edit = _set(lambda doc: doc["arrays"]["W2"], "arrays", "Wh")
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "arrays.Wh")
+
+
+def test_save_refuses_activation_not_the_tasks(completion_model, tmp_path):
+    layer2 = dataclasses.replace(completion_model.params.layer2, activation="relu")
+    params = dataclasses.replace(completion_model.params, layer2=layer2)
+    model = dataclasses.replace(completion_model, params=params)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="activations") as info:
+        save_checkpoint(model, path)
+    assert "\n" not in str(info.value) and not path.exists()
 
 
 def test_version_1_document_rejected(completion_model, tmp_path):

@@ -63,7 +63,7 @@ class TestLoadKnowledge:
         kh, _ = load_knowledge(d)
         assert kh.relation_names == ("likes", "hates", "knows")
         assert kh.entity_names == ("a", "b", "c", "d", "e")
-        assert kh.edge_type == (0, 1, 0, 2)
+        assert kh.edge_type.tolist() == [0, 1, 0, 2]
 
     def test_blank_lines_skipped(self, tmp_path):
         d = write_knowledge(tmp_path, ["r\ta\tb", "", "r\tb\tc"], ["r\ta\tc"], ["r\tc\tb"])

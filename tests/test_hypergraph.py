@@ -132,7 +132,7 @@ class TestKnowledgeHypergraph:
         assert kh.num_relations == 2
         assert kh.relation_names == ("r", "s")
         assert kh.entity_names == ("a", "b", "c")
-        assert kh.edge_type == (0, 1)
+        assert kh.edge_type.tolist() == [0, 1]
 
     def test_type_length_must_match_edges(self):
         with pytest.raises(ValueError, match="edge_type length"):
@@ -146,6 +146,12 @@ class TestKnowledgeHypergraph:
         with pytest.raises(ValueError, match="out of range"):
             KnowledgeHypergraph(self.base(), [0, 2], ("r", "s"), ("a", "b", "c"))
 
+    @pytest.mark.parametrize("types", [[0.5, 1], [True, 1], np.array([0.0, 1.0]),
+                                       np.array([False, True]), np.array([[0], [1]])])
+    def test_relation_id_must_be_an_integer(self, types):
+        with pytest.raises(ValueError, match="of edge 0 is not an integer"):
+            KnowledgeHypergraph(self.base(), types, ("r", "s"), ("a", "b", "c"))
+
     def test_vocab_names_must_be_unique(self):
         with pytest.raises(ValueError, match="not unique"):
             KnowledgeHypergraph(self.base(), [0, 0], ("r",), ("a", "a", "c"))
@@ -154,3 +160,11 @@ class TestKnowledgeHypergraph:
         kh = KnowledgeHypergraph(self.base(), [0, 0], ("r",), ("a", "b", "c"))
         with pytest.raises(AttributeError):
             kh.edge_type = (1, 1)
+
+    def test_edge_type_is_a_read_only_copy(self):
+        types = np.array([1, 0])
+        kh = KnowledgeHypergraph(self.base(), types, ("r", "s"), ("a", "b", "c"))
+        assert kh.edge_type.dtype == np.int64 and not kh.edge_type.flags.writeable
+        assert types.flags.writeable
+        types[0] = 0
+        assert kh.edge_type.tolist() == [1, 0]
