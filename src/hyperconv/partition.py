@@ -11,13 +11,21 @@ an (nodes, k) array of the cut reduction for moving each node into each
 cluster. It is counted once per refinement run and then updated on each
 move from the change in the pin counts of the mover's edges, as in the
 direct k-way FM of KaHyPar (Akhremtsev et al., ALENEX 2017) and hMETIS.
+A move reads the mover's neighbourhood, the other members of its edges,
+from a list gathered on the node's first move (or for every node at once
+once enough nodes have moved), and sums each member's changes with one
+``bincount``.
 
 The move order is the partitioner's contract: each step of a pass applies
 the least (-gain, node, target cluster) over unlocked nodes, positive
 gains and targets with room for the node's weight, and each node moves at
 most once per pass. Because the table is exact after every move, that
-move is read straight off it: the first maximum of the masked table. The
-priority queue of Fiduccia and Mattheyses (DAC 1982) is not needed.
+move is read straight off it. Each cluster keeps its least move in, the
+first maximum of its column over the unlocked nodes with room; a move
+compares its changed rows with those k tops and rescans only the columns
+whose top fell or whose room changed, and a step takes the least of the
+k. The priority queue of Fiduccia and Mattheyses (DAC 1982) is not
+needed.
 """
 
 from __future__ import annotations
@@ -26,12 +34,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hypergraph import Hypergraph, _segments
 
 MERGE_GROUP_CAP = 4
 # refinement passes per level; a pass that moves nothing ends them early
 MAX_PASSES = 8
+# gathering one node's move neighbourhood costs about as much as gathering
+# 400 (edge, member) pairs of every node's; switching to every node's at
+# 768 timed best on partition(k=16) of the planted and random graphs of
+# tools/partition_timing.py
+_PAIRS_PER_NODE = 768
 
 
 @dataclass(frozen=True)
@@ -197,21 +211,109 @@ def coarse_weights(level: CoarseLevel, node_weights: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
+class _Neighbourhoods:
+    """The move neighbourhoods of one hypergraph's nodes, gathered as moves
+    ask for them; the refinement runs on one graph can share them.
+
+    ``self[v]`` is v, then the other members of its edges, each once and
+    ascending; and for each (edge, other member) pair of v's edges, the
+    member's place in that list and the edge's place among v's edges.
+
+    Nodes are gathered one at a time, each on its first move, until
+    ``_PAIRS_PER_NODE`` pairs per node gathered reach Σ|e|(|e| - 1), the
+    pairs of every node; then every node's are gathered at once. A level
+    that moves few nodes never pays for all of them (a coarse level of a
+    random graph moves 1-20% of its nodes), and one that moves most of
+    them (a planted graph's coarsest level) soon stops paying per node.
+    """
+
+    def __init__(self, h: Hypergraph):
+        self.h = h
+        sizes = np.diff(h.edge_ptr)
+        self._pairs = int((sizes * (sizes - 1)).sum())
+        self._node_ptr = h.node_ptr.tolist()
+        self._one: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._every = None
+
+    def __getitem__(self, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._every is None:
+            if v in self._one:
+                return self._one[v]
+            if len(self._one) * _PAIRS_PER_NODE < self._pairs:
+                inc = self.h.node_edges[self._node_ptr[v]:self._node_ptr[v + 1]]
+                pos, sizes = _segments(self.h.edge_ptr, inc)
+                member = self.h.pins[pos]
+                other = member != v
+                rows, near = np.unique(member[other], return_inverse=True)
+                slot = np.repeat(np.arange(inc.size), sizes)[other]
+                self._one[v] = np.concatenate([[v], rows]), near + 1, slot
+                return self._one[v]
+            self._every = self._gather_every()
+        near_ptr, near, pair_ptr, pair_near, pair_slot = self._every
+        pairs = slice(pair_ptr[v], pair_ptr[v + 1])
+        return near[near_ptr[v]:near_ptr[v + 1]], pair_near[pairs], pair_slot[pairs]
+
+    def _gather_every(self) -> tuple[list, np.ndarray, list, np.ndarray, np.ndarray]:
+        """Every node's neighbourhood, as CSR: v's list is
+        ``near[near_ptr[v]:near_ptr[v + 1]]``, and its pairs' places are
+        segmented by ``pair_ptr``. The pointers are lists, for slicing."""
+        h, n = self.h, self.h.num_nodes
+        degree = np.diff(h.node_ptr)
+        owner = np.repeat(np.arange(n), degree)
+        pos, sizes = _segments(h.edge_ptr, h.node_edges)
+        incidence = np.repeat(np.arange(owner.size), sizes)
+        mover, member = owner[incidence], h.pins[pos]
+        other = member != mover
+        mover = mover[other]
+        slot = incidence[other] - h.node_ptr[mover]
+        # one sort of (node, member, slot) codes lists each node's pairs by
+        # member; each node keeps its place, so ``mover`` still holds
+        bits = int(degree.max(initial=0)).bit_length()
+        key = np.sort((mover * n + member[other]) << bits | slot)
+        pair = key >> bits
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        # the r-th distinct (node, member) pair, of node m, sits at r + m + 1
+        near_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(mover[first], minlength=n) + 1, out=near_ptr[1:])
+        near = np.empty(near_ptr[-1], dtype=np.int64)
+        near[near_ptr[:-1]] = np.arange(n)
+        near[np.arange(first.size) + mover[first] + 1] = pair[first] - mover[first] * n
+        run = np.zeros(key.size, dtype=np.int64)
+        run[first] = 1
+        pair_near = np.cumsum(run) + mover - near_ptr[mover]
+        pair_ptr = np.concatenate([[0], np.cumsum(sizes - 1)])[h.node_ptr]
+        return (near_ptr.tolist(), near, pair_ptr.tolist(), pair_near,
+                key & ((1 << bits) - 1))
+
+
 class _RefineState:
-    """Per-edge cluster counts, cluster loads and the gain table of one
-    refinement run.
+    """Per-edge cluster counts, cluster loads, the gain table and each
+    cluster's best move in, for one refinement run.
 
     ``gain[v, c]`` is the cut reduction for moving v into cluster c (0 in
     v's own column). It is kept exact: a move changes only the rows of the
     members of the mover's edges, and ``apply`` updates those.
+
+    ``live`` is the gain table with the rows of locked nodes at 0, stored
+    by column. ``top[c]`` is the first maximum of column c of ``live`` over
+    the nodes with room in c (``loads[c] + weights[v] <= cap``), as the
+    score ``gain * n - v`` of gain and node: the larger score is the larger
+    gain, then the lower node. A score of 0 or less is no move. A move
+    compares its changed rows with each column's top, and rescans a column
+    whose top fell or whose room changed for some weight.
+
+    ``neighbourhoods``, gathered as moves ask for them, may be shared with
+    the other runs on ``h``.
     """
 
-    def __init__(self, h: Hypergraph, labels: np.ndarray, k: int, weights: np.ndarray):
+    def __init__(self, h: Hypergraph, labels: np.ndarray, k: int, weights: np.ndarray,
+                 cap: int, neighbourhoods: _Neighbourhoods | None = None):
         self.h = h
         self.k = k
         self.labels = labels
         self.weights = weights
-        self.counts = pin_counts(h, labels, k)
+        self.cap = cap
+        counts = pin_counts(h, labels, k)
         self.loads = np.bincount(labels, weights=weights, minlength=k).astype(np.int64)
         # a node's gain into c is the number of its edges where it is the
         # only member of its own cluster, minus the number of its edges with
@@ -219,79 +321,125 @@ class _RefineState:
         n = h.num_nodes
         degree = np.diff(h.node_ptr)
         owner = np.repeat(np.arange(n), degree)
-        rows = self.counts[h.node_edges]
-        leave = np.bincount(owner[rows[np.arange(owner.size), labels[owner]] == 1],
-                            minlength=n)
-        r, c = np.nonzero(rows)
-        present = np.bincount(owner[r] * k + c, minlength=n * k).reshape(n, k)
-        self.gain = (leave - degree)[:, None] + present
+        leave = np.bincount(owner[counts[h.node_edges, labels[owner]] == 1], minlength=n)
+        incidence = sp.csr_matrix((np.ones(owner.size, dtype=np.int64), h.node_edges,
+                                   h.node_ptr), shape=(n, h.num_edges))
+        self.gain = (leave - degree)[:, None] + incidence @ (counts > 0)
         self.gain[np.arange(n), labels] = 0
+        # a move reads and writes two whole columns of the counts
+        self.counts = np.asfortranarray(counts)
+        self._node_ptr = h.node_ptr.tolist()
+        self._neighbourhoods = _Neighbourhoods(h) if neighbourhoods is None else neighbourhoods
+        self._heaviest = int(weights.max(initial=0))
+        self._columns = np.arange(k)
+        self.unlocked = np.ones(n, dtype=bool)
+        self.unlock()
+
+    def unlock(self) -> None:
+        """Unlock every node and re-read every cluster's best move."""
+        self.unlocked[:] = True
+        self.live = np.array(self.gain, order="F")
+        fits = np.where(self.weights[:, None] <= self.cap - self.loads, self.live, 0)
+        node = fits.argmax(axis=0)
+        self.top = fits[node, self._columns] * self.h.num_nodes - node
+
+    def _rescan(self, c: int) -> None:
+        """Re-read the top of column c from ``live``."""
+        column = self.live[:, c]
+        room = self.cap - int(self.loads[c])
+        if room < self._heaviest:
+            column = np.where(self.weights <= room, column, 0)
+        v = int(column.argmax())
+        self.top[c] = column[v] * self.h.num_nodes - v
 
     def apply(self, v: int, b: int) -> np.ndarray:
-        """Move v into cluster b. Returns the other members of its edges,
-        with repeats: with v, the only nodes whose gain rows the move can
+        """Move v into cluster b and lock it. Returns v and the other
+        members of its edges: the only nodes whose gain rows the move can
         change."""
-        a = self.labels[v]
-        inc = self.h.node_edges[self.h.node_ptr[v]:self.h.node_ptr[v + 1]]
-        pos, sizes = _segments(self.h.edge_ptr, inc)
-        u = self.h.pins[pos]
-        other = u != v
-        u, edge = u[other], np.repeat(inc, sizes)[other]
-        self.counts[inc, a] -= 1
-        self.counts[inc, b] += 1
-        self.loads[a] -= self.weights[v]
-        self.loads[b] += self.weights[v]
-        self.labels[v] = b
-        # only counts[e, a] and counts[e, b] moved, each by one: u's leave
-        # term follows its own cluster's count, its column a loses the edges
-        # a left and its column b gains the edges b entered
-        lab = self.labels[u]
-        new_own = self.counts[edge, lab]
-        old_own = new_own + (lab == a) - (lab == b)
-        sole = (new_own == 1).astype(np.int64) - (old_own == 1)
-        np.add.at(self.gain, u, sole[:, None])
-        np.subtract.at(self.gain, (u, a), self.counts[edge, a] == 0)
-        np.add.at(self.gain, (u, b), self.counts[edge, b] == 1)
-        self.gain[u, self.labels[u]] = 0
-        # v's own row, counted as in ``__init__`` from its edges' counts
-        rows = self.counts[inc]
-        self.gain[v] = np.count_nonzero(rows[:, b] == 1) - np.count_nonzero(rows == 0, axis=0)
-        self.gain[v, b] = 0
-        return u
+        labels = self.labels
+        a = int(labels[v])
+        inc = self.h.node_edges[self._node_ptr[v]:self._node_ptr[v + 1]]
+        rows, near, slot = self._neighbourhoods[v]
+        col_a, col_b = self.counts[:, a], self.counts[:, b]
+        left = col_a[inc] - 1  # counts[e, a] after the move
+        joined = col_b[inc]  # counts[e, b] before it
+        col_a[inc] = left
+        col_b[inc] = joined + 1
+        w = int(self.weights[v])
+        self.loads[a] -= w
+        self.loads[b] += w
+        labels[v] = b
+        self.unlocked[v] = False
+        # only counts[e, a] and counts[e, b] moved. Member u's column a loses
+        # e when counts[e, a] is now [u in a]: for u outside a, e has no
+        # member in a left; for u in a, u became a's only member of e, so
+        # its leave term, and with it its whole row, gains one while its own
+        # column a stays 0. Likewise column b gains e when counts[e, b] was
+        # [u in b] before: v entered an edge with no member in b, or for u
+        # in b, u stopped being b's only member and its row loses one
+        lab = labels[rows]
+        in_a, in_b = lab == a, lab == b
+        lost = np.bincount(near[left[slot] == in_a[near]], minlength=rows.size)
+        entered = np.bincount(near[joined[slot] == in_b[near]], minlength=rows.size)
+        shift = lost * in_a - entered * in_b
+        # v's own row (place 0): its leave term moves from its edges' count
+        # in a to their count in b, and its old own column a reads the change
+        shift[0] = np.count_nonzero(joined == 0) - np.count_nonzero(left == 0)
+        g = self.gain[rows]
+        g += shift[:, None]
+        g[:, a] -= lost
+        g[:, b] += entered
+        g[0, b] = 0
+        self.gain[rows] = g
+        g *= self.unlocked[rows, None]
+        self.live[rows] = g
+
+        # the changed rows that fit against each column's top; a top whose
+        # own gain fell leaves its column to a rescan
+        g *= self.weights[rows, None] <= self.cap - self.loads
+        g *= self.h.num_nodes
+        g -= rows[:, None]
+        node = -self.top % self.h.num_nodes
+        kept = self.live[node, self._columns] * self.h.num_nodes - node
+        kept[self.top <= 0] = 0
+        fell = set(np.flatnonzero(kept < self.top).tolist())
+        self.top = np.maximum(kept, g.max(axis=0))
+        # a's room now takes heavier nodes; b's may no longer take its top
+        if self.cap - int(self.loads[a]) - w < self._heaviest:
+            fell.add(a)
+        if self.cap - int(self.loads[b]) < self._heaviest:
+            fell.add(b)
+        for c in fell:
+            self._rescan(c)
+        return rows
 
 
-def _fm_pass(state: _RefineState, cap: int) -> int:
+def _fm_pass(state: _RefineState) -> int:
     """One greedy pass: apply positive-gain, balance-feasible moves.
 
     Each step applies the least (-gain, v, b) over unlocked v, b not v's
     cluster, gain > 0 and ``loads[b] + weights[v] <= cap``: the largest cut
     reduction first, ties to the lower node id, then the lower target
     cluster. Each node moves at most once per pass. Returns the number of
-    moves applied.
+    moves applied, and leaves every node unlocked for the next pass.
 
-    A step scans the rows of the ``live`` nodes, unlocked with some
-    positive gain, in ascending order, so the first maximum of the masked
-    rows is that least move. A move changes only the rows of v and of the
-    nodes ``apply`` returns, so only theirs need ``live`` re-read.
+    Each cluster's least move in is its column's first maximum, kept by
+    ``apply`` as the score ``top`` (gain, then lower node); so a step's
+    move is the first maximum of those k scores, the lower cluster on a
+    tie, whatever the number of nodes. ``apply`` slices the mover's
+    neighbourhood instead of gathering its edges' members again.
     """
-    gain, weights = state.gain, state.weights
-    locked = np.zeros(state.h.num_nodes, dtype=bool)
-    live = (gain > 0).any(axis=1)
     moves = 0
-    while live.any():
-        rows = np.flatnonzero(live)
-        # a target without room reads 0, below any positive gain
-        g = gain[rows]
-        g *= weights[rows, None] <= cap - state.loads
-        best = int(g.argmax())
-        if g.flat[best] <= 0:
+    n = state.h.num_nodes
+    while True:
+        b = int(state.top.argmax())
+        score = int(state.top[b])
+        if score <= 0:
             break
-        v, b = int(rows[best // state.k]), best % state.k
-        u = state.apply(v, b)
-        locked[v] = True
-        live[v] = False
-        live[u] = (gain[u] > 0).any(axis=1) & ~locked[u]
+        state.apply(-score % n, b)
         moves += 1
+    if moves:
+        state.unlock()
     return moves
 
 
@@ -302,10 +450,13 @@ def _refine(
     weights: np.ndarray,
     cap: int,
     pass_cuts: list[int] | None = None,
+    neighbourhoods: _Neighbourhoods | None = None,
 ) -> np.ndarray:
-    state = _RefineState(h, labels, k, weights)
+    if not h.num_nodes:  # no node to move, and no column to take a top of
+        return labels
+    state = _RefineState(h, labels, k, weights, cap, neighbourhoods)
     for _ in range(MAX_PASSES):
-        if _fm_pass(state, cap) == 0:
+        if _fm_pass(state) == 0:
             break
         if pass_cuts is not None:
             pass_cuts.append(_cut_of(state.counts))
@@ -495,8 +646,9 @@ def partition(
 
     labels = None
     best = None
+    neighbourhoods = _Neighbourhoods(cur)  # the candidates share one graph
     for cand in candidates:
-        refined = _refine(cur, cand, k, wts, cap)
+        refined = _refine(cur, cand, k, wts, cap, neighbourhoods=neighbourhoods)
         value = _cut_of(pin_counts(cur, refined, k))
         if best is None or value < best:
             labels, best = refined, value

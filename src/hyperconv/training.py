@@ -64,6 +64,14 @@ _JSON_NAMES = {str: "a string", int: "an integer", float: "a float", bool: "true
                list: "a list", dict: "an object", type(None): "null"}
 
 
+def _check_type(name: str, value, types: tuple[type, ...]) -> None:
+    """Fail naming the field unless ``value`` is exactly one of ``types``:
+    so True is no integer, and 4.0 no integer either."""
+    if type(value) not in types:
+        expected = " or ".join(_JSON_NAMES[t] for t in types)
+        raise ValueError(f"{name} is {reprlib.repr(value)}, expected {expected}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs besides the data itself.
@@ -87,6 +95,10 @@ class TrainConfig:
     balance_epsilon: float = 0.05
 
     def __post_init__(self):
+        for f in fields(self):
+            # a tuple here, a list in JSON: its entries are checked below
+            if f.name != "split_ratios":
+                _check_type(f.name, getattr(self, f.name), _JSON_TYPES[f.type])
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.clusters < 1:
@@ -129,9 +141,7 @@ class TrainConfig:
         for name, types in kinds.items():
             if name not in d:
                 raise ValueError(f"{name} is missing")
-            if type(d[name]) not in types:
-                expected = " or ".join(_JSON_NAMES[t] for t in types)
-                raise ValueError(f"{name} is {reprlib.repr(d[name])}, expected {expected}")
+            _check_type(name, d[name], types)
         return cls(**{**d, "split_ratios": tuple(d["split_ratios"])})
 
 

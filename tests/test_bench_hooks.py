@@ -9,6 +9,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import hyperconv
+from helpers import uniform_hypergraph
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -31,3 +34,21 @@ def test_every_hooked_name_is_an_attribute_of_its_owner():
     missing = [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name, _ in patches
                if name not in owner.__dict__]
     assert missing == []
+
+
+def test_partition_calls_coarsen_through_the_hooked_attribute(monkeypatch):
+    # the hook swaps the module attribute, so partition must look coarsen up
+    # when it runs rather than hold its own reference
+    module = sys.modules["hyperconv.partition"]
+    real = module.coarsen
+    sizes = []
+
+    def counting(h, *args, **kwargs):
+        sizes.append(h.num_nodes)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(module, "coarsen", counting)
+    h = uniform_hypergraph(seed=0, num_edges=1000, arity=4)  # 500 nodes; k=2 stops at 200
+    hyperconv.partition(h, 2)
+    assert sizes[0] == h.num_nodes
+    assert len(sizes) >= 2

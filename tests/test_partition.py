@@ -198,6 +198,10 @@ class TestFMRefine:
         assert cut(h, out) == 0
         assert out.is_balanced()
 
+    def test_empty_hypergraph_is_a_fixed_point(self):
+        h = build_hypergraph([], num_nodes=0)
+        assert fm_refine(h, assignment([], 2)).num_nodes == 0
+
     def test_unbalanced_input_rejected(self):
         h = build_hypergraph([[0, 1], [2, 3]])
         with pytest.raises(ValueError, match="balance"):
@@ -252,6 +256,25 @@ class TestFMRefine:
         assert pass_cuts == want_cuts
 
 
+def assert_tops_match_a_recount(state, locked):
+    """``live``, and each column's ``top`` against the first maximum of that
+    column of the gain table with locked rows, and nodes without room in
+    the column, at 0."""
+    loads = np.bincount(state.labels, weights=state.weights, minlength=state.k)
+    assert (state.loads == loads).all()
+    assert (state.live == np.where(locked[:, None], 0, state.gain)).all()
+    masked = np.where(state.weights[:, None] + loads <= state.cap, state.live, 0)
+    best, node = masked.max(axis=0), masked.argmax(axis=0)
+    n = state.h.num_nodes
+    assert (np.maximum(state.top, 0) == np.where(best > 0, best * n - node, 0)).all()
+
+
+def top_of(state, c):
+    """Column c's top as (gain, node)."""
+    n = state.h.num_nodes
+    return -(-int(state.top[c]) // n), -int(state.top[c]) % n
+
+
 class TestGainTable:
     @settings(max_examples=200)
     @given(data=st.data())
@@ -261,20 +284,43 @@ class TestGainTable:
         n = h.num_nodes
         labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
                                              max_size=n), label="labels"))
-        state = _RefineState(h, labels, k, np.ones(n, dtype=np.int64))
+        # mixed weights under a tight cap, so targets fill up and free up
+        weights = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n,
+                                              max_size=n), label="weights"))
+        heaviest = int(weights.max())
+        cap = data.draw(st.integers(heaviest, heaviest + int(weights.sum()) // k), label="cap")
+        state = _RefineState(h, labels, k, weights, cap)
         assert (state.gain == naive_gains(h, labels, state.counts)).all()
+        locked = np.zeros(n, dtype=bool)
+        assert_tops_match_a_recount(state, locked)
         moves = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
                                              st.integers(1, k - 1)), max_size=8),
                           label="moves")
         for v, shift in moves:
             table = state.gain.copy()
             others = state.apply(v, (int(state.labels[v]) + shift) % k)
+            locked[v] = True
             assert (state.counts == pin_counts(h, state.labels, k)).all()
             assert (state.gain == naive_gains(h, state.labels, state.counts)).all()
+            assert_tops_match_a_recount(state, locked)
             # the pass re-reads only v's and the returned rows, so no other
             # row may move
             outside = np.setdiff1d(np.arange(n), np.append(others, v))
             assert (state.gain[outside] == table[outside]).all()
+
+    def test_a_filling_cluster_hands_its_top_to_a_lighter_node(self):
+        # cluster 1 is worth 2 to node 0 (weight 2) and 1 to node 3; node 5
+        # shares no edge with either, so only the load its moves change
+        # can move the top of column 1
+        h = build_hypergraph([[0, 1], [0, 2], [3, 4], [5, 6]], num_nodes=7)
+        labels = np.array([0, 1, 1, 0, 1, 2, 2])
+        weights = np.array([2, 1, 1, 1, 1, 1, 1])
+        state = _RefineState(h, labels, 3, weights, cap=5)
+        assert top_of(state, 1) == (2, 0)
+        state.apply(5, 1)  # cluster 1 has room for one unit only
+        assert top_of(state, 1) == (1, 3)
+        state.apply(5, 2)  # and for two again
+        assert top_of(state, 1) == (2, 0)
 
 
 class TestPartition:

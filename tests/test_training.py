@@ -81,6 +81,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="balance_epsilon"):
             TrainConfig(task="completion", balance_epsilon=-0.01)
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_dim", 4.0), ("clusters", True), ("seed", 1.5), ("epochs", "3"),
+        ("learning_rate", True), ("balance_epsilon", "0.1"), ("bilinear", 1),
+        ("agg", None), ("task", 3),
+    ])
+    def test_rejects_a_value_of_the_wrong_type_naming_the_field(self, field, value):
+        # the rule from_dict applies to JSON: an integer field takes no
+        # bool or float, a float field no bool, and bilinear only a bool
+        with pytest.raises(ValueError, match=f"^{field} is "):
+            TrainConfig(**{"task": "prediction", field: value})
+
+    def test_a_float_field_takes_an_int(self):
+        assert TrainConfig(task="prediction", learning_rate=1).learning_rate == 1
+
     def test_omega_defaults_per_task(self):
         assert TrainConfig(task="completion").omega_kind == "mean"
         assert TrainConfig(task="classification").omega_kind == "mean"
