@@ -61,6 +61,22 @@ class Splits:
         )
 
 
+def _utf8_lines(path: Path):
+    """Numbered lines of a UTF-8 text file, newlines read as in text mode.
+
+    Undecodable bytes are escaped to lone surrogates, which strict UTF-8
+    never yields, so a line holding one names where the file is bad.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():  # O(1); an escape is never ASCII
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path.name}:{lineno}: not UTF-8 text") from None
+            yield lineno, line
+
+
 def load_knowledge(directory) -> tuple[KnowledgeHypergraph, Splits]:
     """Read train.txt / valid.txt / test.txt of tab- or space-separated facts.
 
@@ -82,29 +98,28 @@ def load_knowledge(directory) -> tuple[KnowledgeHypergraph, Splits]:
     types: list[int] = []
     boundaries = []
     for p in paths:
-        with open(p, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split("\t") if "\t" in line else line.split()
-                if len(fields) < 2:
-                    raise ValueError(
-                        f"{p.name}:{lineno}: expected `relation entity...` separated"
-                        f" by tabs or spaces, got {line!r}"
-                    )
-                rel = fields[0]
-                if not rel:
-                    raise ValueError(f"{p.name}:{lineno}: empty relation token")
-                if rel not in relation_ids:
-                    relation_ids[rel] = len(relation_ids)
-                members = []
-                for tok in fields[1:]:
-                    if tok not in entity_ids:
-                        entity_ids[tok] = len(entity_ids)
-                    members.append(entity_ids[tok])
-                edges.append(tuple(members))
-                types.append(relation_ids[rel])
+        for lineno, line in _utf8_lines(p):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            fields = line.split("\t") if "\t" in line else line.split()
+            if len(fields) < 2:
+                raise ValueError(
+                    f"{p.name}:{lineno}: expected `relation entity...` separated"
+                    f" by tabs or spaces, got {line!r}"
+                )
+            rel = fields[0]
+            if not rel:
+                raise ValueError(f"{p.name}:{lineno}: empty relation token")
+            if rel not in relation_ids:
+                relation_ids[rel] = len(relation_ids)
+            members = []
+            for tok in fields[1:]:
+                if tok not in entity_ids:
+                    entity_ids[tok] = len(entity_ids)
+                members.append(entity_ids[tok])
+            edges.append(tuple(members))
+            types.append(relation_ids[rel])
         boundaries.append(len(edges))
 
     base = build_hypergraph(edges, num_nodes=len(entity_ids))
@@ -134,18 +149,17 @@ def _read_edge_file(path) -> tuple[Hypergraph, tuple[str, ...]]:
     path = Path(path)
     vocab: dict[str, int] = {}
     edges: list[tuple[int, ...]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                logger.warning("%s:%d: blank line skipped", path.name, lineno)
-                continue
-            members = []
-            for tok in tokens:
-                if tok not in vocab:
-                    vocab[tok] = len(vocab)
-                members.append(vocab[tok])
-            edges.append(tuple(members))
+    for lineno, line in _utf8_lines(path):
+        tokens = line.split()
+        if not tokens:
+            logger.warning("%s:%d: blank line skipped", path.name, lineno)
+            continue
+        members = []
+        for tok in tokens:
+            if tok not in vocab:
+                vocab[tok] = len(vocab)
+            members.append(vocab[tok])
+        edges.append(tuple(members))
     if not edges:
         raise ValueError(f"{path}: no hyperedges found")
     return build_hypergraph(edges, num_nodes=len(vocab)), tuple(vocab)

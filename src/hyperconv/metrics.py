@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def rank_of_true(scores: np.ndarray, true_index: int) -> int:
@@ -46,15 +45,33 @@ def auc(pos_scores, neg_scores) -> float:
     """Probability a positive outscores a negative; ties count half.
 
     Computed from the Mann-Whitney statistic via average ranks, which
-    is exact and avoids the quadratic pairwise comparison.
+    is exact and avoids the quadratic pairwise comparison. A NaN score
+    makes the result NaN.
     """
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("need at least one positive and one negative score")
-    ranks = rankdata(np.concatenate([pos, neg]), method="average")
+    scores = np.concatenate([pos, neg])
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = _average_ranks(scores)
     u = ranks[: len(pos)].sum() - len(pos) * (len(pos) + 1) / 2.0
     return float(u / (len(pos) * len(neg)))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their positions.
+
+    The ranks are half-integers, so they and their sums are exact.
+    """
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    first = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    end = np.r_[first[1:], len(x)]  # one past each tie group
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((first + end + 1) / 2.0, end - first)
+    return ranks
 
 
 def accuracy(predicted, truth) -> float:

@@ -502,6 +502,7 @@ def _bfs_order(h: Hypergraph) -> list[int]:
     node_ptr, node_edges = h.node_ptr.tolist(), h.node_edges.tolist()
     edge_ptr, pins = h.edge_ptr.tolist(), h.pins.tolist()
     seen = [False] * h.num_nodes
+    scanned = [False] * h.num_edges  # an edge's members are all seen after one scan
     order: list[int] = []  # the discovered nodes; those from ``head`` on are queued
     head = 0
     for start in range(h.num_nodes):
@@ -513,6 +514,9 @@ def _bfs_order(h: Hypergraph) -> list[int]:
             v = order[head]
             head += 1
             for e in node_edges[node_ptr[v]:node_ptr[v + 1]]:
+                if scanned[e]:
+                    continue
+                scanned[e] = True
                 for u in pins[edge_ptr[e]:edge_ptr[e + 1]]:
                     if not seen[u]:
                         seen[u] = True

@@ -119,6 +119,17 @@ class TestTrainCommand:
         doc = json.loads(report.read_text("utf-8"))
         assert set(doc["test_metrics"]) == {"auc"}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+    def test_diverging_weights_fail_in_one_line(self, edges_file, tmp_path, capsys):
+        args = train_args(
+            edges_file, tmp_path / "r.json", tmp_path / "m.json",
+            task="prediction", extra=("--lr", "1e300"),
+        )
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite weights after epoch")
+        assert err.count("\n") == 1
+
 
 class TestEvalCommand:
     def test_reproduces_training_metrics(self, knowledge_dir, tmp_path, capsys):

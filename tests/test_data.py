@@ -103,6 +103,25 @@ class TestLoadKnowledge:
         with pytest.raises(ValueError, match="empty relation"):
             load_knowledge(d)
 
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        d = write_knowledge(tmp_path, ["r\ta\tb"], ["r\tmünchen\tb"], ["r\ta\tb"])
+        (d / "valid.txt").write_bytes("r\tmünchen\tb\n".encode() + b"r\ta\xff\tb\n")
+        with pytest.raises(ValueError, match=r"^valid.txt:2: not UTF-8 text$"):
+            load_knowledge(d)
+
+    def test_crlf_files_load_like_lf(self, tmp_path):
+        lines = (["r\ta\tb", "s\tb\tc"], ["r\tc\ta"], ["s a c"])
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        lf.mkdir()
+        crlf.mkdir()
+        write_knowledge(lf, *lines)
+        for name, part in zip(("train.txt", "valid.txt", "test.txt"), lines):
+            (crlf / name).write_bytes("".join(x + "\r\n" for x in part).encode())
+        a, _ = load_knowledge(lf)
+        b, _ = load_knowledge(crlf)
+        assert b.entity_names == a.entity_names == ("a", "b", "c")
+        assert b.base.edge_members == a.base.edge_members
+
     def test_loading_is_deterministic(self, tmp_path):
         d = write_knowledge(tmp_path, ["r\tx\ty", "s\ty\tz"], ["r\tz\tx"], ["s\tx\tz"])
         a, _ = load_knowledge(d)
@@ -132,6 +151,12 @@ class TestLoadSimple:
         p = tmp_path / "edges.txt"
         p.write_text("\n\n", "utf-8")
         with pytest.raises(ValueError, match="no hyperedges"):
+            load_simple(p)
+
+    def test_undecodable_byte_names_the_line(self, tmp_path):
+        p = tmp_path / "edges.txt"
+        p.write_bytes(b"a b\nc d\nb \xffc\n")
+        with pytest.raises(ValueError, match=r"^edges.txt:3: not UTF-8 text$"):
             load_simple(p)
 
     def test_same_seed_same_split(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconv.metrics import accuracy, auc, hit_at, mrr, rank_of_true
 
@@ -24,6 +26,15 @@ def pairwise_auc_oracle(pos, neg):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+# few distinct values, so most draws tie; the infinities tie with themselves
+TIE_HEAVY_SCORES = st.lists(
+    st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+    | st.floats(allow_nan=False),
+    min_size=1,
+    max_size=12,
+)
 
 
 class TestRankOfTrue:
@@ -111,6 +122,16 @@ class TestAUC:
             assert auc(pos, neg) == pytest.approx(
                 pairwise_auc_oracle(pos.tolist(), neg.tolist()), abs=1e-12
             )
+
+    @settings(max_examples=300)
+    @given(pos=TIE_HEAVY_SCORES, neg=TIE_HEAVY_SCORES)
+    def test_equals_pairwise_oracle_exactly(self, pos, neg):
+        # both sides count whole and half wins, so neither rounds
+        assert auc(pos, neg) == pairwise_auc_oracle(pos, neg)
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auc([0.9, np.nan], [0.1]))
+        assert np.isnan(auc([0.9], [np.nan, 0.1]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
