@@ -78,10 +78,11 @@ def _ids(path, doc: dict, name: str, bound: int, size: int | None = None) -> np.
     return ids
 
 
-def _task_layout(config: TrainConfig, edge_init: np.ndarray, relation_names):
-    """The activations and array shapes ``_layer_shapes`` gives (the width
-    squared when bilinear), plus the binary head's for prediction."""
-    layers = _layer_shapes(config, edge_init.shape[1], len(relation_names or ()))
+def _task_layout(config: TrainConfig, init_cols: int, relation_names):
+    """The activations and array shapes ``_layer_shapes`` gives over
+    ``init_cols`` edge feature columns (the width squared when bilinear),
+    plus the binary head's for prediction."""
+    layers = _layer_shapes(config, init_cols, len(relation_names or ()))
     power = 2 if config.bilinear else 1
     shapes = {f"W{i}": (out, omega ** power) for i, (out, omega, _) in enumerate(layers, 1)}
     if config.task == "prediction":
@@ -98,7 +99,7 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         edge_type = model.edge_init[:, :len(model.relation_names)].argmax(axis=1)
     edge_init, node_x = _features(model.structure, model.clusters, edge_type,
                                   model.relation_names, model.entity_names)
-    activations, shapes = _task_layout(model.config, edge_init, model.relation_names)
+    activations, shapes = _task_layout(model.config, edge_init.shape[1], model.relation_names)
     arrays = model.params.trainable()
     same = {"clusters": (model.clusters.k, model.clusters.balance_epsilon)
             == (model.config.clusters, model.config.balance_epsilon),
@@ -179,13 +180,10 @@ def load_checkpoint(path) -> TrainedModel:
     else:
         edge_type = _ids(path, doc, "structure.edge_type", len(relation_names),
                          structure.num_edges)
-    clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
-    try:
-        edge_init, node_x = _features(structure, clusters, edge_type, relation_names,
-                                      entity_names)
-    except (TypeError, ValueError) as exc:  # only the vocabularies are left unchecked
-        raise ValueError(f"{path}: fields relation_names, entity_names: {exc}") from None
-    activations, shapes = _task_layout(config, edge_init, relation_names)
+    # the features ``_features`` builds: the relation one-hot, when there
+    # are edge types, before the cluster one-hot
+    init_cols = config.clusters + (0 if edge_type is None else len(relation_names))
+    activations, shapes = _task_layout(config, init_cols, relation_names)
     if _field(path, doc, "activations") != activations:
         raise ValueError(f"{path}: field activations is {reprlib.repr(doc['activations'])}, "
                          f"expected {activations}")
@@ -198,6 +196,13 @@ def load_checkpoint(path) -> TrainedModel:
     extra = sorted(doc["arrays"].keys() - shapes.keys())
     if extra:
         raise ValueError(f"{path}: field arrays.{extra[0]} is not an array of a {task} model")
+    del doc  # every packed array is decoded; free the text before the features
+    clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
+    try:
+        edge_init, node_x = _features(structure, clusters, edge_type, relation_names,
+                                      entity_names)
+    except (TypeError, ValueError) as exc:  # only the vocabularies are left unchecked
+        raise ValueError(f"{path}: fields relation_names, entity_names: {exc}") from None
     params = ModelParams(LayerParams(arrays["W1"], activations[0]),
                          LayerParams(arrays["W2"], activations[1]),
                          arrays.get("Wh"), arrays.get("bh"))

@@ -75,24 +75,28 @@ def _act_grad(pre: np.ndarray, tag: str) -> np.ndarray:
 # incidence row slices
 
 
-def _rows(h: Hypergraph, nodes: np.ndarray):
-    """Incidence rows of ``nodes`` (ascending, distinct) over the edges
-    they reference.
+def _rows(h: Hypergraph, nodes: np.ndarray, renumber: bool = True):
+    """Incidence rows of ``nodes`` (ascending, distinct).
 
-    Returns (slice, edges, degrees): the slice's columns are renumbered
-    to positions in ``edges``, the referenced edge ids in ascending
-    order. Each row keeps its entries in order, so a product over the
-    slice sums in the same order as over the whole incidence.
+    Returns (slice, edges, degrees). With ``renumber`` the slice's
+    columns are positions in ``edges``, the referenced edge ids in
+    ascending order; without it they are the global edge ids, the slice
+    has one column per edge of ``h`` and ``edges`` is None. Each row
+    keeps its entries in order, so a product over the slice sums in the
+    same order as over the whole incidence.
     """
     pos, counts = _segments(h.node_ptr, nodes)
     cols = h.node_edges[pos]
     sub_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
     np.cumsum(counts, out=sub_indptr[1:])
-    edges, lookup = _renumbering([cols], h.num_edges)
+    edges, width = None, h.num_edges
+    if renumber:
+        edges, lookup = _renumbering([cols], h.num_edges)
+        cols, width = lookup[cols], edges.size
     # scipy takes int32 indices as given but scans int64 ones to narrow them
     idx = np.int32 if cols.size < 2**31 else np.int64
-    sub = sp.csr_matrix((np.ones(cols.size), lookup[cols].astype(idx), sub_indptr.astype(idx)),
-                        shape=(nodes.size, edges.size))
+    sub = sp.csr_matrix((np.ones(cols.size), cols.astype(idx), sub_indptr.astype(idx)),
+                        shape=(nodes.size, width))
     return sub, edges, counts.astype(np.float64)
 
 
@@ -117,27 +121,49 @@ def _aggregate(
     deg: np.ndarray,
     edge_features: np.ndarray,
     node_x: np.ndarray,
+    nodes: np.ndarray,
     agg: str,
 ):
     """Edge-to-node aggregation for the rows of an incidence matrix.
 
     ``edge_features`` has one row per column of ``incidence``, ``deg`` and
-    ``node_x`` one per row. Returns the aggregates with ``node_x``
-    appended, plus what the backward pass needs: the inverse degrees for
-    mean; the degrees, reciprocal sums and reciprocals for harmonic.
+    ``nodes`` one per row; row r of ``node_x[nodes]`` is appended to row
+    r's aggregate, both written into one buffer. Returns that buffer plus
+    what the backward pass needs: the inverse degrees for mean; the
+    degrees, reciprocal sums and reciprocals for harmonic.
     """
+    cols = edge_features.shape[1]
+    out = np.empty((deg.size, cols + node_x.shape[1]), dtype=np.float64)
+    agg_part = out[:, :cols]
     if agg == "mean":
         inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-        agg_part = (incidence @ edge_features) * inv_deg[:, None]
+        np.multiply(incidence @ edge_features, inv_deg[:, None], out=agg_part)
         aux = inv_deg
     elif agg == "harmonic":
         recip = 1.0 / (edge_features + HARMONIC_EPS)
         s = incidence @ recip
-        agg_part = np.where(s != 0.0, deg[:, None] / np.where(s != 0.0, s, 1.0), 0.0)
+        zero = s == 0.0
+        np.divide(deg[:, None], np.where(zero, 1.0, s), out=agg_part)
+        agg_part[zero] = 0.0
         aux = (deg, s, recip)
     else:
         raise ValueError(f"unknown aggregation {agg!r}")
-    return np.concatenate([agg_part, node_x], axis=1), aux
+    out[:, cols:] = node_x[nodes]
+    return out, aux
+
+
+def _edge_aggregate(h: Hypergraph, nodes: np.ndarray, edge_features: np.ndarray,
+                    node_x: np.ndarray, agg: str) -> np.ndarray:
+    """``_aggregate`` of the ``nodes`` rows over ``edge_features``, one row
+    per edge of ``h``. Mean reads the table in place through global edge
+    columns; harmonic takes reciprocals of the referenced rows only."""
+    if agg == "harmonic":
+        incidence, edges, deg = _rows(h, nodes)
+        edge_features = edge_features[edges]
+    else:
+        incidence, _, deg = _rows(h, nodes, renumber=False)
+    out, _ = _aggregate(incidence, deg, edge_features, node_x, nodes, agg)
+    return out
 
 
 def e2n(
@@ -155,14 +181,11 @@ def e2n(
         raise ValueError("edge feature row count does not match hypergraph")
     if node_x.shape[0] != h.num_nodes:
         raise ValueError("node tag row count does not match hypergraph")
-    incidence, edges, deg = _rows(h, np.arange(h.num_nodes))
-    isolated = int((deg == 0).sum())
+    isolated = int((np.diff(h.node_ptr) == 0).sum())
     if isolated:
         logger.debug("%d isolated nodes aggregate to zero", isolated)
-    edge_features = np.asarray(edge_features, dtype=np.float64)
-    out, _ = _aggregate(incidence, deg, edge_features[edges],
-                        np.asarray(node_x, dtype=np.float64), agg)
-    return out
+    return _edge_aggregate(h, np.arange(h.num_nodes), np.asarray(edge_features, dtype=np.float64),
+                           np.asarray(node_x, dtype=np.float64), agg)
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +241,22 @@ class _SetBatch:
         out = np.empty((self.count, d), dtype=np.float64)
         cache: dict[int, tuple] = {}
         for size, (pos, ids) in self.groups.items():
-            x = feats[ids]  # (cnt, size, d)
             if kind == "mean":
-                out[pos] = x.mean(axis=1)
+                # member by member from zero, the order numpy's mean over
+                # the members' axis adds in for d > 1, with no
+                # (cnt, size, d) block
+                acc = np.zeros((pos.size, d), dtype=np.float64)
+                for i in range(size):
+                    acc += feats[ids[:, i]]
+                out[pos] = acc / size
                 cache[size] = ()
             elif kind == "var":
+                x = feats[ids]  # (cnt, size, d)
                 mu = x.mean(axis=1)
                 out[pos] = np.square(x - mu[:, None, :]).mean(axis=1)
                 cache[size] = (x, mu)
             elif kind == "minmax":
+                x = feats[ids]
                 amax = x.argmax(axis=1)
                 amin = x.argmin(axis=1)
                 hi = np.take_along_axis(x, amax[:, None, :], axis=1)[:, 0, :]
@@ -268,13 +298,10 @@ _BLOCK_BYTES = 256 << 10
 def _affine_forward(weight: np.ndarray, z: np.ndarray, bilinear: bool) -> np.ndarray:
     """weight @ flat(z z^T) per row without materializing the outer products.
 
-    Output j is z_t^T M_j z_t with M_j = weight[j] viewed as d x d. The
-    columns go in blocks [a, b) sized so the (b - a, t, d) products
-    z @ M_j, the only scratch, stay within ``_BLOCK_BYTES`` (or one
-    column, if that is larger), one buffer shared by the blocks of a
-    call. One stacked matmul per block makes the same per-column GEMMs a
-    column loop would, and one einsum reduces them straight into the
-    output's columns, so the result is bit-identical to that loop.
+    Output j is z_t^T M_j z_t with M_j = weight[j] viewed as d x d,
+    bit-identical to computing the columns one at a time. The only
+    scratch, the products z @ M_j of a block of columns, stays within
+    ``_BLOCK_BYTES`` (or one column, if that is larger).
     """
     if not bilinear:
         return z @ weight.T
@@ -408,13 +435,13 @@ def e2e_forward(
     starts = h.edge_ptr[needed]
     batch1 = _SetBatch(h.pins, starts, h.edge_ptr[needed + 1] - starts)
     nodes1 = batch1.localize(h.num_nodes)
-    inc1, edges1, deg1 = _rows(h, nodes1)
-    nf1, _ = _aggregate(inc1, deg1, edge_init[edges1], node_x[nodes1], agg)
+    nf1 = _edge_aggregate(h, nodes1, edge_init, node_x, agg)
     z1, _ = batch1.reduce(kind, nf1)
+    del nf1
     pre1 = _affine_forward(layer1.weight, z1, bilinear)
     ef1 = _act(pre1, layer1.activation)
 
-    nf2, aux2 = _aggregate(inc2, deg2, ef1, node_x[nodes2], agg)
+    nf2, aux2 = _aggregate(inc2, deg2, ef1, node_x, nodes2, agg)
     z2, red2_cache = batch2.reduce(kind, nf2)
     pre2 = _affine_forward(layer2.weight, z2, bilinear)
     out = _act(pre2, layer2.activation)

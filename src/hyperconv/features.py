@@ -48,8 +48,8 @@ def knowledge_edge_init(kh: KnowledgeHypergraph, c: ClusterAssignment) -> np.nda
     batch, so it cannot leak its own label into the message passing.
     """
     num_rel = kh.num_relations
-    m = kh.base.num_edges
-    type_part = np.zeros((m, num_rel), dtype=np.float64)
-    type_part[np.arange(m), kh.edge_type] = 1.0
-    cluster_part = edge_cluster_onehot(kh.base, c)
-    return np.concatenate([type_part, cluster_part], axis=1)
+    rows = np.arange(kh.base.num_edges)
+    out = np.zeros((rows.size, num_rel + c.k), dtype=np.float64)
+    out[rows, kh.edge_type] = 1.0
+    out[rows, num_rel + edge_cluster_pool(kh.base, c)] = 1.0
+    return out

@@ -6,26 +6,14 @@ hypergraph by merging nodes along small hyperedges, seeds a balanced
 partition on the coarsest level, then refines greedily at every level on
 the way back up. Everything is deterministic for a fixed input.
 
-Refinement reads its move gains from a gain table, ``_RefineState.gain``:
-an (nodes, k) array of the cut reduction for moving each node into each
-cluster. It is counted once per refinement run and then updated on each
-move from the change in the pin counts of the mover's edges, as in the
-direct k-way FM of KaHyPar (Akhremtsev et al., ALENEX 2017) and hMETIS.
-A move reads the mover's neighbourhood, the other members of its edges,
-from a list gathered on the node's first move (or for every node at once
-once enough nodes have moved), and sums each member's changes with one
-``bincount``.
+Refinement reads its move gains from a gain table kept exact after every
+move, as in the direct k-way FM of KaHyPar (Akhremtsev et al., ALENEX
+2017) and hMETIS.
 
 The move order is the partitioner's contract: each step of a pass applies
 the least (-gain, node, target cluster) over unlocked nodes, positive
 gains and targets with room for the node's weight, and each node moves at
-most once per pass. Because the table is exact after every move, that
-move is read straight off it. Each cluster keeps its least move in, the
-first maximum of its column over the unlocked nodes with room; a move
-compares its changed rows with those k tops and rescans only the columns
-whose top fell or whose room changed, and a step takes the least of the
-k. The priority queue of Fiduccia and Mattheyses (DAC 1982) is not
-needed.
+most once per pass.
 """
 
 from __future__ import annotations
@@ -41,10 +29,7 @@ from .hypergraph import Hypergraph, _segments
 MERGE_GROUP_CAP = 4
 # refinement passes per level; a pass that moves nothing ends them early
 MAX_PASSES = 8
-# gathering one node's move neighbourhood costs about as much as gathering
-# 400 (edge, member) pairs of every node's; switching to every node's at
-# 768 timed best on partition(k=16) of the planted and random graphs of
-# tools/partition_timing.py
+# see ``_Neighbourhoods``
 _PAIRS_PER_NODE = 768
 
 
@@ -221,10 +206,7 @@ class _Neighbourhoods:
 
     Nodes are gathered one at a time, each on its first move, until
     ``_PAIRS_PER_NODE`` pairs per node gathered reach Σ|e|(|e| - 1), the
-    pairs of every node; then every node's are gathered at once. A level
-    that moves few nodes never pays for all of them (a coarse level of a
-    random graph moves 1-20% of its nodes), and one that moves most of
-    them (a planted graph's coarsest level) soon stops paying per node.
+    pairs of every node; then every node's are gathered at once.
     """
 
     def __init__(self, h: Hypergraph):
@@ -421,13 +403,9 @@ def _fm_pass(state: _RefineState) -> int:
     cluster, gain > 0 and ``loads[b] + weights[v] <= cap``: the largest cut
     reduction first, ties to the lower node id, then the lower target
     cluster. Each node moves at most once per pass. Returns the number of
-    moves applied, and leaves every node unlocked for the next pass.
-
-    Each cluster's least move in is its column's first maximum, kept by
-    ``apply`` as the score ``top`` (gain, then lower node); so a step's
-    move is the first maximum of those k scores, the lower cluster on a
-    tie, whatever the number of nodes. ``apply`` slices the mover's
-    neighbourhood instead of gathering its edges' members again.
+    moves applied, and leaves every node unlocked for the next pass. A
+    step's move is the first maximum of the k clusters' ``top`` scores,
+    the lower cluster on a tie.
     """
     moves = 0
     n = state.h.num_nodes

@@ -390,27 +390,29 @@ def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
     best_epoch = 0
     best_weights = None
     stale = 0
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(count)
-        loss_sum = 0.0
-        for lo in range(0, count, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            loss_sum += step(batch) * len(batch)
-        if not all(np.isfinite(w).all() for w in weights):
-            raise FloatingPointError(f"non-finite weights after epoch {epoch}")
-        value = validate()
-        history.append(
-            {"epoch": len(history) + 1, "train_loss": loss_sum / count, "valid_metric": value}
-        )
-        if value > best_value:
-            best_value = value
-            best_epoch = epoch
-            best_weights = [w.copy() for w in weights]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+    # a diverging run overflows before the epoch's finite check stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(count)
+            loss_sum = 0.0
+            for lo in range(0, count, cfg.batch_size):
+                batch = order[lo : lo + cfg.batch_size]
+                loss_sum += step(batch) * len(batch)
+            if not all(np.isfinite(w).all() for w in weights):
+                raise FloatingPointError(f"non-finite weights after epoch {epoch}")
+            value = validate()
+            history.append(
+                {"epoch": len(history) + 1, "train_loss": loss_sum / count, "valid_metric": value}
+            )
+            if value > best_value:
+                best_value = value
+                best_epoch = epoch
+                best_weights = [w.copy() for w in weights]
+                stale = 0
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    break
     if best_weights is not None:
         for w, best in zip(weights, best_weights):
             w[...] = best

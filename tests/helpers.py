@@ -275,6 +275,61 @@ def loop_affine_forward(weight, z, bilinear) -> np.ndarray:
     return pre
 
 
+def gather_aggregate(incidence, deg, edge_features, node_x, agg):
+    """Edge-to-node aggregation with the node tags joined on by
+    concatenation, over edge rows gathered to the incidence's columns."""
+    from hyperconv.convolution import HARMONIC_EPS
+
+    if agg == "mean":
+        inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+        agg_part = (incidence @ edge_features) * inv_deg[:, None]
+        aux = inv_deg
+    else:
+        recip = 1.0 / (edge_features + HARMONIC_EPS)
+        s = incidence @ recip
+        agg_part = np.where(s != 0.0, deg[:, None] / np.where(s != 0.0, s, 1.0), 0.0)
+        aux = (deg, s, recip)
+    return np.concatenate([agg_part, node_x], axis=1), aux
+
+
+def block_reduce(batch, kind, feats):
+    """``_SetBatch.reduce``, with mean taken over each size group's
+    (cnt, size, d) block of member rows."""
+    if kind != "mean":
+        return batch.reduce(kind, feats)
+    out = np.empty((batch.count, feats.shape[1]), dtype=np.float64)
+    for pos, ids in batch.groups.values():
+        out[pos] = feats[ids].mean(axis=1)
+    return out, {size: () for size in batch.groups}
+
+
+def gather_e2e_forward(layers, kind, h, edge_init, node_x, targets, bilinear, agg):
+    """``e2e_forward`` whose layer 1 copies its field's rows of
+    ``edge_init`` and aggregates them over renumbered columns, and whose
+    mean pooling reduces member blocks: the oracle for the in-place
+    reads."""
+    from hyperconv.convolution import E2ECache, _act, _affine_forward, _flat_sets, _rows, _SetBatch
+
+    layer1, layer2 = layers
+    batch2 = _SetBatch(*_flat_sets(targets))
+    nodes2 = batch2.localize(h.num_nodes)
+    inc2, needed, deg2 = _rows(h, nodes2)
+    starts = h.edge_ptr[needed]
+    batch1 = _SetBatch(h.pins, starts, h.edge_ptr[needed + 1] - starts)
+    nodes1 = batch1.localize(h.num_nodes)
+    inc1, edges1, deg1 = _rows(h, nodes1)
+    nf1, _ = gather_aggregate(inc1, deg1, edge_init[edges1], node_x[nodes1], agg)
+    z1, _ = block_reduce(batch1, kind, nf1)
+    pre1 = _affine_forward(layer1.weight, z1, bilinear)
+    nf2, aux2 = gather_aggregate(inc2, deg2, _act(pre1, layer1.activation), node_x[nodes2], agg)
+    z2, red2_cache = block_reduce(batch2, kind, nf2)
+    pre2 = _affine_forward(layer2.weight, z2, bilinear)
+    cache = E2ECache(kind=kind, bilinear=bilinear, agg=agg, layers=tuple(layers),
+                     needed_edges=needed, z1=z1, pre1=pre1, inc2=inc2, e2n2_aux=aux2,
+                     batch2=batch2, red2_cache=red2_cache, z2=z2, pre2=pre2)
+    return _act(pre2, layer2.activation), cache
+
+
 def naive_sample_negative(h: Hypergraph, edge: int, rng: np.random.Generator):
     """``sample_negative`` drawing its fills from the explicit complement of
     the edge: the same draws, so the same sample and the same generator

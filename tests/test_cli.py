@@ -119,7 +119,7 @@ class TestTrainCommand:
         doc = json.loads(report.read_text("utf-8"))
         assert set(doc["test_metrics"]) == {"auc"}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's notes must stay silent
     def test_diverging_weights_fail_in_one_line(self, edges_file, tmp_path, capsys):
         args = train_args(
             edges_file, tmp_path / "r.json", tmp_path / "m.json",

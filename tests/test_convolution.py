@@ -24,6 +24,7 @@ from hyperconv.hypergraph import build_hypergraph
 
 from helpers import (
     draw_hypergraph,
+    gather_e2e_forward,
     gradcheck_max_error,
     loop_affine_forward,
     naive_e2n,
@@ -342,6 +343,80 @@ class TestE2EForward:
                     if targets == [[3, 4]]:
                         assert cache.needed_edges.size == 0
                         assert not grads["W1"].any()
+
+
+def cache_arrays(cache: E2ECache) -> list[np.ndarray]:
+    """Every array a forward cache holds, in a fixed order."""
+    aux = cache.e2n2_aux if isinstance(cache.e2n2_aux, tuple) else (cache.e2n2_aux,)
+    inc2 = cache.inc2
+    out = [cache.needed_edges, cache.z1, cache.pre1, inc2.data, inc2.indices, inc2.indptr,
+           np.asarray(inc2.shape), *aux, cache.z2, cache.pre2]
+    for size in sorted(cache.batch2.groups):
+        out += [*cache.batch2.groups[size], *cache.red2_cache[size]]
+    return out
+
+
+class TestInPlaceFieldReads:
+    """Layer 1 reads ``edge_init`` through global edge columns and mean
+    pooling adds member rows one position at a time; both must give what
+    gathering the field's rows and reducing member blocks gave."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_match_the_gathering_oracle_exactly(self, data):
+        h = draw_hypergraph(data, max_nodes=10, max_edges=10, max_size=5)
+        node = st.integers(0, h.num_nodes - 1)
+        targets = data.draw(st.lists(st.lists(node, min_size=1, max_size=6), min_size=1,
+                                     max_size=6), label="targets")
+        kind = data.draw(st.sampled_from(OMEGA_KINDS), label="kind")
+        agg = data.draw(st.sampled_from(AGG_KINDS), label="agg")
+        bilinear = data.draw(st.booleans(), label="bilinear")
+        k, d_e = data.draw(st.integers(1, 3), label="k"), data.draw(st.integers(1, 3), label="d_e")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        layers, edge_init, node_x = tiny_model(rng, h, k=k, d_e=d_e, bilinear=bilinear)
+        if agg == "harmonic":
+            edge_init = np.abs(edge_init)  # reciprocals of positive features, as one-hots give
+        probe = rng.normal(size=(len(targets), layers[1].out_dim))
+
+        out, cache = e2e_forward(layers, kind, h, edge_init, node_x, targets,
+                                 bilinear=bilinear, agg=agg)
+        want, oracle = gather_e2e_forward(layers, kind, h, edge_init, node_x, targets,
+                                          bilinear, agg)
+        assert np.array_equal(out, want)
+        got_arrays, want_arrays = cache_arrays(cache), cache_arrays(oracle)
+        assert len(got_arrays) == len(want_arrays)
+        for got, expected in zip(got_arrays, want_arrays):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        grads, oracle_grads = e2e_backward(cache, probe), e2e_backward(oracle, probe)
+        for name in ("W1", "W2"):
+            assert np.array_equal(grads[name], oracle_grads[name])
+
+    def test_wide_field_copies_no_edge_rows(self):
+        # 20k edges on 2k nodes: the 128 sets' 48 nodes reach 910 edges,
+        # whose 760 members reach 12,232 edges, so gathering the layer-1
+        # rows would copy 61% of the 10 MB table (a 7.5 MB peak; reading
+        # it in place peaks at 2.0 MB)
+        rng = np.random.default_rng(7)
+        n, m, k = 2000, 20000, 4
+        h = build_hypergraph([rng.choice(n, size=2, replace=False).tolist() for _ in range(m)],
+                             num_nodes=n)
+        edge_init = rng.uniform(size=(m, 64))
+        node_x = np.eye(k)[np.arange(n) % k]
+        layers = (init_layer(8, 64 + k, rng, False, "relu"),
+                  init_layer(4, 8 + k, rng, False, "identity"))
+        pool = rng.choice(n, size=48, replace=False)
+        targets = [rng.choice(pool, size=3, replace=False).tolist() for _ in range(128)]
+        tracemalloc.start()
+        try:
+            _, cache = e2e_forward(layers, "mean", h, edge_init, node_x, targets,
+                                   bilinear=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        layer1_nodes = h.pins[np.isin(h.pin_edge, cache.needed_edges)]
+        reached = np.unique(h.pin_edge[np.isin(h.pins, layer1_nodes)])
+        assert reached.size > m // 2
+        assert peak < edge_init.nbytes // 4
 
 
 class TestE2EBackward:

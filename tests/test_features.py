@@ -93,6 +93,25 @@ class TestKnowledgeEdgeInit:
         assert feats.shape == (2, 5)  # |R| + k
         np.testing.assert_array_equal(feats[0], [0, 1, 0, 1, 0])
 
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_equals_the_two_one_hots_concatenated(self, data):
+        h = draw_hypergraph(data, max_nodes=10, max_edges=10)
+        num_rel = data.draw(st.integers(1, 4), label="relations")
+        k = data.draw(st.integers(1, 4), label="k")
+        types = data.draw(st.lists(st.integers(0, num_rel - 1), min_size=h.num_edges,
+                                   max_size=h.num_edges), label="types")
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=h.num_nodes,
+                                    max_size=h.num_nodes), label="labels")
+        kh = KnowledgeHypergraph(h, types, tuple(f"r{i}" for i in range(num_rel)),
+                                 tuple(f"e{v}" for v in range(h.num_nodes)))
+        c = assignment(labels, k)
+        feats = knowledge_edge_init(kh, c)
+        want = np.concatenate([np.eye(num_rel)[types].reshape(h.num_edges, num_rel),
+                               edge_cluster_onehot(h, c)], axis=1)
+        assert feats.dtype == np.float64 and feats.flags.c_contiguous
+        assert np.array_equal(feats, want)
+
     def test_sub_vector_sums(self):
         feats = knowledge_edge_init(self.kh(), assignment([1, 1, 0], 2))
         assert feats[:, :3].sum(axis=1).tolist() == [1.0, 1.0]

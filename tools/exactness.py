@@ -31,8 +31,11 @@ level ``partition(k=16)`` coarsens them to. A kernel line hashes the
 scores of one ``e2e_forward`` call on a 128-edge batch of a planted
 graph, at hidden width 64 and 16 clusters, and the weight gradients
 ``e2e_backward`` returns for it; at that size both bilinear layers run
-several column blocks, and the second layer's last block is short. The
-whole run takes under a minute on one core.
+several column blocks, and the second layer's last block is short. A
+field line does the same, with mean pooling, for each aggregation, on a
+graph with ten edges per node and 48 edge feature columns: layer 1 of
+its batch reads every row of the edge feature table. The whole run takes
+under a minute on one core.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ PARTITIONS = ((5000, 2), (5000, 3), (5000, 8), (5000, 16), (20000, 16))
 PLANTED_PARTITIONS = ((1600, 1680, 3, 10, 16), (1280, 2240, 2, 6, 16))
 # (nodes, edges, smallest and largest arity, hidden width, clusters, batch)
 KERNEL = (1600, 2000, 3, 10, 64, 16, 128)
+# (nodes, edges, smallest and largest arity, edge feature columns, hidden
+# width, clusters, batch)
+FIELD = (600, 6000, 2, 4, 48, 16, 16, 128)
 
 
 def planted(rng, communities, nodes_per, num_edges, size_lo, size_hi):
@@ -155,6 +161,25 @@ def kernel_hash() -> str:
     return digest.hexdigest()[:16]
 
 
+def field_hash(agg) -> str:
+    n, num_edges, lo, hi, cols, hidden, k, batch = FIELD
+    rng = np.random.default_rng(5)
+    edges, _ = planted(rng, 4, n // 4, num_edges, lo, hi)
+    h = hc.build_hypergraph(edges, num_nodes=n)
+    node_x = np.eye(k)[np.arange(n) * k // n]
+    edge_init = rng.uniform(size=(num_edges, cols))
+    layers = (hc.init_layer(hidden, cols + k, rng, True, "relu"),
+              hc.init_layer(hidden, hidden + k, rng, True, "identity"))
+    members = h.edge_members
+    targets = [members[e] for e in rng.choice(num_edges, size=batch, replace=False)]
+    scores, cache = hc.e2e_forward(layers, "mean", h, edge_init, node_x, targets, agg=agg)
+    grads = hc.e2e_backward(cache, rng.normal(size=scores.shape))
+    digest = hashlib.sha256()
+    for arr in (scores, grads["W1"], grads["W2"]):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()[:16]
+
+
 def coarsen_hash() -> str:
     digest = hashlib.sha256()
     for n, num_edges, lo, hi, k in PLANTED_PARTITIONS:
@@ -201,6 +226,10 @@ def main() -> None:
     n, num_edges, lo, hi, hidden, k, batch = KERNEL
     print(f"kernel n={n} m={num_edges} arity={lo}-{hi} hidden={hidden} k={k} batch={batch} "
           f"{kernel_hash()}", flush=True)
+    n, num_edges, lo, hi, cols, hidden, k, batch = FIELD
+    for agg in AGGS:
+        print(f"field n={n} m={num_edges} arity={lo}-{hi} columns={cols} hidden={hidden} k={k} "
+              f"batch={batch} agg={agg} {field_hash(agg)}", flush=True)
 
 
 if __name__ == "__main__":
