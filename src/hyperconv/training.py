@@ -2,13 +2,16 @@
 
 Every stage trains through one loop, ``_fit``: shuffled mini-batches,
 early stopping on a validation metric and a restore of the best epoch's
-weights. Knowledge completion and hyperedge classification score batches
-of target edges against their relation (or class) label with cross
-entropy, with the target's own type slot masked out of the initial
-features for the duration of the batch. Hyperedge prediction trains in two
-stages, a cluster-id pretext task followed by a frozen-representation
-binary head. One function, ``_test_metrics``, scores the test sets for
-the drivers and for ``evaluate``.
+weights. Completion and classification draw each batch from a few
+partition clusters (as Cluster-GCN does), so its receptive field stays
+small; prediction's batches carry negatives with wide fields anyway, and
+keep a uniform shuffle. Knowledge completion and hyperedge
+classification score batches of target edges against their relation (or
+class) label with cross entropy, with the target's own type slot masked
+out of the initial features for the duration of the batch. Hyperedge
+prediction trains in two stages, a cluster-id pretext task followed by a
+frozen-representation binary head. One function, ``_test_metrics``,
+scores the test sets for the drivers and for ``evaluate``.
 
 Every driver sets a run up the same way: ``_prepare`` fixes the splits and
 builds and partitions the training-edge structure, and ``_new_model``
@@ -375,10 +378,38 @@ def _draw_run_negatives(
 # the shared training loop and test metrics
 
 
+# partition clusters per group of a block-ordered epoch: one cluster per
+# batch loses accuracy, a few keep the batch's labels mixed
+_CLUSTERS_PER_GROUP = 4
+
+
+def _epoch_order(rng: np.random.Generator, count: int,
+                 blocks: np.ndarray | None = None) -> np.ndarray:
+    """One epoch's order of the items ``range(count)``.
+
+    With no ``blocks`` this is ``rng.permutation(count)``. Otherwise
+    ``blocks[i]`` is item i's cluster id: the clusters are shuffled and
+    taken ``_CLUSTERS_PER_GROUP`` at a time, and the order lists every item
+    once, group by group, shuffled within its group.
+    """
+    if blocks is None:
+        return rng.permutation(count)
+    k = int(blocks.max()) + 1
+    group_of = np.empty(k, dtype=np.int64)
+    group_of[rng.permutation(k)] = np.arange(k) // _CLUSTERS_PER_GROUP
+    order = rng.permutation(count)
+    return order[np.argsort(group_of[blocks[order]], kind="stable")]
+
+
 def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
-         weights: list[np.ndarray], history: list[dict]) -> int:
+         weights: list[np.ndarray], history: list[dict],
+         blocks: np.ndarray | None = None) -> int:
     """Shuffled mini-batch epochs with early stopping on a validation metric.
 
+    Each epoch's order is ``_epoch_order(rng, count, blocks)``: a uniform
+    shuffle, or, given each item's partition cluster in ``blocks``, the
+    items of a few clusters at a time, so that a batch's receptive field
+    stays small. Batches are cut from the order one after another.
     ``step(batch)`` trains on the item positions in ``batch`` and returns
     their mean loss; ``validate()`` returns the metric, higher being
     better. Each epoch appends one row to ``history``, numbered on from the
@@ -393,7 +424,7 @@ def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
     # a diverging run overflows before the epoch's finite check stops it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(count)
+            order = _epoch_order(rng, count, blocks)
             loss_sum = 0.0
             for lo in range(0, count, cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
@@ -575,8 +606,10 @@ def _train_relational(
         return mrr(ranks) if cfg.task == "completion" else hit_at(ranks, 1)
 
     history: list[dict] = []
+    # batches from a few clusters at a time need layer 1 on fewer edges
     best_epoch = _fit(cfg, rng, len(labels), step, validate,
-                      [layer.weight for layer in model.layers], history)
+                      [layer.weight for layer in model.layers], history,
+                      blocks=edge_cluster_pool(structure, clusters))
     test_metrics = _test_metrics(model, *_facts(kh, splits.test))
     return model, _report(model, history, test_metrics, best_epoch, start)
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperconv.training as training
 from hyperconv.convolution import AGG_KINDS, OMEGA_KINDS, e2e_backward, e2e_forward, init_layer
 from hyperconv.data import Splits
+from hyperconv.features import edge_cluster_pool
 from hyperconv.hypergraph import build_hypergraph
 from hyperconv.training import (
     TASKS,
@@ -16,6 +18,8 @@ from hyperconv.training import (
     SamplingError,
     TrainConfig,
     _batch_cross_entropy,
+    _epoch_order,
+    _fit,
     evaluate,
     predict_edge,
     predict_relation,
@@ -181,6 +185,87 @@ def test_warm_adam_step_allocates_no_parameter_sized_temporaries():
     assert peak < w.nbytes
 
 
+def fit_orders(seed, count, batch_size, blocks, epochs=3):
+    """The item orders ``_fit`` visits, one per epoch."""
+    batches = []
+
+    def step(batch):
+        batches.append(batch.copy())
+        return 0.0
+
+    cfg = TrainConfig(task="completion", epochs=epochs, patience=epochs, batch_size=batch_size)
+    _fit(cfg, np.random.default_rng(seed), count, step, lambda: 0.0, [], [], blocks=blocks)
+    per_epoch = -(-count // batch_size)
+    return [np.concatenate(batches[i:i + per_epoch]) for i in range(0, len(batches), per_epoch)]
+
+
+def spans_of_clusters(order, blocks):
+    """The distinct cluster counts of the maximal runs of ``order`` that no
+    cluster's items cross: each cluster's first-to-last span, merged where
+    spans overlap."""
+    seq = blocks[order]
+    last = {c: i for i, c in enumerate(seq.tolist())}
+    runs, members, end = [], set(), -1
+    for i, c in enumerate(seq.tolist()):
+        members.add(c)
+        end = max(end, last[c])
+        if i == end:
+            runs.append(len(members))
+            members = set()
+    return runs
+
+
+@st.composite
+def block_draws(draw):
+    count = draw(st.integers(1, 300))
+    k = draw(st.integers(1, 20))
+    blocks = np.array(draw(st.lists(st.integers(0, k - 1), min_size=count, max_size=count)),
+                      dtype=np.int64)
+    return draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 64)), blocks
+
+
+class TestEpochOrder:
+    @settings(max_examples=150)
+    @given(block_draws())
+    def test_block_draw_is_a_repeatable_permutation_in_contiguous_groups(self, draw):
+        seed, batch_size, blocks = draw
+        orders = fit_orders(seed, len(blocks), batch_size, blocks)
+        assert len(orders) == 3
+        for order in orders:
+            np.testing.assert_array_equal(np.sort(order), np.arange(len(blocks)))
+            # a group of clusters is one contiguous run of the order
+            assert max(spans_of_clusters(order, blocks)) <= training._CLUSTERS_PER_GROUP
+        again = fit_orders(seed, len(blocks), batch_size, blocks)
+        for a, b in zip(orders, again):
+            np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.integers(1, 64))
+    def test_without_blocks_each_epoch_is_a_plain_permutation(self, count, seed, batch_size):
+        rng = np.random.default_rng(seed)
+        for order in fit_orders(seed, count, batch_size, None):
+            np.testing.assert_array_equal(order, rng.permutation(count))
+
+    def test_relational_tasks_draw_by_pooled_cluster_and_prediction_does_not(
+            self, monkeypatch):
+        seen = []
+
+        def record(rng, count, blocks=None):
+            seen.append(blocks)
+            return _epoch_order(rng, count, blocks)
+
+        monkeypatch.setattr(training, "_epoch_order", record)
+        kh = planted_knowledge(np.random.default_rng(5), nodes_per=10, num_edges=100)
+        model, _ = train_completion(kh, completion_config(epochs=2, patience=2))
+        pooled = edge_cluster_pool(model.structure, model.clusters)
+        assert len(seen) == 2
+        for blocks in seen:
+            np.testing.assert_array_equal(blocks, pooled)
+        seen.clear()
+        train_prediction(prediction_setup(), prediction_config(epochs=2, patience=2))
+        assert len(seen) == 4 and all(blocks is None for blocks in seen)
+
+
 class TestNegativeSampling:
     def test_invariants_hold_over_many_draws(self):
         rng = np.random.default_rng(12)
@@ -333,7 +418,7 @@ class TestCompletion:
         )
         cfg = completion_config(
             clusters=2, hidden_dim=8, epochs=10, patience=2, batch_size=16, seed=5,
-            learning_rate=3e-2,
+            learning_rate=3e-1,
         )
         splits = Splits.from_ratios(kh.base.num_edges, cfg.split_ratios, cfg.seed)
         model, report = train_completion(kh, cfg, splits)

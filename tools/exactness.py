@@ -34,7 +34,9 @@ graph, at hidden width 64 and 16 clusters, and the weight gradients
 several column blocks, and the second layer's last block is short. A
 field line does the same, with mean pooling, for each aggregation, on a
 graph with ten edges per node and 48 edge feature columns: layer 1 of
-its batch reads every row of the edge feature table. The whole run takes
+its batch reads every row of the edge feature table. The order line
+hashes the epoch orders ``_epoch_order`` draws from one seed for a fixed
+count and cluster array, block-ordered and uniform. The whole run takes
 under a minute on one core.
 """
 
@@ -51,6 +53,7 @@ import numpy as np
 
 import hyperconv as hc
 from hyperconv.partition import coarse_weights
+from hyperconv.training import _epoch_order
 
 TASKS = ("completion", "classification", "prediction")
 OMEGAS = ("mean", "var", "minmax")
@@ -65,6 +68,8 @@ KERNEL = (1600, 2000, 3, 10, 64, 16, 128)
 # (nodes, edges, smallest and largest arity, edge feature columns, hidden
 # width, clusters, batch)
 FIELD = (600, 6000, 2, 4, 48, 16, 16, 128)
+# (items, clusters, epochs)
+ORDER = (1000, 16, 3)
 
 
 def planted(rng, communities, nodes_per, num_edges, size_lo, size_hi):
@@ -180,6 +185,17 @@ def field_hash(agg) -> str:
     return digest.hexdigest()[:16]
 
 
+def order_hash() -> str:
+    count, k, epochs = ORDER
+    blocks = np.random.default_rng(6).integers(k, size=count)
+    rng = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    for _ in range(epochs):
+        for arr in (_epoch_order(rng, count, blocks), _epoch_order(rng, count)):
+            digest.update(arr.tobytes())
+    return digest.hexdigest()[:16]
+
+
 def coarsen_hash() -> str:
     digest = hashlib.sha256()
     for n, num_edges, lo, hi, k in PLANTED_PARTITIONS:
@@ -230,6 +246,8 @@ def main() -> None:
     for agg in AGGS:
         print(f"field n={n} m={num_edges} arity={lo}-{hi} columns={cols} hidden={hidden} k={k} "
               f"batch={batch} agg={agg} {field_hash(agg)}", flush=True)
+    count, k, epochs = ORDER
+    print(f"order count={count} k={k} epochs={epochs} {order_hash()}", flush=True)
 
 
 if __name__ == "__main__":
