@@ -5,13 +5,16 @@ concatenated with the node's cluster one-hot) followed by node-to-edge
 summarization (a spread statistic over member node features, optional
 bilinear lift, linear map, nonlinearity). Two stacked layers score
 arbitrary query sets of nodes; the backward pass returns exact weight
-gradients for both layers.
+gradients for both layers. A run whose edge features stay fixed can lift
+every edge's layer-1 input once (``lift_edges``) and pass the table to
+each forward, which then computes layer 1 as one matrix product.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -322,6 +325,28 @@ def _affine_forward(weight: np.ndarray, z: np.ndarray, bilinear: bool) -> np.nda
     return pre
 
 
+def _fold(weight: np.ndarray, d: int) -> np.ndarray:
+    """The bilinear weight in the packed layout of ``lift_edges``' rows:
+    M_j + M_j^T above the diagonal and M_j's own diagonal on it, so that
+    row j dotted with the lift of z is z^T M_j z."""
+    m = weight.reshape(-1, d, d)
+    folded = m + m.transpose(0, 2, 1)
+    diag = np.arange(d)
+    folded[:, diag, diag] = m[:, diag, diag]
+    rows, cols = np.triu_indices(d)
+    return folded[:, rows, cols]
+
+
+def _unfold(grad: np.ndarray, d: int) -> np.ndarray:
+    """A packed weight gradient in the full (out, d * d) layout, mirrored
+    into both triangles: z_a z_b is the gradient of M_j[a, b] and M_j[b, a]."""
+    rows, cols = np.triu_indices(d)
+    full = np.empty((grad.shape[0], d, d), dtype=np.float64)
+    full[:, rows, cols] = grad
+    full[:, cols, rows] = grad
+    return full.reshape(grad.shape[0], d * d)
+
+
 def _affine_backward(
     weight: np.ndarray,
     z: np.ndarray,
@@ -366,6 +391,92 @@ def n2e(
 
 
 # ---------------------------------------------------------------------------
+# layer 1 lifted once per run
+
+# the largest lift table a run keeps; above it layer 1 runs the blocked kernels
+_LIFT_BYTES = 64 << 20
+
+
+def _edge_summaries(kind: str, h: Hypergraph, edges: np.ndarray, edge_init: np.ndarray,
+                    node_x: np.ndarray, agg: str) -> np.ndarray:
+    """Layer 1's input z1 for ``edges`` (ascending ids): each edge's members
+    aggregated over their incident edges, then reduced by Omega. A row
+    depends on its own edge only, so the rows of any subset equal the same
+    rows of the all-edge table bit for bit."""
+    starts = h.edge_ptr[edges]
+    batch = _SetBatch(h.pins, starts, h.edge_ptr[edges + 1] - starts)
+    nodes = batch.localize(h.num_nodes)
+    z, _ = batch.reduce(kind, _edge_aggregate(h, nodes, edge_init, node_x, agg))
+    return z
+
+
+def lift_edges(
+    kind: str,
+    h: Hypergraph,
+    edge_init: np.ndarray,
+    node_x: np.ndarray,
+    bilinear: bool = True,
+    agg: str = "mean",
+) -> np.ndarray | None:
+    """Every edge's layer-1 input, for a run whose edge features stay fixed.
+
+    Row e is z1 of edge e, or with ``bilinear`` its packed outer product:
+    z_a z_b for a <= b in ``np.triu_indices`` order, which holds all of
+    z z^T that a bilinear output reads. ``e2e_forward`` takes the table as
+    ``lift``. Returns None when it would exceed ``_LIFT_BYTES``.
+    """
+    edge_init = np.asarray(edge_init, dtype=np.float64)
+    node_x = np.asarray(node_x, dtype=np.float64)
+    d = edge_init.shape[1] + node_x.shape[1]
+    width = d * (d + 1) // 2 if bilinear else d
+    if 8 * h.num_edges * width > _LIFT_BYTES:
+        return None
+    z = _edge_summaries(kind, h, np.arange(h.num_edges), edge_init, node_x, agg)
+    if not bilinear:
+        return z
+    # filled in place, a column run at a time, with no table-sized temporary
+    lift = np.empty((h.num_edges, width), dtype=np.float64)
+    col = 0
+    for a in range(d):
+        np.multiply(z[:, a, None], z[:, a:], out=lift[:, col:col + d - a])
+        col += d - a
+    return lift
+
+
+def _reads_whole(lift: np.ndarray, needed: np.ndarray) -> bool:
+    """Whether layer 1 takes every row of a bilinear lift table: one product
+    over the whole table costs less than gathering three quarters of it."""
+    return 4 * needed.size >= 3 * lift.shape[0]
+
+
+def _gathered(lift: np.ndarray, needed: np.ndarray):
+    """The ``needed`` rows of a lift table, as (positions in ``needed``,
+    rows) blocks whose copies stay within ``_BLOCK_BYTES``."""
+    step = max(1, _BLOCK_BYTES // (8 * lift.shape[1]))
+    for a in range(0, needed.size, step):
+        yield slice(a, a + step), lift[needed[a:a + step]]
+
+
+def _lifted_forward(weight: np.ndarray, lift: np.ndarray, needed: np.ndarray, d: int,
+                    bilinear: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Layer 1's input rows and pre-activations for the ``needed`` edges,
+    from a ``lift_edges`` table. Bilinear, the input is the table itself,
+    and the weight is folded to its packing."""
+    if not bilinear:
+        z = lift[needed]
+        return z, _affine_forward(weight, z, False)
+    if weight.shape[1] != d * d:
+        raise ValueError(f"weight expects input dim {weight.shape[1]}, bilinear gives {d * d}")
+    packed = _fold(weight, d)
+    if _reads_whole(lift, needed):
+        return lift, (lift @ packed.T)[needed]
+    pre = np.empty((needed.size, weight.shape[0]), dtype=np.float64)
+    for part, rows in _gathered(lift, needed):
+        np.matmul(rows, packed.T, out=pre[part])
+    return lift, pre
+
+
+# ---------------------------------------------------------------------------
 # the two-layer edge-to-edge stack
 
 
@@ -377,7 +488,9 @@ class E2ECache:
     ``needed_edges`` are the global ids of the edges incident to a target
     node, ascending, and hold the first-layer rows ``z1``/``pre1``;
     ``inc2`` is the target nodes' incidence rows with columns renumbered
-    into ``needed_edges``. ``z2`` has one row per target set.
+    into ``needed_edges``. ``z2`` has one row per target set. When
+    ``packed``, ``z1`` is the bilinear lift table the forward read, one row
+    per edge of the structure.
     """
 
     kind: str
@@ -393,6 +506,7 @@ class E2ECache:
     red2_cache: dict
     z2: np.ndarray
     pre2: np.ndarray
+    packed: bool = False
 
 
 def e2e_forward(
@@ -404,6 +518,7 @@ def e2e_forward(
     targets: Sequence[Sequence[int]],
     bilinear: bool = True,
     agg: str = "mean",
+    lift: np.ndarray | None = None,
 ) -> tuple[np.ndarray, E2ECache]:
     """Run the stacked convolution and score the target node sets.
 
@@ -417,6 +532,12 @@ def e2e_forward(
     summation order, so the aggregates are bit-identical to whole-graph
     ones; outputs match the whole-graph composition of ``e2n`` and ``n2e``
     up to the rounding of dense products over different row counts.
+
+    ``lift``, the ``lift_edges`` table of the same structure, features,
+    kind, bilinear flag and aggregation, spares layer 1 its aggregation and
+    reduction. Without ``bilinear`` the outputs are bit-identical; with it,
+    layer 1 is one product of the table and the packed weight, which
+    matches the blocked kernel to rounding.
     """
     if len(layers) != 2:
         raise ValueError("the stack is two layers")
@@ -432,13 +553,14 @@ def e2e_forward(
     nodes2 = batch2.localize(h.num_nodes)
     inc2, needed, deg2 = _rows(h, nodes2)
 
-    starts = h.edge_ptr[needed]
-    batch1 = _SetBatch(h.pins, starts, h.edge_ptr[needed + 1] - starts)
-    nodes1 = batch1.localize(h.num_nodes)
-    nf1 = _edge_aggregate(h, nodes1, edge_init, node_x, agg)
-    z1, _ = batch1.reduce(kind, nf1)
-    del nf1
-    pre1 = _affine_forward(layer1.weight, z1, bilinear)
+    if lift is None:
+        z1 = _edge_summaries(kind, h, needed, edge_init, node_x, agg)
+        pre1 = _affine_forward(layer1.weight, z1, bilinear)
+    else:
+        d = edge_init.shape[1] + node_x.shape[1]
+        if lift.shape != (h.num_edges, d * (d + 1) // 2 if bilinear else d):
+            raise ValueError(f"lift of shape {lift.shape} does not match the features")
+        z1, pre1 = _lifted_forward(layer1.weight, lift, needed, d, bilinear)
     ef1 = _act(pre1, layer1.activation)
 
     nf2, aux2 = _aggregate(inc2, deg2, ef1, node_x, nodes2, agg)
@@ -460,6 +582,7 @@ def e2e_forward(
         red2_cache=red2_cache,
         z2=z2,
         pre2=pre2,
+        packed=lift is not None and bilinear,
     )
     return out, cache
 
@@ -492,5 +615,18 @@ def e2e_backward(cache: E2ECache, upstream: np.ndarray) -> dict[str, np.ndarray]
             )
         def1 = (cache.inc2.T @ gs) * np.square(recip)
     g1 = def1 * _act_grad(cache.pre1, layer1.activation)
-    dw1, _ = _affine_backward(layer1.weight, cache.z1, g1, cache.bilinear, need_dz=False)
+    if cache.packed:
+        lift, needed = cache.z1, cache.needed_edges
+        if _reads_whole(lift, needed):
+            # each needed edge's gradient on its row of the table
+            rows = np.zeros((lift.shape[0], g1.shape[1]), dtype=np.float64)
+            rows[needed] = g1
+            grad = rows.T @ lift
+        else:
+            grad = np.zeros((g1.shape[1], lift.shape[1]), dtype=np.float64)
+            for part, rows in _gathered(lift, needed):
+                grad += g1[part].T @ rows
+        dw1 = _unfold(grad, math.isqrt(layer1.weight.shape[1]))
+    else:
+        dw1, _ = _affine_backward(layer1.weight, cache.z1, g1, cache.bilinear, need_dz=False)
     return {"W1": dw1, "W2": dw2}

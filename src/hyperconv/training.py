@@ -40,6 +40,7 @@ from .convolution import (
     e2e_backward,
     e2e_forward,
     init_layer,
+    lift_edges,
 )
 from .data import Splits
 from .features import (
@@ -216,47 +217,55 @@ class RunReport:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per slice of an Adam step: two scratch buffers of this size
+# serve every parameter, however large
+_ADAM_CHUNK = 1 << 15
 
 
 class Adam:
     """Adaptive-moment gradient descent over a named parameter dict.
 
-    Arrays are updated in place so callers keep their references. One
-    pair of float64 scratch buffers, sized to the largest parameter, serves
-    every parameter in turn, so a step allocates nothing.
+    Arrays are updated in place so callers keep their references, which
+    must be C-contiguous. Each parameter is stepped in slices of
+    ``_ADAM_CHUNK`` elements through one pair of float64 scratch buffers
+    of that size, so a step allocates nothing and the buffers stay small.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3):
+        for name, p in params.items():
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} is not C-contiguous")
         self.params = params
         self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        size = max((v.size for v in params.values()), default=0)
-        self._scratch = (np.empty(size), np.empty(size))
+        self._scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
-        for name, g in grads.items():
-            m, v = self.m[name], self.v[name]
-            num, den = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
-            m *= ADAM_BETA1
-            np.multiply(1.0 - ADAM_BETA1, g, out=num)
-            m += num
-            v *= ADAM_BETA2
-            np.square(g, out=num)
-            num *= 1.0 - ADAM_BETA2
-            v += num
-            # lr * (m / c1) / (sqrt(v / c2) + eps), in that order
-            np.divide(m, c1, out=num)
-            num *= self.lr
-            np.divide(v, c2, out=den)
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            num /= den
-            self.params[name] -= num
+        for name, grad in grads.items():
+            flat = [a.reshape(-1) for a in (self.params[name], self.m[name], self.v[name], grad)]
+            for lo in range(0, flat[0].size, _ADAM_CHUNK):
+                p, m, v, g = (a[lo:lo + _ADAM_CHUNK] for a in flat)
+                num, den = (buf[:g.size] for buf in self._scratch)
+                m *= ADAM_BETA1
+                np.multiply(1.0 - ADAM_BETA1, g, out=num)
+                m += num
+                v *= ADAM_BETA2
+                np.square(g, out=num)
+                num *= 1.0 - ADAM_BETA2
+                v += num
+                # lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+                np.divide(m, c1, out=num)
+                num *= self.lr
+                np.divide(v, c2, out=den)
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                num /= den
+                p -= num
 
 
 def _batch_cross_entropy(
@@ -450,7 +459,7 @@ def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
     return best_epoch
 
 
-def _forward(model: TrainedModel, member_sets):
+def _forward(model: TrainedModel, member_sets, lift: np.ndarray | None = None):
     return e2e_forward(
         model.layers,
         model.config.omega_kind,
@@ -460,6 +469,7 @@ def _forward(model: TrainedModel, member_sets):
         member_sets,
         bilinear=model.config.bilinear,
         agg=model.config.agg,
+        lift=lift,
     )
 
 
@@ -658,7 +668,10 @@ def train_prediction(
     dedicated fake class for corrupted ones. Stage 2 freezes the layers
     and fits a binary linear head on the 64-d set representations.
     Negatives are drawn once per run, one per positive, per split, from
-    the run seed, so ``evaluate`` can replay them.
+    the run seed, so ``evaluate`` can replay them. No edge feature is
+    masked, so layer 1's inputs are lifted once (``lift_edges``) and every
+    training forward reads them; the test metrics use the blocked kernels,
+    as ``evaluate`` does.
     """
     if cfg.task != "prediction":
         raise ValueError(f"config is for task {cfg.task!r}")
@@ -669,6 +682,9 @@ def train_prediction(
     # the negatives are the seed's first draws, which ``evaluate`` replays
     neg = _draw_run_negatives(h, splits, rng)
     model = _new_model(cfg, rng, structure, clusters)
+    # None above the size cap: the forwards then run the blocked kernels
+    lift = lift_edges(cfg.omega_kind, structure, model.edge_init, model.node_x,
+                      cfg.bilinear, cfg.agg)
     layer1, layer2 = model.layers
     params = model.params
     params.head_weight = head_w = init_layer(k + 1, cfg.hidden_dim, rng, False).weight
@@ -685,7 +701,7 @@ def train_prediction(
     adam = Adam(params.trainable(), lr=cfg.learning_rate)
 
     def pretext_step(batch):
-        reps, cache = _forward(model, [train_sets[int(b)] for b in batch])
+        reps, cache = _forward(model, [train_sets[int(b)] for b in batch], lift)
         logits = reps @ head_w.T + head_b
         loss, dlogits = _batch_cross_entropy(logits, train_labels[batch])
         grads = e2e_backward(cache, dlogits @ head_w)
@@ -695,7 +711,7 @@ def train_prediction(
         return loss
 
     def pretext_accuracy():
-        logits = _forward(model, valid_sets)[0] @ head_w.T + head_b
+        logits = _forward(model, valid_sets, lift)[0] @ head_w.T + head_b
         return accuracy(logits.argmax(axis=1), valid_labels)
 
     history: list[dict] = []
@@ -705,9 +721,9 @@ def train_prediction(
     # stage 2: frozen representations, fresh binary head
     frozen1 = layer1.weight.copy()
     frozen2 = layer2.weight.copy()
-    train_reps = _forward(model, train_sets)[0]
+    train_reps = _forward(model, train_sets, lift)[0]
     bin_labels = (train_labels != k).astype(np.int64)
-    valid_reps = _forward(model, valid_sets)[0]
+    valid_reps = _forward(model, valid_sets, lift)[0]
     valid_real = valid_labels != k
 
     params.head_weight = head_w2 = init_layer(2, cfg.hidden_dim, rng, False).weight

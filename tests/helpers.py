@@ -326,7 +326,7 @@ def gather_e2e_forward(layers, kind, h, edge_init, node_x, targets, bilinear, ag
     pre2 = _affine_forward(layer2.weight, z2, bilinear)
     cache = E2ECache(kind=kind, bilinear=bilinear, agg=agg, layers=tuple(layers),
                      needed_edges=needed, z1=z1, pre1=pre1, inc2=inc2, e2n2_aux=aux2,
-                     batch2=batch2, red2_cache=red2_cache, z2=z2, pre2=pre2)
+                     batch2=batch2, red2_cache=red2_cache, z2=z2, pre2=pre2, packed=False)
     return _act(pre2, layer2.activation), cache
 
 

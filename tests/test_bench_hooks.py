@@ -9,8 +9,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import hyperconv
-from helpers import uniform_hypergraph
+import hyperconv.training as training
+from helpers import planted_communities, uniform_hypergraph
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -52,3 +55,26 @@ def test_partition_calls_coarsen_through_the_hooked_attribute(monkeypatch):
     hyperconv.partition(h, 2)
     assert sizes[0] == h.num_nodes
     assert len(sizes) >= 2
+
+
+def test_a_traced_prediction_run_counts_every_pretext_set():
+    # the bench reads sets_stepped off each backward's cache and the field
+    # off each forward's; a training path that bypassed either hook would
+    # read 0 sets or no field
+    tracing = load_tracing()
+    edges, _ = planted_communities(np.random.default_rng(3), 2, 20, 70, 4, 6)
+    h = hyperconv.build_hypergraph(edges, num_nodes=40)
+    cfg = hyperconv.TrainConfig(task="prediction", clusters=4, hidden_dim=8, epochs=2,
+                                patience=2, batch_size=32, seed=5)
+    splits = hyperconv.Splits.from_ratios(h.num_edges, cfg.split_ratios, cfg.seed)
+    negatives = training._draw_run_negatives(h, splits, np.random.default_rng(cfg.seed))
+    pretext_sets = len(splits.train) + len(negatives["train"])
+    probe = tracing.Probe(tracing.Tracer())
+    with tracing.hooked(probe):
+        hyperconv.train_prediction(h, cfg, splits=splits)
+    assert probe.sets_stepped == cfg.epochs * pretext_sets
+    steps = cfg.epochs * -(-pretext_sets // cfg.batch_size)
+    trained = probe.tracer.named("conv.fwd_train")
+    assert len(trained) == steps == probe.tracer.calls("conv.bwd")
+    forwards = trained + probe.tracer.named("conv.fwd_score")
+    assert all(0 < span.attrs["needed_edges"] <= span.attrs["edges"] for span in forwards)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hyperconv.convolution import (
     OMEGA_KINDS,
     E2ECache,
     LayerParams,
+    _edge_summaries,
     _flat_sets,
     _affine_forward,
     _SetBatch,
@@ -18,6 +20,7 @@ from hyperconv.convolution import (
     e2e_forward,
     e2n,
     init_layer,
+    lift_edges,
     n2e,
 )
 from hyperconv.hypergraph import build_hypergraph
@@ -350,7 +353,7 @@ def cache_arrays(cache: E2ECache) -> list[np.ndarray]:
     aux = cache.e2n2_aux if isinstance(cache.e2n2_aux, tuple) else (cache.e2n2_aux,)
     inc2 = cache.inc2
     out = [cache.needed_edges, cache.z1, cache.pre1, inc2.data, inc2.indices, inc2.indptr,
-           np.asarray(inc2.shape), *aux, cache.z2, cache.pre2]
+           np.asarray(inc2.shape), *aux, cache.z2, cache.pre2, np.asarray(cache.packed)]
     for size in sorted(cache.batch2.groups):
         out += [*cache.batch2.groups[size], *cache.red2_cache[size]]
     return out
@@ -417,6 +420,163 @@ class TestInPlaceFieldReads:
         reached = np.unique(h.pin_edge[np.isin(h.pins, layer1_nodes)])
         assert reached.size > m // 2
         assert peak < edge_init.nbytes // 4
+
+
+def draw_lift_case(data, bilinear):
+    """A drawn graph, query sets, kind, aggregation and tiny model."""
+    h = draw_hypergraph(data, max_nodes=10, max_edges=10, max_size=5)
+    node = st.integers(0, h.num_nodes - 1)
+    targets = data.draw(st.lists(st.lists(node, min_size=1, max_size=6), min_size=1,
+                                 max_size=6), label="targets")
+    kind = data.draw(st.sampled_from(OMEGA_KINDS), label="kind")
+    agg = data.draw(st.sampled_from(AGG_KINDS), label="agg")
+    k, d_e = data.draw(st.integers(1, 3), label="k"), data.draw(st.integers(1, 3), label="d_e")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    layers, edge_init, node_x = tiny_model(rng, h, k=k, d_e=d_e, bilinear=bilinear)
+    if agg == "harmonic":
+        edge_init = np.abs(edge_init)
+    probe = rng.normal(size=(len(targets), layers[1].out_dim))
+    return h, targets, kind, agg, layers, edge_init, node_x, probe
+
+
+def lifted_and_blocked(h, targets, kind, agg, layers, edge_init, node_x, probe, bilinear):
+    """Outputs, W1/W2 gradients and caches of one forward with the lift
+    and one without."""
+    lift = lift_edges(kind, h, edge_init, node_x, bilinear, agg)
+    runs = []
+    for table in (lift, None):
+        out, cache = e2e_forward(layers, kind, h, edge_init, node_x, targets,
+                                 bilinear=bilinear, agg=agg, lift=table)
+        runs.append((out, e2e_backward(cache, probe), cache))
+    return runs
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rtol * np.abs(want).max(initial=0.0)
+
+
+class TestLift:
+    """Layer 1 from a table lifted once: ``lift_edges`` rows for every edge,
+    read by ``e2e_forward(..., lift=)``."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_any_edge_subset_has_the_all_edge_rows(self, data):
+        h = draw_hypergraph(data, max_nodes=10, max_edges=12, max_size=5)
+        edges = np.flatnonzero(np.asarray(data.draw(
+            st.lists(st.booleans(), min_size=h.num_edges, max_size=h.num_edges), label="pick"),
+            dtype=bool))
+        kind = data.draw(st.sampled_from(OMEGA_KINDS), label="kind")
+        agg = data.draw(st.sampled_from(AGG_KINDS), label="agg")
+        k, d_e = data.draw(st.integers(1, 3), label="k"), data.draw(st.integers(1, 4), label="d_e")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        edge_init = np.abs(rng.normal(size=(h.num_edges, d_e)))
+        node_x = rng.normal(size=(h.num_nodes, k))
+        table = lift_edges(kind, h, edge_init, node_x, False, agg)
+        subset = _edge_summaries(kind, h, edges, edge_init, node_x, agg)
+        assert table.shape == (h.num_edges, d_e + k)
+        assert subset.dtype == table.dtype and np.array_equal(subset, table[edges])
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_bilinear_matches_the_blocked_kernels(self, data):
+        case = draw_lift_case(data, bilinear=True)
+        (out, grads, cache), (want, want_grads, _) = lifted_and_blocked(*case, True)
+        assert cache.packed
+        assert_close(out, want)
+        for name in ("W1", "W2"):
+            assert_close(grads[name], want_grads[name])
+        d = math.isqrt(grads["W1"].shape[1])
+        m = grads["W1"].reshape(-1, d, d)
+        assert np.array_equal(m, m.transpose(0, 2, 1))
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_without_bilinear_nothing_changes(self, data):
+        case = draw_lift_case(data, bilinear=False)
+        (out, grads, cache), (want, want_grads, oracle) = lifted_and_blocked(*case, False)
+        assert np.array_equal(out, want)
+        for name in ("W1", "W2"):
+            assert np.array_equal(grads[name], want_grads[name])
+        for got, expected in zip(cache_arrays(cache), cache_arrays(oracle), strict=True):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("target, needed, gathers",
+                             [([0], 1, True), ([0, 1, 2], 3, True), ([0, 1, 2, 3], 4, False)])
+    def test_gathers_the_field_in_blocks_unless_it_covers_most_of_the_table(
+            self, monkeypatch, target, needed, gathers):
+        # a path of 5 edges: nodes 0 to i reach edges 0 to i
+        rng = np.random.default_rng(3)
+        h = build_hypergraph([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
+        layers, edge_init, node_x = tiny_model(rng, h)
+        probe = rng.normal(size=(1, layers[1].out_dim))
+        monkeypatch.setattr(convolution, "_BLOCK_BYTES", 8 * 10)  # one row of 10 columns
+        real, blocks = convolution._gathered, []
+
+        def counting(lift, rows):
+            blocks.append(len(list(real(lift, rows))))
+            return real(lift, rows)
+
+        monkeypatch.setattr(convolution, "_gathered", counting)
+        (out, grads, cache), (want, want_grads, _) = lifted_and_blocked(
+            h, [target], "var", "mean", layers, edge_init, node_x, probe, True)
+        assert cache.needed_edges.size == needed
+        assert cache.z1.shape == (5, 10)  # the table itself: d = 4 packs into 10 columns
+        assert blocks == ([needed, needed] if gathers else [])  # forward, then backward
+        assert_close(out, want)
+        assert_close(grads["W1"], want_grads["W1"])
+
+    def test_a_small_field_copies_no_large_block_of_the_table(self):
+        # 1,000 two-member edges on 2,000 nodes, d = 32: a 4.2 MB table whose
+        # 462 field rows are 1.95 MB; gathered in blocks of 256 KiB, forward
+        # and backward peak at 0.77 MB
+        rng = np.random.default_rng(8)
+        n, m, k = 2000, 1000, 2
+        h = build_hypergraph([rng.choice(n, size=2, replace=False).tolist() for _ in range(m)],
+                             num_nodes=n)
+        edge_init = rng.uniform(size=(m, 30))
+        node_x = np.eye(k)[np.arange(n) % k]
+        layers = (init_layer(8, 32, rng, True, "relu"), init_layer(4, 8 + k, rng, True, "identity"))
+        targets = [h.pins[h.edge_ptr[e]:h.edge_ptr[e + 1]].tolist() for e in range(0, m, 5)]
+        lift = lift_edges("mean", h, edge_init, node_x)
+        tracemalloc.start()
+        try:
+            out, cache = e2e_forward(layers, "mean", h, edge_init, node_x, targets, lift=lift)
+            e2e_backward(cache, np.ones_like(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        field_bytes = cache.needed_edges.size * lift.shape[1] * 8
+        assert 0.3 * m < cache.needed_edges.size < 0.75 * m
+        assert peak < field_bytes / 2
+
+    def test_packed_rows_are_the_upper_triangle_of_the_outer_product(self):
+        rng = np.random.default_rng(5)
+        h = random_hypergraph(rng)
+        _, edge_init, node_x = tiny_model(rng, h, k=2, d_e=3)
+        z = lift_edges("minmax", h, edge_init, node_x, False)
+        lift = lift_edges("minmax", h, edge_init, node_x, True)
+        rows, cols = np.triu_indices(5)
+        assert np.array_equal(lift, z[:, rows] * z[:, cols])
+
+    def test_above_the_cap_there_is_no_table(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        h = random_hypergraph(rng)
+        _, edge_init, node_x = tiny_model(rng, h, k=2, d_e=2)
+        size = 8 * h.num_edges * 10
+        monkeypatch.setattr(convolution, "_LIFT_BYTES", size)
+        assert lift_edges("mean", h, edge_init, node_x).shape == (h.num_edges, 10)
+        monkeypatch.setattr(convolution, "_LIFT_BYTES", size - 1)
+        assert lift_edges("mean", h, edge_init, node_x) is None
+
+    def test_mismatched_table_rejected(self):
+        rng = np.random.default_rng(7)
+        h = build_hypergraph([[0, 1], [1, 2]])
+        layers, edge_init, node_x = tiny_model(rng, h)
+        lift = lift_edges("mean", h, edge_init, node_x, False)
+        with pytest.raises(ValueError, match="lift"):
+            e2e_forward(layers, "mean", h, edge_init, node_x, [[0]], lift=lift)
 
 
 class TestE2EBackward:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperconv.training as training
+from hyperconv import convolution
 from hyperconv.convolution import AGG_KINDS, OMEGA_KINDS, e2e_backward, e2e_forward, init_layer
 from hyperconv.data import Splits
 from hyperconv.features import edge_cluster_pool
@@ -183,6 +184,28 @@ def test_warm_adam_step_allocates_no_parameter_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < w.nbytes
+
+
+def test_adam_steps_in_chunks_as_it_would_in_one_slice(monkeypatch):
+    # 2.5 chunks of 4 elements, then one slice holding every element
+    rng = np.random.default_rng(1)
+    start = rng.normal(size=(2, 5))
+    grads = [rng.normal(size=start.shape) for _ in range(4)]
+    finals = []
+    for chunk in (4, 16):
+        monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
+        w = start.copy()
+        opt = Adam({"w": w}, lr=1e-2)
+        for g in grads:
+            opt.step({"w": g})
+        finals.append(w)
+    assert np.array_equal(*finals)
+    assert not np.array_equal(finals[0], start)
+
+
+def test_adam_rejects_parameters_it_cannot_step_in_place():
+    with pytest.raises(ValueError, match="contiguous"):
+        Adam({"w": np.zeros((4, 4)).T})
 
 
 def fit_orders(seed, count, batch_size, blocks, epochs=3):
@@ -508,6 +531,41 @@ class TestPrediction:
         splits = Splits.from_ratios(h.num_edges, cfg.split_ratios, cfg.seed)
         model, report = train_prediction(h, cfg, splits=splits)
         assert evaluate(model, h, splits) == report.test_metrics
+
+    def test_training_forwards_read_the_lift_and_the_test_forward_does_not(self, monkeypatch):
+        lifts = []
+        real = training.e2e_forward
+
+        def recording(*args, **kwargs):
+            lifts.append(kwargs["lift"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "e2e_forward", recording)
+        train_prediction(prediction_setup(), prediction_config(epochs=2, patience=2))
+        assert all(lift is not None for lift in lifts[:-1])
+        assert lifts[-1] is None
+        assert len({id(lift) for lift in lifts[:-1]}) == 1  # built once per run
+
+    def test_above_the_lift_cap_the_run_is_the_blocked_run(self, monkeypatch):
+        h, cfg = prediction_setup(), prediction_config(epochs=4, patience=4, omega="var")
+        real = training.e2e_forward
+
+        def runs():
+            model, report = train_prediction(h, cfg)
+            doc = report.to_dict()
+            del doc["wall_seconds"]
+            return doc, [w.copy() for w in model.params.trainable().values()]
+
+        # every forward on the blocked kernels, as before the lift
+        monkeypatch.setattr(training, "e2e_forward",
+                            lambda *args, lift, **kwargs: real(*args, **kwargs))
+        blocked = runs()
+        monkeypatch.setattr(training, "e2e_forward", real)
+        monkeypatch.setattr(convolution, "_LIFT_BYTES", 0)
+        capped = runs()
+        assert capped[0] == blocked[0]
+        for got, want in zip(capped[1], blocked[1], strict=True):
+            assert np.array_equal(got, want)
 
     def test_node_count_mismatch_rejected(self):
         h = prediction_setup()

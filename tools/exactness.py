@@ -31,8 +31,10 @@ level ``partition(k=16)`` coarsens them to. A kernel line hashes the
 scores of one ``e2e_forward`` call on a 128-edge batch of a planted
 graph, at hidden width 64 and 16 clusters, and the weight gradients
 ``e2e_backward`` returns for it; at that size both bilinear layers run
-several column blocks, and the second layer's last block is short. A
-field line does the same, with mean pooling, for each aggregation, on a
+several column blocks, and the second layer's last block is short. The
+kernel line marked ``lift=on`` makes the same call with layer 1 read from
+``lift_edges``' packed table of that graph, whole, as a prediction run
+reads it. A field line does the same, with mean pooling, for each aggregation, on a
 graph with ten edges per node and 48 edge feature columns: layer 1 of
 its batch reads every row of the edge feature table. The order line
 hashes the epoch orders ``_epoch_order`` draws from one seed for a fixed
@@ -52,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 import hyperconv as hc
+from hyperconv.convolution import lift_edges
 from hyperconv.partition import coarse_weights
 from hyperconv.training import _epoch_order
 
@@ -147,7 +150,7 @@ def partition_hash(edges, num_nodes, k) -> str:
     return hashlib.sha256(c.cluster_of.tobytes()).hexdigest()[:16]
 
 
-def kernel_hash() -> str:
+def kernel_hash(lifted: bool = False) -> str:
     n, num_edges, lo, hi, hidden, k, batch = KERNEL
     rng = np.random.default_rng(4)
     edges, _ = planted(rng, 16, n // 16, num_edges, lo, hi)
@@ -158,7 +161,8 @@ def kernel_hash() -> str:
               hc.init_layer(hidden, hidden + k, rng, True, "identity"))
     members = h.edge_members
     targets = [members[e] for e in rng.choice(num_edges, size=batch, replace=False)]
-    scores, cache = hc.e2e_forward(layers, "minmax", h, edge_init, node_x, targets)
+    lift = lift_edges("minmax", h, edge_init, node_x) if lifted else None
+    scores, cache = hc.e2e_forward(layers, "minmax", h, edge_init, node_x, targets, lift=lift)
     grads = hc.e2e_backward(cache, rng.normal(size=scores.shape))
     digest = hashlib.sha256()
     for arr in (scores, grads["W1"], grads["W2"]):
@@ -240,8 +244,9 @@ def main() -> None:
               flush=True)
     print(f"coarsen planted levels {coarsen_hash()}", flush=True)
     n, num_edges, lo, hi, hidden, k, batch = KERNEL
-    print(f"kernel n={n} m={num_edges} arity={lo}-{hi} hidden={hidden} k={k} batch={batch} "
-          f"{kernel_hash()}", flush=True)
+    for lifted in (False, True):
+        print(f"kernel n={n} m={num_edges} arity={lo}-{hi} hidden={hidden} k={k} batch={batch}"
+              f"{' lift=on' if lifted else ''} {kernel_hash(lifted)}", flush=True)
     n, num_edges, lo, hi, cols, hidden, k, batch = FIELD
     for agg in AGGS:
         print(f"field n={n} m={num_edges} arity={lo}-{hi} columns={cols} hidden={hidden} k={k} "
