@@ -26,9 +26,8 @@ from .hypergraph import Hypergraph, _segments
 logger = logging.getLogger(__name__)
 
 OMEGA_KINDS = ("mean", "var", "minmax")
-AGG_KINDS = ("mean", "harmonic")
+AGG_KINDS = ("mean",)
 ACTIVATIONS = ("relu", "identity")
-HARMONIC_EPS = 1e-6
 
 
 @dataclass
@@ -125,47 +124,28 @@ def _aggregate(
     edge_features: np.ndarray,
     node_x: np.ndarray,
     nodes: np.ndarray,
-    agg: str,
 ):
-    """Edge-to-node aggregation for the rows of an incidence matrix.
+    """Mean edge-to-node aggregation for the rows of an incidence matrix.
 
     ``edge_features`` has one row per column of ``incidence``, ``deg`` and
     ``nodes`` one per row; row r of ``node_x[nodes]`` is appended to row
     r's aggregate, both written into one buffer. Returns that buffer plus
-    what the backward pass needs: the inverse degrees for mean; the
-    degrees, reciprocal sums and reciprocals for harmonic.
+    the inverse degrees, which the backward pass needs.
     """
     cols = edge_features.shape[1]
     out = np.empty((deg.size, cols + node_x.shape[1]), dtype=np.float64)
-    agg_part = out[:, :cols]
-    if agg == "mean":
-        inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-        np.multiply(incidence @ edge_features, inv_deg[:, None], out=agg_part)
-        aux = inv_deg
-    elif agg == "harmonic":
-        recip = 1.0 / (edge_features + HARMONIC_EPS)
-        s = incidence @ recip
-        zero = s == 0.0
-        np.divide(deg[:, None], np.where(zero, 1.0, s), out=agg_part)
-        agg_part[zero] = 0.0
-        aux = (deg, s, recip)
-    else:
-        raise ValueError(f"unknown aggregation {agg!r}")
+    inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+    np.multiply(incidence @ edge_features, inv_deg[:, None], out=out[:, :cols])
     out[:, cols:] = node_x[nodes]
-    return out, aux
+    return out, inv_deg
 
 
 def _edge_aggregate(h: Hypergraph, nodes: np.ndarray, edge_features: np.ndarray,
-                    node_x: np.ndarray, agg: str) -> np.ndarray:
+                    node_x: np.ndarray) -> np.ndarray:
     """``_aggregate`` of the ``nodes`` rows over ``edge_features``, one row
-    per edge of ``h``. Mean reads the table in place through global edge
-    columns; harmonic takes reciprocals of the referenced rows only."""
-    if agg == "harmonic":
-        incidence, edges, deg = _rows(h, nodes)
-        edge_features = edge_features[edges]
-    else:
-        incidence, _, deg = _rows(h, nodes, renumber=False)
-    out, _ = _aggregate(incidence, deg, edge_features, node_x, nodes, agg)
+    per edge of ``h``, read in place through global edge columns."""
+    incidence, _, deg = _rows(h, nodes, renumber=False)
+    out, _ = _aggregate(incidence, deg, edge_features, node_x, nodes)
     return out
 
 
@@ -173,9 +153,8 @@ def e2n(
     h: Hypergraph,
     edge_features: np.ndarray,
     node_x: np.ndarray,
-    agg: str = "mean",
 ) -> np.ndarray:
-    """Per-node features: aggregated incident edge features, then the
+    """Per-node features: the mean of incident edge features, then the
     node's own tag vector appended.
 
     Isolated nodes get a zero aggregate (counted and logged, not fatal).
@@ -188,7 +167,7 @@ def e2n(
     if isolated:
         logger.debug("%d isolated nodes aggregate to zero", isolated)
     return _edge_aggregate(h, np.arange(h.num_nodes), np.asarray(edge_features, dtype=np.float64),
-                           np.asarray(node_x, dtype=np.float64), agg)
+                           np.asarray(node_x, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +377,7 @@ _LIFT_BYTES = 64 << 20
 
 
 def _edge_summaries(kind: str, h: Hypergraph, edges: np.ndarray, edge_init: np.ndarray,
-                    node_x: np.ndarray, agg: str) -> np.ndarray:
+                    node_x: np.ndarray) -> np.ndarray:
     """Layer 1's input z1 for ``edges`` (ascending ids): each edge's members
     aggregated over their incident edges, then reduced by Omega. A row
     depends on its own edge only, so the rows of any subset equal the same
@@ -406,7 +385,7 @@ def _edge_summaries(kind: str, h: Hypergraph, edges: np.ndarray, edge_init: np.n
     starts = h.edge_ptr[edges]
     batch = _SetBatch(h.pins, starts, h.edge_ptr[edges + 1] - starts)
     nodes = batch.localize(h.num_nodes)
-    z, _ = batch.reduce(kind, _edge_aggregate(h, nodes, edge_init, node_x, agg))
+    z, _ = batch.reduce(kind, _edge_aggregate(h, nodes, edge_init, node_x))
     return z
 
 
@@ -416,7 +395,6 @@ def lift_edges(
     edge_init: np.ndarray,
     node_x: np.ndarray,
     bilinear: bool = True,
-    agg: str = "mean",
 ) -> np.ndarray | None:
     """Every edge's layer-1 input, for a run whose edge features stay fixed.
 
@@ -431,7 +409,7 @@ def lift_edges(
     width = d * (d + 1) // 2 if bilinear else d
     if 8 * h.num_edges * width > _LIFT_BYTES:
         return None
-    z = _edge_summaries(kind, h, np.arange(h.num_edges), edge_init, node_x, agg)
+    z = _edge_summaries(kind, h, np.arange(h.num_edges), edge_init, node_x)
     if not bilinear:
         return z
     # filled in place, a column run at a time, with no table-sized temporary
@@ -488,20 +466,19 @@ class E2ECache:
     ``needed_edges`` are the global ids of the edges incident to a target
     node, ascending, and hold the first-layer rows ``z1``/``pre1``;
     ``inc2`` is the target nodes' incidence rows with columns renumbered
-    into ``needed_edges``. ``z2`` has one row per target set. When
-    ``packed``, ``z1`` is the bilinear lift table the forward read, one row
-    per edge of the structure.
+    into ``needed_edges``, and ``inv_deg2`` their inverse degrees. ``z2``
+    has one row per target set. When ``packed``, ``z1`` is the bilinear
+    lift table the forward read, one row per edge of the structure.
     """
 
     kind: str
     bilinear: bool
-    agg: str
     layers: tuple[LayerParams, ...]
     needed_edges: np.ndarray
     z1: np.ndarray
     pre1: np.ndarray
     inc2: sp.csr_matrix
-    e2n2_aux: object
+    inv_deg2: np.ndarray
     batch2: _SetBatch
     red2_cache: dict
     z2: np.ndarray
@@ -534,27 +511,36 @@ def e2e_forward(
     up to the rounding of dense products over different row counts.
 
     ``lift``, the ``lift_edges`` table of the same structure, features,
-    kind, bilinear flag and aggregation, spares layer 1 its aggregation and
-    reduction. Without ``bilinear`` the outputs are bit-identical; with it,
-    layer 1 is one product of the table and the packed weight, which
-    matches the blocked kernel to rounding.
+    kind and bilinear flag, spares layer 1 its aggregation and reduction.
+    Without ``bilinear`` the outputs are bit-identical; with it, layer 1 is
+    one product of the table and the packed weight, which matches the
+    blocked kernel to rounding. ``agg`` takes the one aggregation, mean, so
+    that a caller may pass a ``TrainConfig``'s ``agg`` through.
     """
     if len(layers) != 2:
         raise ValueError("the stack is two layers")
     if kind not in OMEGA_KINDS:
         raise ValueError(f"unknown omega kind {kind!r}")
+    if agg not in AGG_KINDS:
+        raise ValueError(f"unknown aggregation {agg!r}")
     edge_init = np.asarray(edge_init, dtype=np.float64)
     node_x = np.asarray(node_x, dtype=np.float64)
     if edge_init.shape[0] != h.num_edges or node_x.shape[0] != h.num_nodes:
         raise ValueError("feature row counts do not match hypergraph")
     layer1, layer2 = layers[0], layers[1]
 
-    batch2 = _SetBatch(*_flat_sets(targets))
+    members, starts, sizes = _flat_sets(targets)
+    if members.size and (members.min() < 0 or members.max() >= h.num_nodes):
+        first = int(np.flatnonzero((members < 0) | (members >= h.num_nodes))[0])
+        position = int(np.searchsorted(starts + sizes, first, side="right"))
+        raise ValueError(f"target {position} has node id {members[first]}, "
+                         f"out of range [0, {h.num_nodes})")
+    batch2 = _SetBatch(members, starts, sizes)
     nodes2 = batch2.localize(h.num_nodes)
     inc2, needed, deg2 = _rows(h, nodes2)
 
     if lift is None:
-        z1 = _edge_summaries(kind, h, needed, edge_init, node_x, agg)
+        z1 = _edge_summaries(kind, h, needed, edge_init, node_x)
         pre1 = _affine_forward(layer1.weight, z1, bilinear)
     else:
         d = edge_init.shape[1] + node_x.shape[1]
@@ -563,7 +549,7 @@ def e2e_forward(
         z1, pre1 = _lifted_forward(layer1.weight, lift, needed, d, bilinear)
     ef1 = _act(pre1, layer1.activation)
 
-    nf2, aux2 = _aggregate(inc2, deg2, ef1, node_x, nodes2, agg)
+    nf2, inv_deg2 = _aggregate(inc2, deg2, ef1, node_x, nodes2)
     z2, red2_cache = batch2.reduce(kind, nf2)
     pre2 = _affine_forward(layer2.weight, z2, bilinear)
     out = _act(pre2, layer2.activation)
@@ -571,13 +557,12 @@ def e2e_forward(
     cache = E2ECache(
         kind=kind,
         bilinear=bilinear,
-        agg=agg,
         layers=tuple(layers),
         needed_edges=needed,
         z1=z1,
         pre1=pre1,
         inc2=inc2,
-        e2n2_aux=aux2,
+        inv_deg2=inv_deg2,
         batch2=batch2,
         red2_cache=red2_cache,
         z2=z2,
@@ -605,15 +590,7 @@ def e2e_backward(cache: E2ECache, upstream: np.ndarray) -> dict[str, np.ndarray]
 
     # back through the second-layer aggregation onto the needed edges
     dagg = dnf2[:, : layer1.out_dim]
-    if cache.agg == "mean":
-        def1 = cache.inc2.T @ (dagg * cache.e2n2_aux[:, None])
-    else:
-        deg2, s, recip = cache.e2n2_aux
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gs = np.where(
-                s != 0.0, dagg * deg2[:, None] / np.square(np.where(s != 0.0, s, 1.0)), 0.0
-            )
-        def1 = (cache.inc2.T @ gs) * np.square(recip)
+    def1 = cache.inc2.T @ (dagg * cache.inv_deg2[:, None])
     g1 = def1 * _act_grad(cache.pre1, layer1.activation)
     if cache.packed:
         lift, needed = cache.z1, cache.needed_edges

@@ -81,7 +81,9 @@ class TrainConfig:
     """Everything a training run needs besides the data itself.
 
     ``omega=None`` picks the per-task default: mean for completion and
-    classification, minmax for prediction.
+    classification, minmax for prediction. ``agg`` takes only ``"mean"``,
+    the one edge-to-node aggregation; the field stays so that reports and
+    checkpoints keep their config keys.
     """
 
     task: str
@@ -468,7 +470,6 @@ def _forward(model: TrainedModel, member_sets, lift: np.ndarray | None = None):
         model.node_x,
         member_sets,
         bilinear=model.config.bilinear,
-        agg=model.config.agg,
         lift=lift,
     )
 
@@ -683,8 +684,7 @@ def train_prediction(
     neg = _draw_run_negatives(h, splits, rng)
     model = _new_model(cfg, rng, structure, clusters)
     # None above the size cap: the forwards then run the blocked kernels
-    lift = lift_edges(cfg.omega_kind, structure, model.edge_init, model.node_x,
-                      cfg.bilinear, cfg.agg)
+    lift = lift_edges(cfg.omega_kind, structure, model.edge_init, model.node_x, cfg.bilinear)
     layer1, layer2 = model.layers
     params = model.params
     params.head_weight = head_w = init_layer(k + 1, cfg.hidden_dim, rng, False).weight
@@ -776,14 +776,16 @@ def evaluate(model: TrainedModel, data, splits: Splits) -> dict[str, float]:
 
 
 def _check_candidate(model: TrainedModel, candidate) -> tuple[int, ...]:
-    cand = tuple(int(v) for v in candidate)
+    cand = tuple(candidate)
     if not cand:
         raise ValueError("empty candidate")
     n = model.structure.num_nodes
     for v in cand:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"node id {v!r} is not an integer")
         if not 0 <= v < n:
             raise ValueError(f"node id {v} out of range [0, {n})")
-    return cand
+    return tuple(map(int, cand))
 
 
 def predict_relation(

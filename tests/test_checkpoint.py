@@ -313,6 +313,7 @@ def _as_float_bytes(ids, doc):
     (_set(True, "config", "clusters"), "config: clusters"),
     (_set(1, "config", "bilinear"), "config: bilinear"),
     (_set(0, "config", "omega"), "config: omega"),
+    (_set("harmonic", "config", "agg"), "field config: unknown aggregation 'harmonic'"),
     (_set([0.7, 0.3], "config", "split_ratios"), "config: split_ratios"),
     (_set([], "config"), "config"),
     (_set(-1, "config", "balance_epsilon"), "config"),
@@ -343,8 +344,8 @@ def _as_float_bytes(ids, doc):
         "float-node-id", "float-cluster-id", "task-disagrees-with-config",
         "string-num-nodes", "string-k", "integer-edge", "integer-cluster-of",
         "string-balance-epsilon", "missing-patience", "boolean-k", "integer-bilinear",
-        "integer-omega", "two-split-ratios", "list-config", "negative-balance-epsilon",
-        "nan-balance-epsilon",
+        "integer-omega", "harmonic-agg", "two-split-ratios", "list-config",
+        "negative-balance-epsilon", "nan-balance-epsilon",
         "integer-relation-names", "empty-edge", "descending-edge", "repeated-member",
         "edge-ptr-bad-base64", "pins-bad-base64", "edge-type-bad-base64",
         "cluster-of-bad-base64", "edge-ptr-not-one-dimensional",

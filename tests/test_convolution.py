@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hyperconv import convolution
 from hyperconv.convolution import (
-    AGG_KINDS,
     OMEGA_KINDS,
     E2ECache,
     LayerParams,
@@ -191,14 +190,6 @@ class TestE2N:
         with pytest.raises(ValueError, match="node tag"):
             e2n(h, np.ones((1, 2)), np.ones((5, 1)))
 
-    def test_harmonic_aggregation_by_hand(self):
-        h = build_hypergraph([[0], [0]])
-        ef = np.array([[1.0], [3.0]])
-        out = e2n(h, ef, np.zeros((1, 1)), agg="harmonic")
-        eps = 1e-6
-        expected = 2.0 / (1.0 / (1.0 + eps) + 1.0 / (3.0 + eps))
-        np.testing.assert_allclose(out[0, 0], expected, rtol=1e-12)
-
 
 class TestN2E:
     def test_matches_scalar_reference(self):
@@ -285,6 +276,19 @@ class TestE2EForward:
         layers, edge_init, node_x = tiny_model(rng, h)
         with pytest.raises(ValueError, match="row counts"):
             e2e_forward(layers, "mean", h, edge_init[:0], node_x, [[0]])
+        with pytest.raises(ValueError, match="^unknown aggregation 'harmonic'$"):
+            e2e_forward(layers, "mean", h, edge_init, node_x, [[0]], agg="harmonic")
+
+    @pytest.mark.parametrize("targets, position, node", [
+        ([[-1]], 0, -1), ([[0, 1], [2, 3]], 1, 3), ([[0], [], [1, 4]], 2, 4)])
+    def test_out_of_range_target_id_named(self, targets, position, node):
+        # -1 would index node 2 and 3 would overrun the incidence rows
+        rng = np.random.default_rng(1)
+        h = build_hypergraph([[0, 1], [1, 2]])
+        layers, edge_init, node_x = tiny_model(rng, h)
+        with pytest.raises(ValueError, match=rf"^target {position} has node id {node}, "
+                                             r"out of range \[0, 3\)$"):
+            e2e_forward(layers, "mean", h, edge_init, node_x, targets)
 
     def test_member_order_never_matters(self):
         rng = np.random.default_rng(44)
@@ -310,50 +314,44 @@ class TestE2EForward:
         targets = data.draw(st.lists(st.lists(node, min_size=1, max_size=5), min_size=1,
                                      max_size=5), label="targets")
         kind = data.draw(st.sampled_from(OMEGA_KINDS), label="kind")
-        agg = data.draw(st.sampled_from(AGG_KINDS), label="agg")
         bilinear = data.draw(st.booleans(), label="bilinear")
         h = build_hypergraph(edges, num_nodes=n)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         layers, edge_init, node_x = tiny_model(rng, h, bilinear=bilinear)
 
-        batched, _ = e2e_forward(layers, kind, h, edge_init, node_x, targets,
-                                 bilinear=bilinear, agg=agg)
-        ef1 = n2e(layers[0], kind, e2n(h, edge_init, node_x, agg), h.edge_members, bilinear)
-        whole = n2e(layers[1], kind, e2n(h, ef1, node_x, agg), targets, bilinear)
+        batched, _ = e2e_forward(layers, kind, h, edge_init, node_x, targets, bilinear=bilinear)
+        ef1 = n2e(layers[0], kind, e2n(h, edge_init, node_x), h.edge_members, bilinear)
+        whole = n2e(layers[1], kind, e2n(h, ef1, node_x), targets, bilinear)
         np.testing.assert_allclose(batched, whole, rtol=1e-12)
         for i, t in enumerate(targets):
-            single, _ = e2e_forward(layers, kind, h, edge_init, node_x, [t],
-                                    bilinear=bilinear, agg=agg)
+            single, _ = e2e_forward(layers, kind, h, edge_init, node_x, [t], bilinear=bilinear)
             np.testing.assert_allclose(batched[i], single[0], rtol=1e-12)
 
     def test_isolated_target_nodes(self):
         # nodes without training edges, as unseen test entities are
         rng = np.random.default_rng(5)
         h = build_hypergraph([[0, 1], [1, 2]], num_nodes=5)
-        for agg in AGG_KINDS:
-            for bilinear in (False, True):
-                layers, edge_init, node_x = tiny_model(rng, h, bilinear=bilinear)
-                ef1 = n2e(layers[0], "minmax", e2n(h, edge_init, node_x, agg),
-                          h.edge_members, bilinear)
-                for targets in ([[3, 4]], [[0, 3]]):
-                    out, cache = e2e_forward(layers, "minmax", h, edge_init, node_x,
-                                             targets, bilinear=bilinear, agg=agg)
-                    whole = n2e(layers[1], "minmax", e2n(h, ef1, node_x, agg), targets,
-                                bilinear)
-                    np.testing.assert_allclose(out, whole, rtol=1e-12)
-                    grads = e2e_backward(cache, np.ones_like(out))
-                    assert np.isfinite(grads["W1"]).all() and np.isfinite(grads["W2"]).all()
-                    if targets == [[3, 4]]:
-                        assert cache.needed_edges.size == 0
-                        assert not grads["W1"].any()
+        for bilinear in (False, True):
+            layers, edge_init, node_x = tiny_model(rng, h, bilinear=bilinear)
+            ef1 = n2e(layers[0], "minmax", e2n(h, edge_init, node_x), h.edge_members, bilinear)
+            for targets in ([[3, 4]], [[0, 3]]):
+                out, cache = e2e_forward(layers, "minmax", h, edge_init, node_x, targets,
+                                         bilinear=bilinear)
+                whole = n2e(layers[1], "minmax", e2n(h, ef1, node_x), targets, bilinear)
+                np.testing.assert_allclose(out, whole, rtol=1e-12)
+                grads = e2e_backward(cache, np.ones_like(out))
+                assert np.isfinite(grads["W1"]).all() and np.isfinite(grads["W2"]).all()
+                if targets == [[3, 4]]:
+                    assert cache.needed_edges.size == 0
+                    assert not grads["W1"].any()
 
 
 def cache_arrays(cache: E2ECache) -> list[np.ndarray]:
     """Every array a forward cache holds, in a fixed order."""
-    aux = cache.e2n2_aux if isinstance(cache.e2n2_aux, tuple) else (cache.e2n2_aux,)
     inc2 = cache.inc2
     out = [cache.needed_edges, cache.z1, cache.pre1, inc2.data, inc2.indices, inc2.indptr,
-           np.asarray(inc2.shape), *aux, cache.z2, cache.pre2, np.asarray(cache.packed)]
+           np.asarray(inc2.shape), cache.inv_deg2, cache.z2, cache.pre2,
+           np.asarray(cache.packed)]
     for size in sorted(cache.batch2.groups):
         out += [*cache.batch2.groups[size], *cache.red2_cache[size]]
     return out
@@ -372,19 +370,14 @@ class TestInPlaceFieldReads:
         targets = data.draw(st.lists(st.lists(node, min_size=1, max_size=6), min_size=1,
                                      max_size=6), label="targets")
         kind = data.draw(st.sampled_from(OMEGA_KINDS), label="kind")
-        agg = data.draw(st.sampled_from(AGG_KINDS), label="agg")
         bilinear = data.draw(st.booleans(), label="bilinear")
         k, d_e = data.draw(st.integers(1, 3), label="k"), data.draw(st.integers(1, 3), label="d_e")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         layers, edge_init, node_x = tiny_model(rng, h, k=k, d_e=d_e, bilinear=bilinear)
-        if agg == "harmonic":
-            edge_init = np.abs(edge_init)  # reciprocals of positive features, as one-hots give
         probe = rng.normal(size=(len(targets), layers[1].out_dim))
 
-        out, cache = e2e_forward(layers, kind, h, edge_init, node_x, targets,
-                                 bilinear=bilinear, agg=agg)
-        want, oracle = gather_e2e_forward(layers, kind, h, edge_init, node_x, targets,
-                                          bilinear, agg)
+        out, cache = e2e_forward(layers, kind, h, edge_init, node_x, targets, bilinear=bilinear)
+        want, oracle = gather_e2e_forward(layers, kind, h, edge_init, node_x, targets, bilinear)
         assert np.array_equal(out, want)
         got_arrays, want_arrays = cache_arrays(cache), cache_arrays(oracle)
         assert len(got_arrays) == len(want_arrays)
@@ -423,30 +416,27 @@ class TestInPlaceFieldReads:
 
 
 def draw_lift_case(data, bilinear):
-    """A drawn graph, query sets, kind, aggregation and tiny model."""
+    """A drawn graph, query sets, kind and tiny model."""
     h = draw_hypergraph(data, max_nodes=10, max_edges=10, max_size=5)
     node = st.integers(0, h.num_nodes - 1)
     targets = data.draw(st.lists(st.lists(node, min_size=1, max_size=6), min_size=1,
                                  max_size=6), label="targets")
     kind = data.draw(st.sampled_from(OMEGA_KINDS), label="kind")
-    agg = data.draw(st.sampled_from(AGG_KINDS), label="agg")
     k, d_e = data.draw(st.integers(1, 3), label="k"), data.draw(st.integers(1, 3), label="d_e")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     layers, edge_init, node_x = tiny_model(rng, h, k=k, d_e=d_e, bilinear=bilinear)
-    if agg == "harmonic":
-        edge_init = np.abs(edge_init)
     probe = rng.normal(size=(len(targets), layers[1].out_dim))
-    return h, targets, kind, agg, layers, edge_init, node_x, probe
+    return h, targets, kind, layers, edge_init, node_x, probe
 
 
-def lifted_and_blocked(h, targets, kind, agg, layers, edge_init, node_x, probe, bilinear):
+def lifted_and_blocked(h, targets, kind, layers, edge_init, node_x, probe, bilinear):
     """Outputs, W1/W2 gradients and caches of one forward with the lift
     and one without."""
-    lift = lift_edges(kind, h, edge_init, node_x, bilinear, agg)
+    lift = lift_edges(kind, h, edge_init, node_x, bilinear)
     runs = []
     for table in (lift, None):
         out, cache = e2e_forward(layers, kind, h, edge_init, node_x, targets,
-                                 bilinear=bilinear, agg=agg, lift=table)
+                                 bilinear=bilinear, lift=table)
         runs.append((out, e2e_backward(cache, probe), cache))
     return runs
 
@@ -468,13 +458,12 @@ class TestLift:
             st.lists(st.booleans(), min_size=h.num_edges, max_size=h.num_edges), label="pick"),
             dtype=bool))
         kind = data.draw(st.sampled_from(OMEGA_KINDS), label="kind")
-        agg = data.draw(st.sampled_from(AGG_KINDS), label="agg")
         k, d_e = data.draw(st.integers(1, 3), label="k"), data.draw(st.integers(1, 4), label="d_e")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        edge_init = np.abs(rng.normal(size=(h.num_edges, d_e)))
+        edge_init = rng.normal(size=(h.num_edges, d_e))
         node_x = rng.normal(size=(h.num_nodes, k))
-        table = lift_edges(kind, h, edge_init, node_x, False, agg)
-        subset = _edge_summaries(kind, h, edges, edge_init, node_x, agg)
+        table = lift_edges(kind, h, edge_init, node_x, False)
+        subset = _edge_summaries(kind, h, edges, edge_init, node_x)
         assert table.shape == (h.num_edges, d_e + k)
         assert subset.dtype == table.dtype and np.array_equal(subset, table[edges])
 
@@ -520,7 +509,7 @@ class TestLift:
 
         monkeypatch.setattr(convolution, "_gathered", counting)
         (out, grads, cache), (want, want_grads, _) = lifted_and_blocked(
-            h, [target], "var", "mean", layers, edge_init, node_x, probe, True)
+            h, [target], "var", layers, edge_init, node_x, probe, True)
         assert cache.needed_edges.size == needed
         assert cache.z1.shape == (5, 10)  # the table itself: d = 4 packs into 10 columns
         assert blocks == ([needed, needed] if gathers else [])  # forward, then backward

@@ -77,6 +77,8 @@ class TestTrainConfig:
             TrainConfig(task="regression")
         with pytest.raises(ValueError, match="omega"):
             TrainConfig(task="completion", omega="median")
+        with pytest.raises(ValueError, match="^unknown aggregation 'harmonic'$"):
+            TrainConfig(task="completion", agg="harmonic")
         with pytest.raises(ValueError, match="sum to 1"):
             TrainConfig(task="completion", split_ratios=(0.5, 0.5, 0.5))
         with pytest.raises(ValueError, match="positive"):
@@ -605,6 +607,12 @@ class TestQueries:
             predict_relation(model, [])
         with pytest.raises(ValueError, match="out of range"):
             predict_relation(model, [10_000])
+        with pytest.raises(ValueError, match="^node id 1.7 is not an integer$"):
+            predict_relation(model, [1.7, 0.0])
+        with pytest.raises(ValueError, match="^node id True is not an integer$"):
+            predict_relation(model, [True, 0])
+        with pytest.raises(ValueError, match="^node id 1.0 is not an integer$"):
+            predict_relation(model, [0, 1.0])
         with pytest.raises(ValueError, match="trained for"):
             predict_edge(model, [0, 1])
 
