@@ -12,7 +12,6 @@ each forward, which then computes layer 1 as one matrix product.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from collections.abc import Sequence
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .hypergraph import Hypergraph, _segments
+from .hypergraph import Hypergraph, _node_sets, _segments
 
 logger = logging.getLogger(__name__)
 
@@ -174,21 +173,11 @@ def e2n(
 # grouped variable-size set reduction
 
 
-def _flat_sets(sets: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node sets as their sorted distinct ids laid end to end, with each
-    set's start and size: the arrays ``_SetBatch`` takes."""
-    canon = [sorted(set(s)) for s in sets]
-    sizes = np.fromiter(map(len, canon), dtype=np.int64, count=len(canon))
-    members = np.fromiter(itertools.chain.from_iterable(canon), dtype=np.int64,
-                          count=int(sizes.sum()))
-    return members, np.cumsum(sizes) - sizes, sizes
-
-
 class _SetBatch:
     """Node-id sets grouped by size for vectorized Omega reduction.
 
-    Set t is ``members[starts[t]:starts[t] + sizes[t]]``, sorted and
-    distinct as edge pins are and ``_flat_sets`` makes query sets, which
+    Set t is ``members[starts[t]:starts[t] + sizes[t]]``, nonempty, sorted
+    and distinct as edge pins are and ``_node_sets`` makes query sets, which
     pins the lowest-index tie-break used by the minmax subgradient.
     """
 
@@ -196,8 +185,6 @@ class _SetBatch:
         self.count = sizes.size
         order = np.argsort(sizes, kind="stable")
         ordered = sizes[order]
-        if ordered.size and ordered[0] == 0:
-            raise ValueError(f"empty node set at position {order[0]}")
         cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
         bounds = [0, *cuts, order.size] if order.size else []
         self.groups = {}
@@ -360,10 +347,10 @@ def n2e(
     """Summarize each node set and map it through the trainable layer.
 
     Works identically for real hyperedge member sets and for arbitrary
-    query sets.
+    query sets; both follow the rule of ``_node_sets``.
     """
     node_features = np.asarray(node_features, dtype=np.float64)
-    batch = _SetBatch(*_flat_sets(target_sets))
+    batch = _SetBatch(*_node_sets(target_sets, node_features.shape[0]))
     z, _ = batch.reduce(kind, node_features)
     pre = _affine_forward(params.weight, z, bilinear)
     return _act(pre, params.activation)
@@ -500,7 +487,7 @@ def e2e_forward(
     """Run the stacked convolution and score the target node sets.
 
     The first layer summarizes real hyperedges; the second summarizes the
-    targets, which may be real edges or arbitrary candidate sets. Only the
+    targets, real edges or any node sets under ``_node_sets``' rule. Only the
     targets' receptive field is computed, since nothing else can influence
     the output: the second layer reads the target nodes' incidence rows,
     those rows reference the needed edges, and the first layer reads the
@@ -529,13 +516,7 @@ def e2e_forward(
         raise ValueError("feature row counts do not match hypergraph")
     layer1, layer2 = layers[0], layers[1]
 
-    members, starts, sizes = _flat_sets(targets)
-    if members.size and (members.min() < 0 or members.max() >= h.num_nodes):
-        first = int(np.flatnonzero((members < 0) | (members >= h.num_nodes))[0])
-        position = int(np.searchsorted(starts + sizes, first, side="right"))
-        raise ValueError(f"target {position} has node id {members[first]}, "
-                         f"out of range [0, {h.num_nodes})")
-    batch2 = _SetBatch(members, starts, sizes)
+    batch2 = _SetBatch(*_node_sets(targets, h.num_nodes))
     nodes2 = batch2.localize(h.num_nodes)
     inc2, needed, deg2 = _rows(h, nodes2)
 

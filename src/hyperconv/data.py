@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
+from .hypergraph import Hypergraph, KnowledgeHypergraph, _first_non_integer, build_hypergraph
 
 logger = logging.getLogger(__name__)
 
@@ -31,10 +31,13 @@ class Splits:
 
     def __post_init__(self):
         for name in ("train", "valid", "test"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, arr)
-            if arr.ndim != 1 or len(arr) == 0:
+            ids = getattr(self, name)
+            if np.ndim(ids) != 1 or len(ids) == 0:
                 raise ValueError(f"empty {name} split")
+            bad = _first_non_integer(ids)
+            if bad is not None:
+                raise ValueError(f"{name} split has edge id {bad[1]!r}, not an integer")
+            object.__setattr__(self, name, np.asarray(ids, dtype=np.int64))
 
     def check(self, num_edges: int) -> None:
         """Verify ids are in range and the three parts never overlap."""

@@ -11,6 +11,7 @@ from ``pins`` by ``edge_members`` or ``_edge_sets``.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections.abc import Iterable, Sequence
 
@@ -90,13 +91,51 @@ def _edge_sets(h: Hypergraph, ids: Iterable[int]) -> list[tuple[int, ...]]:
     return [tuple(pins[ptr[e]:ptr[e + 1]]) for e in map(int, ids)]
 
 
+def _first_non_integer(values) -> tuple[int, object] | None:
+    """The position and value of the first entry of ``values`` that is not
+    a Python or numpy integer (a bool is not one), or None."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return None
+    return next(((i, v) for i, v in enumerate(values)
+                 if isinstance(v, bool) or not isinstance(v, (int, np.integer))), None)
+
+
+def _node_sets(sets: Iterable[Iterable[int]], num_nodes: int | None = None,
+               name: str = "target") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node-set rule. Each set is nonempty; each id is a Python or numpy
+    integer, not a bool, in [0, num_nodes) (nonnegative if num_nodes is None).
+    Member order and repeats do not matter. Returns the sorted distinct ids end
+    to end and each set's start and size, the arrays ``_SetBatch`` takes. Fails
+    in one line on the first non-integer id, then the first out of range, then
+    the first empty set."""
+    sets = list(map(tuple, sets))  # read twice below; a tuple passes through uncopied
+    ids = itertools.chain.from_iterable
+    # Python ints need no closer look, so the usual scan copies no ids
+    bad = None if set(map(type, ids(sets))) <= {int} else _first_non_integer(ids(sets))
+    if bad is not None:
+        raise ValueError(f"node id {bad[1]!r} is not an integer")
+    canon = [sorted(set(s)) for s in sets]
+    # Python compares the ids before any int64 cast, so a huge one cannot overflow
+    high = 2**63 if num_nodes is None else num_nodes
+    t = next((t for t, c in enumerate(canon) if c and not 0 <= c[0] <= c[-1] < high), None)
+    if t is not None:
+        v = next(v for v in canon[t] if not 0 <= v < high)
+        raise ValueError(f"{name} {t} has negative node id {v}" if v < 0 and num_nodes is None
+                         else f"{name} {t} has node id {v}, out of range [0, {high})")
+    sizes = np.fromiter(map(len, canon), dtype=np.int64, count=len(canon))
+    if sizes.size and sizes.min() == 0:
+        raise ValueError(f"empty {name} at index {int(sizes.argmin())}")
+    members = np.fromiter(ids(canon), dtype=np.int64, count=int(sizes.sum()))
+    return members, np.cumsum(sizes) - sizes, sizes
+
+
 def build_hypergraph(
     edges: Iterable[Iterable[int]], num_nodes: int | None = None
 ) -> Hypergraph:
     """Build a hypergraph from raw member lists.
 
-    Node ids must be dense nonnegative integers. Repeated ids inside one
-    edge are silently deduplicated (n-ary facts in real datasets repeat
+    Each edge follows the node-set rule of ``_node_sets``. Repeated ids
+    inside one edge are dropped (n-ary facts in real datasets repeat
     entities); the drop count is surfaced as ``duplicates_removed``.
 
     Args:
@@ -104,32 +143,18 @@ def build_hypergraph(
         num_nodes: total node count; inferred as max id + 1 when omitted.
 
     Raises:
-        ValueError: on an empty edge (reported with its index) or an id
-            outside [0, num_nodes).
+        ValueError: in one line, on the first of ``node id <v> is not an
+            integer`` (a float, bool or other non-integer), ``edge <i> has
+            node id <v>, out of range [0, num_nodes)`` (``has negative node
+            id <v>`` when num_nodes is inferred) and ``empty edge at index <i>``.
     """
-    pins: list[int] = []
-    ptr = [0]
-    duplicates = 0
-    max_id = -1
-    for idx, edge in enumerate(edges):
-        raw = list(edge)
-        if not raw:
-            raise ValueError(f"empty edge at index {idx}")
-        uniq = sorted(set(raw))
-        duplicates += len(raw) - len(uniq)
-        if uniq[0] < 0:
-            raise ValueError(f"negative node id {uniq[0]} in edge {idx}")
-        if num_nodes is not None and uniq[-1] >= num_nodes:
-            raise ValueError(
-                f"node id {uniq[-1]} in edge {idx} out of range [0, {num_nodes})"
-            )
-        max_id = max(max_id, uniq[-1])
-        pins += uniq
-        ptr.append(len(pins))
-    n = (max_id + 1) if num_nodes is None else num_nodes
+    edges = list(map(tuple, edges))  # a tuple passes through uncopied
+    members, starts, sizes = _node_sets(edges, num_nodes, "edge")
+    duplicates = sum(map(len, edges)) - members.size
     if duplicates:
         logger.debug("dropped %d duplicate member ids during construction", duplicates)
-    return Hypergraph(ptr, pins, n, duplicates_removed=duplicates)
+    n = int(members.max(initial=-1)) + 1 if num_nodes is None else num_nodes
+    return Hypergraph(np.append(starts, members.size), members, n, duplicates_removed=duplicates)
 
 
 class KnowledgeHypergraph:
@@ -157,12 +182,9 @@ class KnowledgeHypergraph:
             raise ValueError(
                 f"entity vocab size {len(entity_names)} != num_nodes {base.num_nodes}"
             )
-        if not (isinstance(edge_type, np.ndarray) and edge_type.ndim == 1
-                and edge_type.dtype.kind in "iu"):
-            # numpy reads [True, 1] as integers, so each entry's own type decides
-            for eid, t in enumerate(edge_type):
-                if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-                    raise ValueError(f"relation id {t!r} of edge {eid} is not an integer")
+        bad = _first_non_integer(edge_type)  # numpy would read [True, 1] as integers
+        if bad is not None:
+            raise ValueError(f"relation id {bad[1]!r} of edge {bad[0]} is not an integer")
         types = np.array(edge_type, dtype=np.int64)  # a copy: the caller's stays writeable
         num_rel = len(relation_names)
         bad = np.flatnonzero((types < 0) | (types >= num_rel))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .hypergraph import Hypergraph, _segments
+from .hypergraph import Hypergraph, _first_non_integer, _segments
 
 MERGE_GROUP_CAP = 4
 # refinement passes per level; a pass that moves nothing ends them early
@@ -46,6 +46,9 @@ class ClusterAssignment:
     balance_epsilon: float = 0.05
 
     def __post_init__(self):
+        bad = _first_non_integer(self.cluster_of)
+        if bad is not None:
+            raise ValueError(f"cluster_of[{bad[0]}] is {bad[1]!r}, not an integer")
         arr = np.array(self.cluster_of, dtype=np.int64)  # a copy: the caller's stays writeable
         arr.flags.writeable = False
         object.__setattr__(self, "cluster_of", arr)

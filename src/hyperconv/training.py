@@ -49,7 +49,7 @@ from .features import (
     knowledge_edge_init,
     node_onehot,
 )
-from .hypergraph import Hypergraph, KnowledgeHypergraph, _edge_sets, build_hypergraph
+from .hypergraph import Hypergraph, KnowledgeHypergraph, _edge_sets, _node_sets, build_hypergraph
 from .metrics import accuracy, auc, hit_at, mrr, rank_of_true
 from .partition import ClusterAssignment, cut, partition
 
@@ -775,19 +775,6 @@ def evaluate(model: TrainedModel, data, splits: Splits) -> dict[str, float]:
     return _test_metrics(model, *_facts(data, splits.test))
 
 
-def _check_candidate(model: TrainedModel, candidate) -> tuple[int, ...]:
-    cand = tuple(candidate)
-    if not cand:
-        raise ValueError("empty candidate")
-    n = model.structure.num_nodes
-    for v in cand:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"node id {v!r} is not an integer")
-        if not 0 <= v < n:
-            raise ValueError(f"node id {v} out of range [0, {n})")
-    return tuple(map(int, cand))
-
-
 def predict_relation(
     model: TrainedModel, candidate
 ) -> list[tuple[int, float]]:
@@ -799,8 +786,9 @@ def predict_relation(
     """
     if model.task not in ("completion", "classification"):
         raise ValueError(f"model was trained for {model.task}")
-    cand = _check_candidate(model, candidate)
-    scores = _forward(model, [cand])[0][0]
+    cand = [tuple(candidate)]
+    _node_sets(cand, model.structure.num_nodes, "candidate")
+    scores = _forward(model, cand)[0][0]
     order = np.lexsort((np.arange(len(scores)), -scores))
     return [(int(r), float(scores[r])) for r in order]
 
@@ -809,6 +797,7 @@ def predict_edge(model: TrainedModel, candidate) -> float:
     """Probability that a node set forms a hyperedge, from the binary head."""
     if model.task != "prediction":
         raise ValueError(f"model was trained for {model.task}")
-    cand = _check_candidate(model, candidate)
-    margin = _binary_scores(model, _forward(model, [cand])[0])[0]
+    cand = [tuple(candidate)]
+    _node_sets(cand, model.structure.num_nodes, "candidate")
+    margin = _binary_scores(model, _forward(model, cand)[0])[0]
     return float(1.0 / (1.0 + np.exp(-margin)))

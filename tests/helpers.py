@@ -299,10 +299,11 @@ def gather_e2e_forward(layers, kind, h, edge_init, node_x, targets, bilinear):
     ``edge_init`` and aggregates them over renumbered columns, and whose
     mean pooling reduces member blocks: the oracle for the in-place
     reads."""
-    from hyperconv.convolution import E2ECache, _act, _affine_forward, _flat_sets, _rows, _SetBatch
+    from hyperconv.convolution import E2ECache, _act, _affine_forward, _rows, _SetBatch
+    from hyperconv.hypergraph import _node_sets
 
     layer1, layer2 = layers
-    batch2 = _SetBatch(*_flat_sets(targets))
+    batch2 = _SetBatch(*_node_sets(targets, h.num_nodes))
     nodes2 = batch2.localize(h.num_nodes)
     inc2, needed, deg2 = _rows(h, nodes2)
     starts = h.edge_ptr[needed]

@@ -1,11 +1,14 @@
 """The benchmark's hook contract, checked without running the benchmark.
 
 ``bench/tracing.py`` swaps module attributes of the package for timing
-wrappers. A rename of any of them breaks the benchmark; this check finds
-that in about a second.
+wrappers, and ``bench/workloads.py`` and ``bench/generate.py`` call the
+public API. A rename of any of those attributes, names or keywords breaks
+the benchmark; these checks find that in about a second.
 """
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -15,7 +18,8 @@ import hyperconv
 import hyperconv.training as training
 from helpers import planted_communities, uniform_hypergraph
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -78,3 +82,64 @@ def test_a_traced_prediction_run_counts_every_pretext_set():
     assert len(trained) == steps == probe.tracer.calls("conv.bwd")
     forwards = trained + probe.tracer.named("conv.fwd_score")
     assert all(0 < span.attrs["needed_edges"] <= span.attrs["edges"] for span in forwards)
+
+
+BENCH_CALLERS = [BENCH / "workloads.py", BENCH / "generate.py"]
+
+
+def hyperconv_uses(path):
+    """Each ``hc.<name>`` read or ``from hyperconv import <name>`` in the
+    file, and each call of such a name, as (line, name, call or None)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    aliases = {a.asname or a.name for node in nodes if isinstance(node, ast.Import)
+               for a in node.names if a.name == "hyperconv"}
+    imported, uses = {}, []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "hyperconv":
+            for a in node.names:
+                imported[a.asname or a.name] = a.name
+                uses.append((node.lineno, a.name, None))
+    for node in nodes:
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            uses.append((node.lineno, node.attr, None))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id in aliases):
+                uses.append((node.lineno, f.attr, node))
+            elif isinstance(f, ast.Name) and f.id in imported:
+                uses.append((node.lineno, imported[f.id], node))
+    return uses
+
+
+def test_the_benchmark_calls_only_names_that_exist():
+    missing = [f"{path.name}:{line}: {name}" for path in BENCH_CALLERS
+               for line, name, _ in hyperconv_uses(path) if not hasattr(hyperconv, name)]
+    assert missing == []
+
+
+def test_the_benchmark_keywords_bind_to_the_signatures():
+    # a placeholder per argument: a call that names a dropped keyword, or
+    # passes more positions than the signature takes, fails to bind
+    bad, checked = [], set()
+    for path in BENCH_CALLERS:
+        for line, name, call in hyperconv_uses(path):
+            if call is None or not hasattr(hyperconv, name):
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords)
+            args = [None] * sum(not isinstance(a, ast.Starred) for a in call.args)
+            kwargs = {k.arg: None for k in call.keywords if k.arg is not None}
+            sig = inspect.signature(getattr(hyperconv, name))
+            try:
+                (sig.bind_partial if starred else sig.bind)(*args, **kwargs)
+            except TypeError as exc:
+                bad.append(f"{path.name}:{line}: {name}: {exc}")
+            checked.add((name, *sorted(kwargs)))
+    assert bad == []
+    # the calls this guard exists for are still among those it read
+    assert ("e2e_forward", "agg", "bilinear") in checked
+    assert ("n2e", "bilinear") in checked
+    assert any(entry[0] == "TrainConfig" and len(entry) > 1 for entry in checked)

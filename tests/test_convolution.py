@@ -12,7 +12,6 @@ from hyperconv.convolution import (
     E2ECache,
     LayerParams,
     _edge_summaries,
-    _flat_sets,
     _affine_forward,
     _SetBatch,
     e2e_backward,
@@ -22,7 +21,7 @@ from hyperconv.convolution import (
     lift_edges,
     n2e,
 )
-from hyperconv.hypergraph import build_hypergraph
+from hyperconv.hypergraph import _node_sets, build_hypergraph
 
 from helpers import (
     draw_hypergraph,
@@ -234,7 +233,7 @@ def test_set_batch_groups_match_a_naive_grouping(data):
     cases = [
         (_SetBatch(h.pins, starts, h.edge_ptr[needed + 1] - starts),
          [h.edge_members[e] for e in needed.tolist()]),
-        (_SetBatch(*_flat_sets(targets)), targets),
+        (_SetBatch(*_node_sets(targets, h.num_nodes)), targets),
     ]
     for batch, sets in cases:
         naive = naive_set_groups(sets)

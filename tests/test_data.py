@@ -1,4 +1,5 @@
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,24 @@ class TestSplits:
     def test_empty_part_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             Splits(np.array([0]), np.array([], dtype=np.int64), np.array([1]))
+
+    @pytest.mark.parametrize("train, message", [
+        ([0.5, 1], r"^train split has edge id 0\.5, not an integer$"),
+        ([0, True], r"^train split has edge id True, not an integer$"),
+        (np.array([0.0, 1.0]), rf"^train split has edge id {re.escape(repr(np.float64(0)))}, "
+                               "not an integer$"),
+    ], ids=["float", "bool", "float-array"])
+    def test_non_integer_ids_rejected(self, train, message):
+        # a truncating cast would have stored train [0, 1]
+        with pytest.raises(ValueError, match=message):
+            Splits(train=train, valid=[2], test=[3])
+        with pytest.raises(ValueError, match=r"^test split has edge id 3\.9, not an integer$"):
+            Splits(train=[0, 1], valid=[2], test=[3.9])
+
+    def test_integer_ids_of_any_kind_are_kept(self):
+        s = Splits(train=[0, np.int32(1)], valid=np.array([2], dtype=np.uint8), test=(3,))
+        assert [p.tolist() for p in (s.train, s.valid, s.test)] == [[0, 1], [2], [3]]
+        assert all(p.dtype == np.int64 for p in (s.train, s.valid, s.test))
 
     def test_check_rejects_overlap_and_range(self):
         s = Splits(np.array([0, 1]), np.array([1]), np.array([2]))

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperconv.hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
+from hyperconv import TrainConfig, predict_edge, predict_relation, train_completion, train_prediction
+from hyperconv.convolution import LayerParams, e2e_forward, init_layer, n2e
+from hyperconv.hypergraph import Hypergraph, KnowledgeHypergraph, _node_sets, build_hypergraph
 
-from helpers import draw_edges, random_hypergraph
+from helpers import draw_edges, planted_communities, planted_knowledge, random_hypergraph
 
 
 def incidence_rows(h):
@@ -121,6 +123,74 @@ def test_construction_is_deterministic():
     assert a.edge_members == b.edge_members
     for name in ("edge_ptr", "pins", "pin_edge", "node_ptr", "node_edges"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_node_sets_lay_out_each_sets_sorted_distinct_members(data):
+    n = data.draw(st.integers(1, 20), label="num_nodes")
+    # Python and numpy integers, mixed within a set, repeated, in any order
+    node_id = st.builds(lambda v, cast: cast(v), st.integers(0, n - 1),
+                        st.sampled_from([int, np.int64, np.int32, np.uint8]))
+    sets = data.draw(st.lists(st.lists(node_id, min_size=1, max_size=8), max_size=8),
+                     label="sets")
+    canon = [sorted(set(s)) for s in sets]
+    sizes = [len(c) for c in canon]
+    # each set read once, from an iterator, as build_hypergraph allows
+    for members, starts, got_sizes in (_node_sets(sets, n), _node_sets(sets),
+                                       _node_sets(map(iter, sets), n)):
+        assert members.dtype == starts.dtype == got_sizes.dtype == np.int64
+        assert members.tolist() == [v for c in canon for v in c]
+        assert got_sizes.tolist() == sizes
+        assert starts.tolist() == [0, *itertools.accumulate(sizes)][:len(sets)]
+
+
+N = 6  # nodes of every structure the entry points below read
+
+
+@pytest.fixture(scope="module")
+def entry_points():
+    """Each public entry point that takes node sets, as (call on one bad
+    set, the name its messages give a set)."""
+    rng = np.random.default_rng(0)
+    h = build_hypergraph([[0, 1, 2], [2, 3], [3, 4, 5]])
+    layers = (init_layer(3, 3, rng), init_layer(2, 4, rng, activation="identity"))
+    edge_init, node_x = rng.normal(size=(3, 2)), rng.normal(size=(N, 1))
+    tiny = dict(clusters=2, hidden_dim=4, epochs=1, patience=1, batch_size=16, seed=0)
+    kh = planted_knowledge(np.random.default_rng(1), num_communities=2, nodes_per=3,
+                           num_edges=30)
+    completion, _ = train_completion(kh, TrainConfig(task="completion", **tiny))
+    edges, _ = planted_communities(np.random.default_rng(2), 2, 3, 30, 2, 3)
+    prediction, _ = train_prediction(build_hypergraph(edges, num_nodes=N),
+                                     TrainConfig(task="prediction", **tiny))
+    assert completion.structure.num_nodes == prediction.structure.num_nodes == N
+    return {
+        "build_hypergraph": (lambda s: build_hypergraph([s], num_nodes=N), "edge"),
+        "e2e_forward": (lambda s: e2e_forward(layers, "mean", h, edge_init, node_x, [s]),
+                        "target"),
+        "n2e": (lambda s: n2e(LayerParams(np.eye(2)), "mean", np.ones((N, 2)), [s],
+                              bilinear=False), "target"),
+        "predict_relation": (lambda s: predict_relation(completion, s), "candidate"),
+        "predict_edge": (lambda s: predict_edge(prediction, s), "candidate"),
+    }
+
+
+@pytest.mark.parametrize("entry", ["build_hypergraph", "e2e_forward", "n2e",
+                                   "predict_relation", "predict_edge"])
+@pytest.mark.parametrize("bad, message", [
+    ([0, 1.5], r"node id 1\.5 is not an integer"),
+    ([0, True], r"node id True is not an integer"),
+    ([0, "a"], r"node id 'a' is not an integer"),
+    ([0, -1], rf"{{name}} 0 has node id -1, out of range \[0, {N}\)"),
+    ([0, N], rf"{{name}} 0 has node id {N}, out of range \[0, {N}\)"),
+    ([0, 2**64], rf"{{name}} 0 has node id {2**64}, out of range \[0, {N}\)"),
+    ([], r"empty {name} at index 0"),
+], ids=["float", "bool", "string", "negative", "n", "beyond-int64", "empty"])
+def test_every_entry_point_rejects_a_bad_node_set_in_one_line(entry_points, entry, bad,
+                                                             message):
+    call, name = entry_points[entry]
+    with pytest.raises(ValueError, match=f"^{message.format(name=name)}$"):
+        call(bad)
 
 
 class TestKnowledgeHypergraph:

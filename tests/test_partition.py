@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ class TestClusterAssignment:
             assignment([0, 2], 2)
         with pytest.raises(ValueError, match=">= 1"):
             assignment([0], 0)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1.6, True], r"^cluster_of\[1\] is 1\.6, not an integer$"),
+        ([0, True], r"^cluster_of\[1\] is True, not an integer$"),
+        (np.array([0.0, 1.0]),
+         rf"^cluster_of\[0\] is {re.escape(repr(np.float64(0)))}, not an integer$"),
+    ], ids=["float", "bool", "float-array"])
+    def test_non_integer_label_rejected(self, labels, message):
+        # a truncating cast would have stored [0, 1, 1]
+        with pytest.raises(ValueError, match=message):
+            ClusterAssignment(labels, 2)
 
     def test_labels_frozen(self):
         c = assignment([0, 1], 2)
