@@ -7,7 +7,10 @@ bilinear lift, linear map, nonlinearity). Two stacked layers score
 arbitrary query sets of nodes; the backward pass returns exact weight
 gradients for both layers. A run whose edge features stay fixed can lift
 every edge's layer-1 input once (``lift_edges``) and pass the table to
-each forward, which then computes layer 1 as one matrix product.
+each forward, which then computes layer 1 as one matrix product. With the
+bilinear lift, layer 1's weight gradient is always taken in the table's
+packed layout: from the table's rows when the forward read one, otherwise
+from the field's inputs lifted one column run at a time.
 """
 
 from __future__ import annotations
@@ -313,28 +316,27 @@ def _unfold(grad: np.ndarray, d: int) -> np.ndarray:
     return full.reshape(grad.shape[0], d * d)
 
 
-def _affine_backward(
-    weight: np.ndarray,
-    z: np.ndarray,
-    grad_pre: np.ndarray,
-    bilinear: bool,
-    need_dz: bool = True,
-):
+def _affine_backward(weight: np.ndarray, z: np.ndarray, grad_pre: np.ndarray, bilinear: bool):
     if not bilinear:
-        dw = grad_pre.T @ z
-        dz = grad_pre @ weight if need_dz else None
-        return dw, dz
-    t, d = z.shape
-    out_dim = weight.shape[0]
+        return grad_pre.T @ z, grad_pre @ weight
+    d = z.shape[1]
     dw = np.empty_like(weight)
-    dz = np.zeros_like(z) if need_dz else None
-    for j in range(out_dim):
+    dz = np.zeros_like(z)
+    for j in range(weight.shape[0]):
         gj = grad_pre[:, j]
         dw[j] = (z.T @ (z * gj[:, None])).reshape(-1)
-        if need_dz:
-            mj = weight[j].reshape(d, d)
-            dz += gj[:, None] * (z @ (mj + mj.T))
+        mj = weight[j].reshape(d, d)
+        dz += gj[:, None] * (z @ (mj + mj.T))
     return dw, dz
+
+
+def _column_runs(d: int):
+    """The packed layout's column runs: for each a, the slice of columns
+    that holds z_a z_b for b = a, ..., d - 1 (``np.triu_indices`` order)."""
+    col = 0
+    for a in range(d):
+        yield a, slice(col, col + d - a)
+        col += d - a
 
 
 def n2e(
@@ -401,10 +403,8 @@ def lift_edges(
         return z
     # filled in place, a column run at a time, with no table-sized temporary
     lift = np.empty((h.num_edges, width), dtype=np.float64)
-    col = 0
-    for a in range(d):
-        np.multiply(z[:, a, None], z[:, a:], out=lift[:, col:col + d - a])
-        col += d - a
+    for a, run in _column_runs(d):
+        np.multiply(z[:, a, None], z[:, a:], out=lift[:, run])
     return lift
 
 
@@ -554,7 +554,14 @@ def e2e_forward(
 
 
 def e2e_backward(cache: E2ECache, upstream: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of both layer weights for a cached forward pass."""
+    """Exact gradients of both layer weights for a cached forward pass.
+
+    Layer 1's bilinear weight gradient is taken in the packed layout of
+    ``lift_edges`` and mirrored into the full (out, d * d) one (``_unfold``):
+    from the table's rows when the forward read one, otherwise one product
+    per column run, each lifting the field's z_a z_b (b >= a) on the spot.
+    Layer 2 runs one output at a time.
+    """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache.pre2.shape:
         raise ValueError(
@@ -573,18 +580,24 @@ def e2e_backward(cache: E2ECache, upstream: np.ndarray) -> dict[str, np.ndarray]
     dagg = dnf2[:, : layer1.out_dim]
     def1 = cache.inc2.T @ (dagg * cache.inv_deg2[:, None])
     g1 = def1 * _act_grad(cache.pre1, layer1.activation)
-    if cache.packed:
-        lift, needed = cache.z1, cache.needed_edges
-        if _reads_whole(lift, needed):
-            # each needed edge's gradient on its row of the table
-            rows = np.zeros((lift.shape[0], g1.shape[1]), dtype=np.float64)
-            rows[needed] = g1
-            grad = rows.T @ lift
-        else:
-            grad = np.zeros((g1.shape[1], lift.shape[1]), dtype=np.float64)
-            for part, rows in _gathered(lift, needed):
-                grad += g1[part].T @ rows
-        dw1 = _unfold(grad, math.isqrt(layer1.weight.shape[1]))
+    if not cache.bilinear:
+        return {"W1": g1.T @ cache.z1, "W2": dw2}
+    d = math.isqrt(layer1.weight.shape[1])
+    if not cache.packed:
+        # no temporary outgrows z1, and each product sums over the whole field
+        z1 = cache.z1
+        grad = np.empty((d * (d + 1) // 2, g1.shape[1]), dtype=np.float64)
+        for a, run in _column_runs(d):
+            np.matmul((z1[:, a, None] * z1[:, a:]).T, g1, out=grad[run])
+        return {"W1": _unfold(grad.T, d), "W2": dw2}
+    lift, needed = cache.z1, cache.needed_edges
+    if _reads_whole(lift, needed):
+        # each needed edge's gradient on its row of the table
+        rows = np.zeros((lift.shape[0], g1.shape[1]), dtype=np.float64)
+        rows[needed] = g1
+        grad = rows.T @ lift
     else:
-        dw1, _ = _affine_backward(layer1.weight, cache.z1, g1, cache.bilinear, need_dz=False)
-    return {"W1": dw1, "W2": dw2}
+        grad = np.zeros((g1.shape[1], lift.shape[1]), dtype=np.float64)
+        for part, rows in _gathered(lift, needed):
+            grad += g1[part].T @ rows
+    return {"W1": _unfold(grad, d), "W2": dw2}

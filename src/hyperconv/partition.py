@@ -46,6 +46,8 @@ class ClusterAssignment:
     balance_epsilon: float = 0.05
 
     def __post_init__(self):
+        if np.ndim(self.cluster_of) != 1:
+            raise ValueError(f"cluster_of has shape {np.shape(self.cluster_of)}, not one dimension")
         bad = _first_non_integer(self.cluster_of)
         if bad is not None:
             raise ValueError(f"cluster_of[{bad[0]}] is {bad[1]!r}, not an integer")

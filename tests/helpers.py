@@ -275,6 +275,35 @@ def loop_affine_forward(weight, z, bilinear) -> np.ndarray:
     return pre
 
 
+def loop_bilinear_weight_grad(z, grad_pre) -> np.ndarray:
+    """The bilinear weight gradient sum_t g_tj z_t z_t^T, one output j at a
+    time, in the full (out, d * d) layout."""
+    return np.stack([np.einsum("t,ta,tb->ab", grad_pre[:, j], z, z).reshape(-1)
+                     for j in range(grad_pre.shape[1])])
+
+
+def layer1_pre_grad(cache, upstream) -> np.ndarray:
+    """The loss gradient at layer 1's pre-activations of a cached forward:
+    layer 2's input gradient one output at a time, then back through the
+    set reduction and the mean aggregation onto the field's edges."""
+    layer1, layer2 = cache.layers
+    g2 = upstream * (cache.pre2 > 0 if layer2.activation == "relu" else 1.0)
+    z2 = cache.z2
+    d = z2.shape[1]
+    dz2 = np.zeros_like(z2)
+    for j in range(layer2.out_dim):
+        if cache.bilinear:
+            mj = layer2.weight[j].reshape(d, d)
+            dz2 += g2[:, j, None] * (z2 @ (mj + mj.T))
+        else:
+            dz2 += g2[:, j, None] * layer2.weight[j]
+    dnf2 = np.zeros((cache.inc2.shape[0], d))
+    cache.batch2.backward(cache.kind, dz2, dnf2, cache.red2_cache)
+    dagg = dnf2[:, :layer1.out_dim] * cache.inv_deg2[:, None]
+    def1 = cache.inc2.toarray().T @ dagg
+    return def1 * (cache.pre1 > 0 if layer1.activation == "relu" else 1.0)
+
+
 def gather_aggregate(incidence, deg, edge_features, node_x):
     """Mean edge-to-node aggregation with the node tags joined on by
     concatenation, over edge rows gathered to the incidence's columns."""

@@ -27,7 +27,9 @@ from helpers import (
     draw_hypergraph,
     gather_e2e_forward,
     gradcheck_max_error,
+    layer1_pre_grad,
     loop_affine_forward,
+    loop_bilinear_weight_grad,
     naive_e2n,
     naive_n2e,
     naive_set_groups,
@@ -478,6 +480,44 @@ class TestLift:
         d = math.isqrt(grads["W1"].shape[1])
         m = grads["W1"].reshape(-1, d, d)
         assert np.array_equal(m, m.transpose(0, 2, 1))
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_w1_gradient_matches_the_per_output_oracle(self, data):
+        # both paths take packed products: the table's rows, or the field's
+        # column runs lifted on the spot
+        case = draw_lift_case(data, bilinear=True)
+        (_, grads, _), (_, want_grads, oracle) = lifted_and_blocked(*case, True)
+        want = loop_bilinear_weight_grad(oracle.z1, layer1_pre_grad(oracle, case[-1]))
+        assert_close(grads["W1"], want)
+        assert_close(want_grads["W1"], want)
+
+    @pytest.mark.parametrize("kind", OMEGA_KINDS)
+    def test_w1_gradient_over_several_gathered_blocks(self, monkeypatch, kind):
+        # a path of 9 edges: target nodes 0-4 reach edges 0-4, under 3/4 of
+        # the table, so both passes gather them in blocks of 2, 2 and 1 rows
+        rng = np.random.default_rng(12)  # a draw whose W1 gradient is nonzero for every kind
+        h = build_hypergraph([[i, i + 1] for i in range(9)])
+        layers, edge_init, node_x = tiny_model(rng, h)
+        probe = rng.normal(size=(1, layers[1].out_dim))
+        monkeypatch.setattr(convolution, "_BLOCK_BYTES", 8 * 10 * 2)  # two rows of 10 columns
+        real, blocks = convolution._gathered, []
+
+        def counting(lift, rows):
+            for part, block in real(lift, rows):
+                blocks.append(block.shape[0])
+                yield part, block
+
+        monkeypatch.setattr(convolution, "_gathered", counting)
+        (_, grads, _), (_, want_grads, oracle) = lifted_and_blocked(
+            h, [list(range(5))], kind, layers, edge_init, node_x, probe, True)
+        assert blocks == [2, 2, 1, 2, 2, 1]  # forward, then backward
+        want = loop_bilinear_weight_grad(oracle.z1, layer1_pre_grad(oracle, probe))
+        assert np.abs(want).max() > 0
+        for got in (grads["W1"], want_grads["W1"]):
+            assert_close(got, want)
+            m = got.reshape(-1, 4, 4)
+            assert np.array_equal(m, m.transpose(0, 2, 1))
 
     @settings(max_examples=200)
     @given(data=st.data())

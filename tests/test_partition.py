@@ -114,6 +114,13 @@ class TestClusterAssignment:
         with pytest.raises(ValueError, match=message):
             ClusterAssignment(labels, 2)
 
+    @pytest.mark.parametrize("labels, shape", [(5, r"\(\)"), ([[0, 1], [1, 0]], r"\(2, 2\)")],
+                             ids=["scalar", "2-d"])
+    def test_labels_not_one_dimensional_rejected(self, labels, shape):
+        # a scalar once failed with "'int' object is not iterable"
+        with pytest.raises(ValueError, match=rf"^cluster_of has shape {shape}, not one dimension$"):
+            ClusterAssignment(labels, 8)
+
     def test_labels_frozen(self):
         c = assignment([0, 1], 2)
         with pytest.raises(ValueError):

@@ -8,9 +8,9 @@ diffs the two outputs:
     PYTHONPATH=/path/to/parent/src python tools/exactness.py > before.txt
     diff before.txt after.txt
 
-Both runs need the same BLAS thread count (``OPENBLAS_NUM_THREADS=1``,
-say): the kernel line's products round differently when BLAS splits
-them over more threads.
+Both runs need the same BLAS thread count: the kernel and field lines'
+products round differently when BLAS splits them over more threads. The
+script pins BLAS to one thread (``blas_pin``) before numpy loads.
 
 A training line hashes the report minus ``wall_seconds``, the final
 weights, ``edge_init``, ``cluster_of``, ``evaluate()`` and one
@@ -46,6 +46,8 @@ under a minute on one core.
 """
 
 from __future__ import annotations
+
+import blas_pin  # noqa: F401  (pins BLAS before numpy loads)
 
 import hashlib
 import itertools

@@ -25,6 +25,8 @@ A run takes about a minute on one core, most of it at 80k edges; with
 
 from __future__ import annotations
 
+import blas_pin  # noqa: F401  (pins BLAS before numpy loads)
+
 import argparse
 import hashlib
 import importlib.util

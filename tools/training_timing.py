@@ -6,13 +6,13 @@ of the report minus ``wall_seconds``. The prediction job is a planted
 graph of 1,600 nodes and 2,400 edges of arity 3-10, 16 clusters, hidden
 width 64, 3 epochs at rate 1e-2; the completion job is 3,200 planted facts
 of arity 2-6 on 1,280 entities, 16 relations, 16 clusters, hidden width
-64, 4 epochs. Run it with one BLAS thread:
+64, 4 epochs. The script pins BLAS to one thread before numpy loads:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/training_timing.py
+    PYTHONPATH=src python tools/training_timing.py
 
 A speed change is compared with its parent in one process:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/training_timing.py --parent DIR
+    PYTHONPATH=src python tools/training_timing.py --parent DIR
 
 With ``--parent DIR`` the script loads the ``hyperconv`` package of the
 parent checkout's ``src/`` beside this tree's and runs the two in turns,
@@ -24,6 +24,8 @@ trees agree. A run takes about half a minute on one core; with
 """
 
 from __future__ import annotations
+
+import blas_pin  # noqa: F401  (pins BLAS before numpy loads)
 
 import argparse
 import hashlib
