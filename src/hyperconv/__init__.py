@@ -9,7 +9,6 @@ completion, hyperedge prediction, and hyperedge classification.
 from .hypergraph import Hypergraph, KnowledgeHypergraph, build_hypergraph
 from .partition import (
     ClusterAssignment,
-    CoarseLevel,
     coarsen,
     cut,
     fm_refine,
@@ -57,7 +56,6 @@ __all__ = [
     "KnowledgeHypergraph",
     "build_hypergraph",
     "ClusterAssignment",
-    "CoarseLevel",
     "coarsen",
     "cut",
     "fm_refine",

@@ -1,17 +1,23 @@
 """Versioned checkpoint container for trained models.
 
-JSON with float64 weights and int64 ids packed as base64 little-endian
-bytes, so a reloaded model reproduces every prediction bit-exactly. It
-stores what cannot be derived: the structure's CSR arrays, the edge types
-(relational tasks), the cluster ids, the weights, the vocabularies and the
-config. The features, one-hots of those, and the layers' shapes and
+Version 3 is one header line, a JSON document, followed by the arrays'
+raw little-endian bytes: float64 weights and int64 ids, so a reloaded
+model reproduces every prediction bit-exactly. Each array's entry in the
+header holds its ``shape`` and its ``offset``, counted in bytes from the
+end of the header line; the arrays lie back to back from offset 0, each
+at a multiple of 8, and the file ends where the last one does. Loading
+reads each array straight into its own buffer. The file stores what
+cannot be derived: the structure's CSR arrays, the edge types
+(relational tasks), the cluster ids, the weights, the vocabularies and
+the config. The features, one-hots of those, and the layers' shapes and
 activations follow from them by the rules training builds a model by.
 """
 
 from __future__ import annotations
 
-import base64
 import json
+import math
+import os
 import reprlib
 from pathlib import Path
 
@@ -24,12 +30,16 @@ from .training import (_JSON_NAMES, ModelParams, TrainConfig, TrainedModel, _fea
                        _layer_shapes)
 
 FORMAT_NAME = "hyperconv-checkpoint"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
-def _pack(arr: np.ndarray, dtype: str = "<f8") -> dict:
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+def _pack(out: list, arr: np.ndarray, dtype: str = "<f8") -> dict:
+    """The header entry of ``arr``, whose bytes are appended to ``out``
+    after those already there (every dtype is 8 bytes wide, so each offset
+    is a multiple of 8)."""
+    offset = sum(a.nbytes for a in out)
+    out.append(np.ascontiguousarray(arr, dtype=dtype))
+    return {"shape": list(out[-1].shape), "offset": offset}
 
 
 def _field(path, doc: dict, name: str):
@@ -54,20 +64,64 @@ def _typed(path, doc: dict, name: str, *types):
     return value
 
 
-def _unpack(path, doc: dict, name: str, dtype: str = "<f8") -> np.ndarray:
-    data, shape = _field(path, doc, f"{name}.data"), _field(path, doc, f"{name}.shape")
-    try:
-        arr = np.frombuffer(base64.b64decode(data, validate=True), dtype=dtype)
-        return arr.astype(arr.dtype.newbyteorder("=")).reshape(shape)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: field {name} does not decode to shape {shape}: {exc}") from None
+class _Payload:
+    """The bytes after the header line of the checkpoint open as ``fh``,
+    ``start`` bytes in; each packed array is read from them straight into
+    a buffer of its own."""
+
+    def __init__(self, path, fh, start: int):
+        self.path, self.fh, self.start = path, fh, start
+        self.size = os.fstat(fh.fileno()).st_size - start
+        self.spans = []  # (offset, end, field) of each array read
+
+    def array(self, doc: dict, name: str, dtype: str = "<f8") -> np.ndarray:
+        """The packed array at ``name``; fails naming the field unless its
+        entry holds a shape and an aligned offset whose bytes are in the file."""
+        path = self.path
+        entry = _typed(path, doc, name, dict)
+        if entry.keys() != {"shape", "offset"}:
+            raise ValueError(f"{path}: field {name} has keys {sorted(entry)}, "
+                             "expected offset and shape")
+        shape, offset = entry["shape"], entry["offset"]
+        if type(shape) is not list or any(type(s) is not int or s < 0 for s in shape):
+            raise ValueError(f"{path}: field {name}.shape is {reprlib.repr(shape)}, "
+                             "expected a list of non-negative integers")
+        if type(offset) is not int or offset % 8 or not 0 <= offset <= self.size:
+            raise ValueError(f"{path}: field {name}.offset is {reprlib.repr(offset)}, expected "
+                             f"a multiple of 8 within the {self.size} bytes after the header")
+        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+        if nbytes > self.size - offset:
+            raise ValueError(f"{path}: field {name} of shape {shape} needs {nbytes} bytes at "
+                             f"offset {offset}, but only {self.size - offset} follow")
+        arr = np.empty(shape, dtype)
+        self.fh.seek(self.start + offset)
+        self.fh.readinto(arr)
+        self.spans.append((offset, offset + nbytes, name))
+        if not arr.dtype.isnative:  # a big-endian machine swaps in place
+            arr = arr.byteswap(inplace=True).view(arr.dtype.newbyteorder("="))
+        return arr
+
+    def check_layout(self) -> None:
+        """Fails unless the arrays read lie back to back from offset 0 to
+        the end of the file."""
+        end, name = 0, "the header"
+        for offset, stop, field in sorted(self.spans):
+            if offset != end:
+                raise ValueError(f"{self.path}: field {field}.offset is {offset}, expected "
+                                 f"{end}, where {name} ends: the arrays lie back to back")
+            end, name = stop, f"field {field}"
+        if end != self.size:
+            raise ValueError(f"{self.path}: {self.size - end} bytes are left after the last "
+                             f"array, {name}")
 
 
-def _ids(path, doc: dict, name: str, bound: int, size: int | None = None) -> np.ndarray:
+def _ids(payload: _Payload, doc: dict, name: str, bound: int,
+         size: int | None = None) -> np.ndarray:
     """The packed int64 array at ``name``: one-dimensional, ``size`` long
     when given, each entry in [0, bound). Fails naming the field and the
     first bad id."""
-    ids = _unpack(path, doc, name, "<i8")
+    path = payload.path
+    ids = payload.array(doc, name, "<i8")
     if ids.ndim != 1 or size not in (None, ids.size):
         expected = "one dimension" if size is None else f"shape [{size}]"
         raise ValueError(f"{path}: field {name} has shape {list(ids.shape)}, expected {expected}")
@@ -91,7 +145,9 @@ def _task_layout(config: TrainConfig, init_cols: int, relation_names):
 
 
 def save_checkpoint(model: TrainedModel, path) -> None:
-    """Write ``model`` to ``path``. Refuses a model whose clusters, features,
+    """Write ``model`` to ``path``, by way of a temporary file beside it
+    that replaces ``path`` once complete, so a failed or interrupted write
+    leaves what was there. Refuses a model whose clusters, features,
     activations or arrays ``load_checkpoint`` would not give back."""
     edge_type = None
     if model.task != "prediction":
@@ -111,6 +167,7 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     if wrong:
         raise ValueError(f"{path}: not saved, the model's {wrong[0]} disagrees with its "
                          "config, cluster ids and edge types")
+    packed = []
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -119,84 +176,102 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         "activations": activations,
         "structure": {
             "num_nodes": model.structure.num_nodes,
-            "edge_ptr": _pack(model.structure.edge_ptr, "<i8"),
-            "pins": _pack(model.structure.pins, "<i8"),
-            "edge_type": None if edge_type is None else _pack(edge_type, "<i8"),
+            "edge_ptr": _pack(packed, model.structure.edge_ptr, "<i8"),
+            "pins": _pack(packed, model.structure.pins, "<i8"),
+            "edge_type": None if edge_type is None else _pack(packed, edge_type, "<i8"),
         },
-        "clusters": {"cluster_of": _pack(model.clusters.cluster_of, "<i8")},
-        "arrays": {name: _pack(arr) for name, arr in arrays.items()},
+        "clusters": {"cluster_of": _pack(packed, model.clusters.cluster_of, "<i8")},
+        "arrays": {name: _pack(packed, arr) for name, arr in arrays.items()},
         "relation_names": list(model.relation_names) if model.relation_names else None,
         "entity_names": list(model.entity_names) if model.entity_names else None,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(temporary, "xb")
+    try:
+        with fh:
+            fh.write(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n")
+            for arr in packed:
+                fh.write(arr)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> TrainedModel:
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        # a file without a newline, such as a version-2 document, is all header
+        header = fh.readline()
         try:
-            doc = json.load(fh)
+            doc = json.loads(header.decode("utf-8"))
         except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ValueError(f"{path}: not a JSON document: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"{path}: not a model checkpoint")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: checkpoint version {doc.get('version')} unsupported "
-            f"(expected {FORMAT_VERSION})"
-        )
-    fields = _typed(path, doc, "config", dict)
-    try:
-        config = TrainConfig.from_dict(fields)
-    except ValueError as exc:
-        raise ValueError(f"{path}: field config: {exc}") from None
-    task = _field(path, doc, "task")
-    if task != config.task:
-        raise ValueError(f"{path}: field task is {task!r} but config.task is {config.task!r}")
-    # the relational tasks rebuild their typed structure from the vocabularies
-    vocabulary = (list, type(None)) if task == "prediction" else (list,)
-    relation_names = _typed(path, doc, "relation_names", *vocabulary)
-    entity_names = _typed(path, doc, "entity_names", *vocabulary)
-    n = _typed(path, doc, "structure.num_nodes", int)
-    pins = _ids(path, doc, "structure.pins", n)
-    edge_ptr = _ids(path, doc, "structure.edge_ptr", pins.size + 1)
-    empty = np.flatnonzero(np.diff(edge_ptr) <= 0)
-    if edge_ptr[:1].tolist() != [0] or edge_ptr[-1:].tolist() != [pins.size] or empty.size:
-        where = f"edge {empty[0]} is empty; " if empty.size else ""
-        raise ValueError(f"{path}: field structure.edge_ptr: {where}expected offsets rising "
-                         f"strictly from 0 to {pins.size}, the pin count")
-    structure = Hypergraph(edge_ptr, pins, n)
-    # each edge lists distinct ids in ascending order, as ``build_hypergraph``
-    # stores them, so the pins' (edge, node) codes rise strictly
-    wrong = structure.pin_edge[1:][np.diff(structure.pin_edge * n + pins) <= 0]
-    if wrong.size:
-        members = pins[edge_ptr[wrong[0]]:edge_ptr[wrong[0] + 1]].tolist()
-        raise ValueError(f"{path}: field structure.pins holds edge {wrong[0]} as "
-                         f"{reprlib.repr(members)}, expected ascending and distinct node ids")
-    cluster_of = _ids(path, doc, "clusters.cluster_of", config.clusters, n)
-    if task == "prediction":
-        edge_type = _typed(path, doc, "structure.edge_type", type(None))
-    else:
-        edge_type = _ids(path, doc, "structure.edge_type", len(relation_names),
-                         structure.num_edges)
-    # the features ``_features`` builds: the relation one-hot, when there
-    # are edge types, before the cluster one-hot
-    init_cols = config.clusters + (0 if edge_type is None else len(relation_names))
-    activations, shapes = _task_layout(config, init_cols, relation_names)
-    if _field(path, doc, "activations") != activations:
-        raise ValueError(f"{path}: field activations is {reprlib.repr(doc['activations'])}, "
-                         f"expected {activations}")
-    arrays = {}
-    for name, shape in shapes.items():
-        arr = arrays[name] = _unpack(path, doc, f"arrays.{name}")
-        if arr.shape != shape or not np.isfinite(arr).all():
-            raise ValueError(f"{path}: field arrays.{name} has shape {list(arr.shape)}, "
-                             f"expected shape {list(shape)} and finite values")
-    extra = sorted(doc["arrays"].keys() - shapes.keys())
-    if extra:
-        raise ValueError(f"{path}: field arrays.{extra[0]} is not an array of a {task} model")
-    del doc  # every packed array is decoded; free the text before the features
+        if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+            raise ValueError(f"{path}: not a model checkpoint")
+        if doc.get("version") != FORMAT_VERSION:
+            raise ValueError(
+                f"{path}: checkpoint version {doc.get('version')} unsupported "
+                f"(expected {FORMAT_VERSION})"
+            )
+        payload = _Payload(path, fh, len(header))
+        fields = _typed(path, doc, "config", dict)
+        try:
+            config = TrainConfig.from_dict(fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}: field config: {exc}") from None
+        task = _field(path, doc, "task")
+        if task != config.task:
+            raise ValueError(f"{path}: field task is {task!r} but config.task is "
+                             f"{config.task!r}")
+        # the relational tasks rebuild their typed structure from the vocabularies
+        vocabulary = (list, type(None)) if task == "prediction" else (list,)
+        relation_names = _typed(path, doc, "relation_names", *vocabulary)
+        entity_names = _typed(path, doc, "entity_names", *vocabulary)
+        n = _typed(path, doc, "structure.num_nodes", int)
+        pins = _ids(payload, doc, "structure.pins", n)
+        edge_ptr = _ids(payload, doc, "structure.edge_ptr", pins.size + 1)
+        empty = np.flatnonzero(np.diff(edge_ptr) <= 0)
+        if edge_ptr[:1].tolist() != [0] or edge_ptr[-1:].tolist() != [pins.size] or empty.size:
+            where = f"edge {empty[0]} is empty; " if empty.size else ""
+            raise ValueError(f"{path}: field structure.edge_ptr: {where}expected offsets "
+                             f"rising strictly from 0 to {pins.size}, the pin count")
+        structure = Hypergraph(edge_ptr, pins, n)
+        # each edge lists distinct ids in ascending order, as ``build_hypergraph``
+        # stores them, so the pins' (edge, node) codes rise strictly
+        wrong = structure.pin_edge[1:][np.diff(structure.pin_edge * n + pins) <= 0]
+        if wrong.size:
+            members = pins[edge_ptr[wrong[0]]:edge_ptr[wrong[0] + 1]].tolist()
+            raise ValueError(f"{path}: field structure.pins holds edge {wrong[0]} as "
+                             f"{reprlib.repr(members)}, expected ascending and distinct node ids")
+        cluster_of = _ids(payload, doc, "clusters.cluster_of", config.clusters, n)
+        if task == "prediction":
+            edge_type = _typed(path, doc, "structure.edge_type", type(None))
+        else:
+            edge_type = _ids(payload, doc, "structure.edge_type", len(relation_names),
+                             structure.num_edges)
+        # the features ``_features`` builds: the relation one-hot, when there
+        # are edge types, before the cluster one-hot
+        init_cols = config.clusters + (0 if edge_type is None else len(relation_names))
+        activations, shapes = _task_layout(config, init_cols, relation_names)
+        if _field(path, doc, "activations") != activations:
+            raise ValueError(f"{path}: field activations is "
+                             f"{reprlib.repr(doc['activations'])}, expected {activations}")
+        arrays = {}
+        for name, shape in shapes.items():
+            arr = arrays[name] = payload.array(doc, f"arrays.{name}")
+            if arr.shape != shape or not np.isfinite(arr).all():
+                raise ValueError(f"{path}: field arrays.{name} has shape {list(arr.shape)}, "
+                                 f"expected shape {list(shape)} and finite values")
+        extra = sorted(doc["arrays"].keys() - shapes.keys())
+        if extra:
+            raise ValueError(f"{path}: field arrays.{extra[0]} is not an array of a {task} "
+                             "model")
+        payload.check_layout()
+    del doc  # every packed array is read; free the header before the features
     clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
     try:
         edge_init, node_x = _features(structure, clusters, edge_type, relation_names,

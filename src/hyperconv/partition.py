@@ -74,7 +74,7 @@ class ClusterAssignment:
 
 
 @dataclass(frozen=True)
-class CoarseLevel:
+class _CoarseLevel:
     """One coarsening step: the smaller hypergraph plus the projection map.
 
     ``projection[v]`` is the coarse node absorbing fine node v; it is total
@@ -130,7 +130,7 @@ def coarsen(
     h: Hypergraph,
     node_weights: np.ndarray | None = None,
     weight_cap: int | None = None,
-) -> CoarseLevel:
+) -> _CoarseLevel:
     """Merge nodes along hyperedges to produce a strictly smaller hypergraph.
 
     Hyperedges are visited in ascending (size, id) order; each edge fuses
@@ -191,10 +191,10 @@ def coarsen(
     kept = sizes[image_edge] >= 2
     coarse_ptr = np.concatenate([[0], np.cumsum(sizes[sizes >= 2])])
     coarse = Hypergraph(coarse_ptr, codes[kept] % n_coarse, n_coarse)
-    return CoarseLevel(coarse, projection, progress=n_coarse < n)
+    return _CoarseLevel(coarse, projection, progress=n_coarse < n)
 
 
-def coarse_weights(level: CoarseLevel, node_weights: np.ndarray) -> np.ndarray:
+def coarse_weights(level: _CoarseLevel, node_weights: np.ndarray) -> np.ndarray:
     """Total fine weight carried by each coarse node."""
     return np.bincount(
         level.projection, weights=node_weights, minlength=level.coarse.num_nodes
@@ -602,7 +602,7 @@ def partition(
     weight_cap = cap - int(math.ceil(n / k))
     floor = max(20 * k, 200)
 
-    levels: list[CoarseLevel] = []
+    levels: list[_CoarseLevel] = []
     cur = h
     weights = np.ones(n, dtype=np.int64)
     weight_stack = [weights]

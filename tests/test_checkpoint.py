@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import errno
 import json
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperconv import checkpoint
 from hyperconv.checkpoint import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -56,7 +58,7 @@ def prediction_model():
 
 
 def test_relation_scores_survive_round_trip(completion_model, tmp_path):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_checkpoint(completion_model, path)
     again = load_checkpoint(path)
     for cand in ([0, 1, 2], [5], [12, 30]):
@@ -64,7 +66,7 @@ def test_relation_scores_survive_round_trip(completion_model, tmp_path):
 
 
 def test_edge_scores_survive_round_trip(prediction_model, tmp_path):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_checkpoint(prediction_model, path)
     again = load_checkpoint(path)
     for cand in ([0, 1, 2, 3], [1, 25], [4, 5, 6]):
@@ -72,7 +74,7 @@ def test_edge_scores_survive_round_trip(prediction_model, tmp_path):
 
 
 def test_every_field_restored_exactly(completion_model, tmp_path):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_checkpoint(completion_model, path)
     again = load_checkpoint(path)
     assert again.task == completion_model.task
@@ -92,7 +94,7 @@ def test_every_field_restored_exactly(completion_model, tmp_path):
 
 
 def test_head_arrays_stored_for_prediction(prediction_model, tmp_path):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_checkpoint(prediction_model, path)
     again = load_checkpoint(path)
     np.testing.assert_array_equal(
@@ -103,36 +105,70 @@ def test_head_arrays_stored_for_prediction(prediction_model, tmp_path):
     )
 
 
+def _entries(node):
+    """Every packed entry in the header ``node``, once per place it appears."""
+    if isinstance(node, dict):
+        if {"offset", "bytes"} & node.keys():
+            yield node
+        else:
+            for value in node.values():
+                yield from _entries(value)
+
+
+def _read(path) -> dict:
+    """The header of the checkpoint at ``path``, each packed entry holding
+    its array's ``bytes`` in place of its offset."""
+    with open(path, "rb") as fh:
+        doc = json.loads(fh.readline())
+        data = fh.read()
+    for entry in _entries(doc):
+        start = entry.pop("offset")
+        entry["bytes"] = data[start:start + 8 * int(np.prod(entry["shape"]))]
+    return doc
+
+
+def _write(path, doc: dict) -> None:
+    """Write a header from ``_read`` back, its arrays back to back in header
+    order; an entry an edit gave an offset keeps it."""
+    data = bytearray()
+    for entry in _entries(doc):
+        if "bytes" in entry:
+            entry.setdefault("offset", len(data))
+            data += entry.pop("bytes")
+    path.write_bytes(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n" + data)
+
+
 def test_format_marker_checked(completion_model, tmp_path):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_checkpoint(completion_model, path)
-    doc = json.loads(path.read_text("utf-8"))
+    doc = _read(path)
     assert doc["format"] == FORMAT_NAME
     assert doc["version"] == FORMAT_VERSION
 
     doc["format"] = "something-else"
-    path.write_text(json.dumps(doc), "utf-8")
+    _write(path, doc)
     with pytest.raises(ValueError, match="not a model checkpoint"):
         load_checkpoint(path)
 
+    doc = _read(path)
     doc["format"] = FORMAT_NAME
     doc["version"] = FORMAT_VERSION + 1
-    path.write_text(json.dumps(doc), "utf-8")
+    _write(path, doc)
     with pytest.raises(ValueError, match="unsupported"):
         load_checkpoint(path)
 
 
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
-        load_checkpoint(tmp_path / "absent.json")
+        load_checkpoint(tmp_path / "absent.ckpt")
 
 
 def _corrupt(model, tmp_path, edit):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    doc = json.loads(path.read_text("utf-8"))
+    doc = _read(path)
     edit(doc)
-    path.write_text(json.dumps(doc), "utf-8")
+    _write(path, doc)
     return path
 
 
@@ -145,15 +181,14 @@ def _section(doc, keys):
 def _packed(doc, *keys, dtype="<f8"):
     """A copy of the packed array at ``keys``."""
     field = _section(doc, keys)
-    arr = np.frombuffer(base64.b64decode(field["data"]), dtype=dtype)
-    return arr.reshape(field["shape"]).copy()
+    return np.frombuffer(field["bytes"], dtype=dtype).reshape(field["shape"]).copy()
 
 
 def _store(doc, arr, *keys, dtype="<f8"):
     arr = np.ascontiguousarray(arr, dtype=dtype)
     field = _section(doc, keys)
     field["shape"] = list(arr.shape)
-    field["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    field["bytes"] = arr.tobytes()
 
 
 def _resize(doc, name, rows=None, cols=None):
@@ -214,7 +249,7 @@ def test_edge_init_rows_checked_against_structure(completion_model, tmp_path):
 def test_node_x_shape_checked(completion_model, tmp_path):
     model = dataclasses.replace(completion_model, node_x=completion_model.node_x[:, :-1])
     with pytest.raises(ValueError, match="node_x"):
-        save_checkpoint(model, tmp_path / "model.json")
+        save_checkpoint(model, tmp_path / "model.ckpt")
 
 
 def test_cluster_of_length_checked(completion_model, tmp_path):
@@ -284,9 +319,6 @@ def _set(value, *keys):
     return edit
 
 
-SHORT_DATA = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
-
-
 def _as_float_bytes(ids, doc):
     """The ids packed as float64, read back as int64."""
     return ids.astype("<f8").view("<i8")
@@ -296,7 +328,7 @@ def _as_float_bytes(ids, doc):
     (_drop("arrays", "W1"), "arrays.W1"),
     (_drop("structure"), "structure"),
     (_set("!!!!", "arrays", "W1", "data"), "arrays.W1"),
-    (_set(SHORT_DATA, "arrays", "W2", "data"), "arrays.W2"),
+    (_set(np.zeros(3).tobytes(), "arrays", "W2", "bytes"), "arrays.W2"),
     (_put(0, lambda doc: doc["config"]["clusters"], "clusters", "cluster_of"),
      "clusters.cluster_of"),
     (_set("tanh", "activations", 1), "activations"),
@@ -339,6 +371,16 @@ def _as_float_bytes(ids, doc):
     (_set(lambda doc: doc["entity_names"][:-1], "entity_names"), "entity_names"),
     (_set(lambda doc: doc["relation_names"][:1] * len(doc["relation_names"]),
           "relation_names"), "relation_names"),
+    (_set(1 << 40, "arrays", "W1", "offset"), "arrays.W1.offset"),
+    (_set(-8, "arrays", "W1", "offset"), "arrays.W1.offset"),
+    (_set(4, "arrays", "W2", "offset"), "arrays.W2.offset"),
+    (_set("0", "structure", "pins", "offset"), "structure.pins.offset"),
+    (_set(0, "arrays", "W2", "offset"), "arrays.W2"),
+    (_drop("arrays", "W1", "shape"), "arrays.W1"),
+    (_set(lambda doc: doc["structure"]["pins"]["bytes"][:-8], "structure", "pins", "bytes"),
+     "structure.pins of shape"),
+    (_set(lambda doc: doc["structure"]["pins"]["bytes"] + bytes(8), "structure", "pins",
+          "bytes"), "structure.pins"),
 ], ids=["missing-array", "missing-section", "bad-base64", "data-short-of-shape",
         "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix",
         "float-node-id", "float-cluster-id", "task-disagrees-with-config",
@@ -351,7 +393,9 @@ def _as_float_bytes(ids, doc):
         "cluster-of-bad-base64", "edge-ptr-not-one-dimensional",
         "pins-not-one-dimensional", "edge-ptr-out-of-range", "negative-node-id",
         "edge-type-out-of-range", "edge-ptr-not-from-zero", "null-entity-names",
-        "short-entity-names", "repeated-relation-name"])
+        "short-entity-names", "repeated-relation-name", "offset-outside-file",
+        "negative-offset", "misaligned-offset", "string-offset", "overlapping-arrays",
+        "missing-shape", "last-array-cut-short", "bytes-left-after-last-array"])
 def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)
 
@@ -395,7 +439,7 @@ def test_save_refuses_activation_not_the_tasks(completion_model, tmp_path):
     layer2 = dataclasses.replace(completion_model.params.layer2, activation="relu")
     params = dataclasses.replace(completion_model.params, layer2=layer2)
     model = dataclasses.replace(completion_model, params=params)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     with pytest.raises(ValueError, match="activations") as info:
         save_checkpoint(model, path)
     assert "\n" not in str(info.value) and not path.exists()
@@ -408,11 +452,99 @@ def test_version_1_document_rejected(completion_model, tmp_path):
     assert str(path) in str(info.value)
 
 
+def test_version_2_document_rejected(completion_model, tmp_path):
+    # version 2 was one JSON document, without a newline, holding each
+    # array as base64 ``data``
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(completion_model, path)
+    doc = _read(path)
+    for entry in _entries(doc):
+        entry["data"] = base64.b64encode(entry.pop("bytes")).decode("ascii")
+    doc["version"] = 2
+    path.write_text(json.dumps(doc, sort_keys=True), "utf-8")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: checkpoint version 2 unsupported (expected 3)"
+
+
+@pytest.fixture(scope="module")
+def saved_bytes(completion_model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("saved") / "model.ckpt"
+    save_checkpoint(completion_model, path)
+    return path.read_bytes()
+
+
+def _boundaries(saved: bytes) -> list[int]:
+    """The cuts on either side of the header's newline and of each array's end."""
+    header = saved[:saved.index(b"\n")]
+    start = len(header) + 1
+    ends = [start + entry["offset"] + 8 * int(np.prod(entry["shape"]))
+            for entry in _entries(json.loads(header))]
+    return sorted({cut for end in [start - 1, start, *ends] for cut in (end - 1, end)
+                   if 0 <= cut < len(saved)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_strict_prefix_is_rejected(saved_bytes, data):
+    cut = data.draw(st.integers(0, len(saved_bytes) - 1)
+                    | st.sampled_from(_boundaries(saved_bytes)), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        path.write_bytes(saved_bytes[:cut])
+        _expect_field_error(path, "")
+
+
+@pytest.mark.parametrize("task", ["completion", "prediction"])
+def test_loaded_arrays_are_native_and_contiguous(completion_model, prediction_model,
+                                                 tmp_path, task):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(prediction_model if task == "prediction" else completion_model, path)
+    again = load_checkpoint(path)
+    ids = [again.structure.edge_ptr, again.structure.pins, again.clusters.cluster_of]
+    # the weights are the buffers the file was read into; the ids are held
+    # read-only by the structure and the assignment
+    for arr, writeable in [*((w, True) for w in again.params.trainable().values()),
+                           *((a, False) for a in ids)]:
+        assert arr.flags.c_contiguous and arr.flags.aligned
+        assert arr.flags.writeable == writeable and arr.dtype.isnative
+
+
+@pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"),
+                                     KeyboardInterrupt()], ids=["disk-full", "interrupt"])
+def test_failed_save_keeps_the_old_checkpoint(completion_model, prediction_model, tmp_path,
+                                              monkeypatch, failure):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(prediction_model, path)
+    before = path.read_bytes()
+
+    def open_failing_after_header(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def write_header_only(data):
+            if fh.tell():
+                raise failure
+            return write(data)
+
+        fh.write = write_header_only
+        return fh
+
+    monkeypatch.setattr(checkpoint, "open", open_failing_after_header, raising=False)
+    with pytest.raises(type(failure)):
+        save_checkpoint(completion_model, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    again = load_checkpoint(path)
+    assert predict_edge(again, [0, 1, 2, 3]) == predict_edge(prediction_model, [0, 1, 2, 3])
+
+
 def test_saved_document_stores_no_derived_field(completion_model, prediction_model, tmp_path):
     for model, stored in ((completion_model, dict), (prediction_model, type(None))):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        doc = json.loads(path.read_text("utf-8"))
+        doc = _read(path)
         assert set(doc["structure"]) == {"num_nodes", "edge_ptr", "pins", "edge_type"}
         assert type(doc["structure"]["edge_type"]) is stored
         assert set(doc["clusters"]) == {"cluster_of"}
@@ -434,7 +566,7 @@ def _moved_row(arr):
 def test_save_refuses_features_not_derived(completion_model, tmp_path, name):
     model = dataclasses.replace(completion_model,
                                 **{name: _moved_row(getattr(completion_model, name))})
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     with pytest.raises(ValueError, match=name) as info:
         save_checkpoint(model, path)
     assert "\n" not in str(info.value) and not path.exists()
@@ -444,16 +576,16 @@ def test_save_refuses_clusters_disagreeing_with_config(completion_model, tmp_pat
     clusters = ClusterAssignment(completion_model.clusters.cluster_of, 8)
     model = dataclasses.replace(completion_model, clusters=clusters)
     with pytest.raises(ValueError, match="clusters"):
-        save_checkpoint(model, tmp_path / "model.json")
+        save_checkpoint(model, tmp_path / "model.ckpt")
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_any_single_bad_pin_is_named(completion_model, data):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.json"
+        path = Path(tmp) / "model.ckpt"
         save_checkpoint(completion_model, path)
-        doc = json.loads(path.read_text("utf-8"))
+        doc = _read(path)
         pins = _packed(doc, "structure", "pins", dtype="<i8")
         ptr = _packed(doc, "structure", "edge_ptr", dtype="<i8")
         n = doc["structure"]["num_nodes"]
@@ -467,12 +599,12 @@ def test_any_single_bad_pin_is_named(completion_model, data):
             pins[i] = data.draw(st.integers(-2**63, -1) | st.integers(n, 2**63 - 1),
                                 label="id")
         _store(doc, pins, "structure", "pins", dtype="<i8")
-        path.write_text(json.dumps(doc), "utf-8")
+        _write(path, doc)
         _expect_field_error(path, "structure.pins")
 
 
 def test_non_json_file_is_named(tmp_path):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     path.write_text("not a checkpoint\n", "utf-8")
     with pytest.raises(ValueError, match="not a JSON document") as info:
         load_checkpoint(path)
@@ -504,7 +636,7 @@ def test_save_load_round_trip_property(task, omega, bilinear, data):
     queries = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5),
                                  min_size=1, max_size=3), label="queries")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.json"
+        path = Path(tmp) / "model.ckpt"
         save_checkpoint(model, path)
         again = load_checkpoint(path)
     assert again.task == model.task

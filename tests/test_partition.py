@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hyperconv.hypergraph import build_hypergraph
 from hyperconv.partition import (
     ClusterAssignment,
-    CoarseLevel,
     _bfs_order,
+    _CoarseLevel,
     _edge_order,
     _initial_partition,
     _RefineState,
@@ -132,7 +132,7 @@ class TestClusterAssignment:
         labels[0] = 1
         assert c.cluster_of.tolist() == [0, 1, 0, 1]
         projection = np.array([0, 0, 1])
-        level = CoarseLevel(build_hypergraph([[0, 1]]), projection)
+        level = _CoarseLevel(build_hypergraph([[0, 1]]), projection)
         projection[0] = 1
         assert level.projection.tolist() == [0, 0, 1]
         assert not level.projection.flags.writeable

@@ -120,7 +120,7 @@ def training_hash(task, omega, bilinear, size) -> str:
         model, report = train(data, cfg, splits)
         predict, candidate = hc.predict_relation, [0, 1, 1, nodes_per]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.json"
+        path = Path(tmp) / "model.ckpt"
         hc.save_checkpoint(model, path)
         loaded = hc.load_checkpoint(path)
     doc = report.to_dict()

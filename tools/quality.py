@@ -55,20 +55,41 @@ def seed_range(text: str) -> range:
     return seeds
 
 
-def trained(package, job, seed: int, inputs: Path) -> tuple[float, str]:
-    """The test metric and report hash of one job trained with ``package``."""
-    task, workload, metric = job
+def write_inputs(seed: int, directory: Path) -> None:
+    """The full-scale inputs the benchmark writes for ``seed``: the facts of
+    completion-sparse in ``facts/`` and the graph of prediction-dense in
+    ``edges.txt``."""
+    write_planted_knowledge(WORKLOADS["completion-sparse"].scales["full"].size, seed,
+                            directory / "facts")
+    write_planted_graph(WORKLOADS["prediction-dense"].scales["full"].size, seed,
+                        directory / "edges.txt")
+
+
+def job_inputs(package, task: str, workload: str, seed: int, inputs: Path):
+    """The data, config and splits of a ``task`` job with ``workload``'s
+    full-scale config on the inputs ``write_inputs`` wrote, built with
+    ``package``."""
     scale = WORKLOADS[workload].scales["full"]
     cfg = package.TrainConfig(task=task, clusters=scale.clusters, hidden_dim=scale.hidden,
                               epochs=scale.epochs, patience=scale.epochs, seed=seed,
                               learning_rate=scale.learning_rate)
     if task == "prediction":
         data, splits, _ = package.load_simple(inputs / "edges.txt", cfg.split_ratios, cfg.seed)
-        _, report = package.train_prediction(data, cfg, splits=splits)
     else:
         data, splits = package.load_knowledge(inputs / "facts")
-        train = package.train_completion if task == "completion" else package.train_classification
-        _, report = train(data, cfg, splits)
+    return data, cfg, splits
+
+
+def train(package, inputs):
+    """The model and report of the job ``job_inputs`` built."""
+    data, cfg, splits = inputs
+    return getattr(package, f"train_{cfg.task}")(data, cfg, splits)
+
+
+def trained(package, job, seed: int, inputs: Path) -> tuple[float, str]:
+    """The test metric and report hash of one job trained with ``package``."""
+    task, workload, metric = job
+    _, report = train(package, job_inputs(package, task, workload, seed, inputs))
     return report.test_metrics[metric], report_hash(report)
 
 
@@ -84,10 +105,7 @@ def main() -> None:
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
             inputs = Path(tmp)
-            write_planted_knowledge(WORKLOADS["completion-sparse"].scales["full"].size, seed,
-                                    inputs / "facts")
-            write_planted_graph(WORKLOADS["prediction-dense"].scales["full"].size, seed,
-                                inputs / "edges.txt")
+            write_inputs(seed, inputs)
             for job in JOBS:
                 task, _, metric = job
                 value, digest = trained(hc, job, seed, inputs)

@@ -1,12 +1,16 @@
-"""Time whole training jobs shaped like the benchmark's two training workloads.
+"""Time whole training jobs on the benchmark's two training workloads' inputs.
 
 One line per job: the minimum and median over the runs of the seconds
 ``train_prediction`` or ``train_completion`` takes, and the sha256 prefix
-of the report minus ``wall_seconds``. The prediction job is a planted
-graph of 1,600 nodes and 2,400 edges of arity 3-10, 16 clusters, hidden
-width 64, 3 epochs at rate 1e-2; the completion job is 3,200 planted facts
-of arity 2-6 on 1,280 entities, 16 relations, 16 clusters, hidden width
-64, 4 epochs. The script pins BLAS to one thread before numpy loads:
+of the report minus ``wall_seconds``. The jobs train on the inputs
+``bench/generate.py`` writes for seed 1 at full scale, with the
+benchmark's configs: the prediction job on prediction-dense's planted
+graph (1,600 nodes, 2,400 edges of arity 3-10, 16 clusters, hidden width
+64, 3 epochs at rate 1e-2), the completion job on completion-sparse's
+3,200 noisy planted facts (arity 2-6, 1,280 entities, 16 relations,
+16 clusters, hidden width 64, 4 epochs). So a layer-1 kernel runs on the
+fields the benchmark's jobs run on. The script pins BLAS to one thread
+before numpy loads:
 
     PYTHONPATH=src python tools/training_timing.py
 
@@ -28,57 +32,55 @@ from __future__ import annotations
 import blas_pin  # noqa: F401  (pins BLAS before numpy loads)
 
 import argparse
-import hashlib
-import json
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-from exactness import planted
 from partition_timing import load_parent
+from quality import job_inputs, report_hash, train, write_inputs
 
 import hyperconv as hc
 
-# (task, nodes, edges, smallest and largest arity, clusters, hidden width,
-# epochs, learning rate): the benchmark's full training scales
-JOBS = (("prediction", 1600, 2400, 3, 10, 16, 64, 3, 1e-2),
-        ("completion", 1280, 3200, 2, 6, 16, 64, 4, 1e-3))
+# (task, the workload whose full-scale inputs and config it trains on)
+JOBS = (("prediction", "prediction-dense"), ("completion", "completion-sparse"))
 SEED = 1
 
 
-def job_inputs(package, job):
-    """The job's data, config and splits, built with ``package``."""
-    task, n, num_edges, lo, hi, k, hidden, epochs, lr = job
-    edges, homes = planted(np.random.default_rng(SEED), k, n // k, num_edges, lo, hi)
-    h = package.build_hypergraph(edges, num_nodes=n)
-    cfg = package.TrainConfig(task=task, clusters=k, hidden_dim=hidden, epochs=epochs,
-                              patience=epochs, learning_rate=lr, seed=SEED)
-    splits = package.Splits.from_ratios(h.num_edges, cfg.split_ratios, SEED)
-    if task == "completion":
-        # build_hypergraph drops repeated member sets, so each kept edge
-        # takes its relation from its members
-        home = {tuple(e): c for e, c in zip(edges, homes)}
-        labels = [home[tuple(int(v) for v in m)] for m in h.edge_members]
-        h = package.KnowledgeHypergraph(h, labels, tuple(f"r{c}" for c in range(k)),
-                                        tuple(f"e{v}" for v in range(n)))
-    return h, cfg, splits
-
-
 def timed_job(package, inputs) -> tuple[float, str]:
-    h, cfg, splits = inputs
-    train = package.train_prediction if cfg.task == "prediction" else package.train_completion
     start = time.perf_counter()
-    _, report = train(h, cfg, splits)
+    _, report = train(package, inputs)
     seconds = time.perf_counter() - start
-    doc = report.to_dict()
-    del doc["wall_seconds"]
-    return seconds, hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+    return seconds, report_hash(report)[:16]
 
 
 def summary(runs) -> str:
     seconds = [s for s, _ in runs]
     return f"min={min(seconds):.3f} median={statistics.median(seconds):.3f}"
+
+
+def time_job(task: str, workload: str, directory: Path, parent, runs: int) -> None:
+    """Print the line of one job on the inputs in ``directory``."""
+    head = f"{task} workload={workload} seed={SEED} runs={runs}"
+    inputs = job_inputs(hc, task, workload, SEED, directory)
+    if parent is None:
+        timed = [timed_job(hc, inputs) for _ in range(runs)]
+        print(f"{head} {summary(timed)} {timed[0][1]}", flush=True)
+        return
+    parent_inputs = job_inputs(parent, task, workload, SEED, directory)
+    before, after = [], []
+    for turn in range(runs):
+        if turn % 2 == 0:
+            before.append(timed_job(parent, parent_inputs))
+            after.append(timed_job(hc, inputs))
+        else:
+            after.append(timed_job(hc, inputs))
+            before.append(timed_job(parent, parent_inputs))
+    ratio = statistics.median(s for s, _ in before) / statistics.median(s for s, _ in after)
+    agree = ("hashes agree" if {d for _, d in before} == {d for _, d in after}
+             else "hashes differ")
+    print(f"{head} parent: {summary(before)} this: {summary(after)} ratio={ratio:.2f} "
+          f"parent={before[0][1]} this={after[0][1]} {agree}", flush=True)
 
 
 def main() -> None:
@@ -91,27 +93,10 @@ def main() -> None:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     parent = load_parent(args.parent) if args.parent else None
-    for job in JOBS:
-        head = f"{job[0]} nodes={job[1]} edges={job[2]} arity={job[3]}-{job[4]} runs={args.runs}"
-        inputs = job_inputs(hc, job)
-        if parent is None:
-            runs = [timed_job(hc, inputs) for _ in range(args.runs)]
-            print(f"{head} {summary(runs)} {runs[0][1]}", flush=True)
-            continue
-        parent_inputs = job_inputs(parent, job)
-        before, after = [], []
-        for turn in range(args.runs):
-            if turn % 2 == 0:
-                before.append(timed_job(parent, parent_inputs))
-                after.append(timed_job(hc, inputs))
-            else:
-                after.append(timed_job(hc, inputs))
-                before.append(timed_job(parent, parent_inputs))
-        ratio = statistics.median(s for s, _ in before) / statistics.median(s for s, _ in after)
-        agree = ("hashes agree" if {d for _, d in before} == {d for _, d in after}
-                 else "hashes differ")
-        print(f"{head} parent: {summary(before)} this: {summary(after)} ratio={ratio:.2f} "
-              f"parent={before[0][1]} this={after[0][1]} {agree}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(SEED, Path(tmp))
+        for task, workload in JOBS:
+            time_job(task, workload, Path(tmp), parent, args.runs)
 
 
 if __name__ == "__main__":
