@@ -15,9 +15,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
+from .convolution import OMEGA_KINDS
 from .data import _read_edge_file, load_knowledge, load_simple
 from .partition import cut, partition
 from .training import (
+    TASKS,
     TrainConfig,
     evaluate,
     predict_edge,
@@ -41,6 +43,12 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated fractions")
     return tuple(parts)
+
+
+def _parse_switch(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    return text == "on"
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -73,20 +81,15 @@ def _load_task_data(cfg: TrainConfig, path: Path):
     return kh, splits, kh.entity_names
 
 
+# train flag -> the TrainConfig field it sets; a flag left out keeps the field's default
+_FIELD_OF = {"k": "clusters", "omega": "omega", "bilinear": "bilinear", "dim": "hidden_dim",
+             "epochs": "epochs", "patience": "patience", "lr": "learning_rate",
+             "batch_size": "batch_size", "seed": "seed", "ratios": "split_ratios"}
+
+
 def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        task=args.task,
-        clusters=args.k,
-        omega=args.omega,
-        bilinear=args.bilinear == "on",
-        hidden_dim=args.dim,
-        epochs=args.epochs,
-        patience=args.patience,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        split_ratios=args.ratios,
-    )
+    given = {field: getattr(args, flag) for flag, field in _FIELD_OF.items()}
+    return TrainConfig(task=args.task, **{f: v for f, v in given.items() if v is not None})
 
 
 def _run_training(cfg: TrainConfig, data_path: Path):
@@ -98,19 +101,21 @@ def _run_training(cfg: TrainConfig, data_path: Path):
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--task", required=True, choices=list(_PRIMARY_METRIC))
+    """The task, the data and one flag per ``_FIELD_OF`` entry; each default
+    is the field's own."""
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--data", required=True, type=Path)
-    p.add_argument("--k", type=int, default=16, help="cluster count")
-    p.add_argument("--omega", choices=["mean", "var", "minmax"], default=None,
+    p.add_argument("--k", type=int, help="cluster count")
+    p.add_argument("--omega", choices=OMEGA_KINDS,
                    help="spread statistic (default depends on task)")
-    p.add_argument("--bilinear", choices=["on", "off"], default="on")
-    p.add_argument("--dim", type=int, default=64, help="hidden/representation width")
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratios", type=_parse_ratios, default=(0.7, 0.1, 0.2),
+    p.add_argument("--bilinear", type=_parse_switch, metavar="{on,off}")
+    p.add_argument("--dim", type=int, help="hidden/representation width")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--ratios", type=_parse_ratios,
                    help="train,valid,test fractions for datasets without split files")
 
 
@@ -181,8 +186,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _config_from_args(args)
-    field_of = {"k": "clusters", "dim": "hidden_dim", "epochs": "epochs", "seed": "seed"}
-    field = field_of[args.param]
+    field = _FIELD_OF[args.param]
     metric_name = _PRIMARY_METRIC[base.task]
     rows = []
     for value in args.values:

@@ -40,13 +40,23 @@ class Splits:
             object.__setattr__(self, name, np.asarray(ids, dtype=np.int64))
 
     def check(self, num_edges: int) -> None:
-        """Verify ids are in range and the three parts never overlap."""
-        parts = [self.train, self.valid, self.test]
-        combined = np.concatenate(parts)
-        if combined.min() < 0 or combined.max() >= num_edges:
-            raise ValueError("split contains an edge id out of range")
-        if len(np.unique(combined)) != len(combined):
-            raise ValueError("splits overlap")
+        """Verify ids are in range and the three parts never overlap; fail
+        naming the split and its first bad id."""
+        seen = np.zeros(num_edges, dtype=bool)
+        for name in ("train", "valid", "test"):
+            ids = getattr(self, name)
+            out = (ids < 0) | (ids >= num_edges)
+            if out.any():
+                raise ValueError(f"{name} split has edge id {ids[out.argmax()]}, "
+                                 f"out of range [0, {num_edges})")
+            # in an earlier split, or a later copy of an id in this one
+            repeat = np.ones(len(ids), dtype=bool)
+            repeat[np.unique(ids, return_index=True)[1]] = False
+            repeat |= seen[ids]
+            if repeat.any():
+                raise ValueError(f"splits overlap: {name} split repeats edge id "
+                                 f"{ids[repeat.argmax()]}")
+            seen[ids] = True
 
     @classmethod
     def from_ratios(cls, num_edges: int, ratios, seed: int) -> "Splits":
@@ -118,6 +128,8 @@ def load_knowledge(directory) -> tuple[KnowledgeHypergraph, Splits]:
                 relation_ids[rel] = len(relation_ids)
             members = []
             for tok in fields[1:]:
+                if not tok:
+                    raise ValueError(f"{p.name}:{lineno}: empty entity token")
                 if tok not in entity_ids:
                     entity_ids[tok] = len(entity_ids)
                 members.append(entity_ids[tok])

@@ -322,9 +322,13 @@ def sample_negative(
     member set is rejected, up to 100 attempts.
 
     Raises:
-        ValueError: no nodes exist outside the edge.
+        ValueError: ``edge`` is not an integer edge id (a bool is not one)
+            in range, or no nodes exist outside the edge.
         SamplingError: 100 attempts produced only collisions.
     """
+    if (isinstance(edge, bool) or not isinstance(edge, (int, np.integer))
+            or not 0 <= edge < h.num_edges):
+        raise ValueError(f"edge id {edge} is not an integer in [0, {h.num_edges})")
     members = h.pins[h.edge_ptr[edge]:h.edge_ptr[edge + 1]]
     size = len(members)
     if h.num_nodes <= size:
@@ -757,13 +761,15 @@ def evaluate(model: TrainedModel, data, splits: Splits) -> dict[str, float]:
 
     For prediction models the test negatives are regenerated from the
     run seed with the training draw order, so the result matches the
-    original report exactly.
+    original report exactly. The splits are checked against the dataset
+    as training checks them (``Splits.check``).
     """
     h: Hypergraph = data if model.task == "prediction" else data.base
     if h.num_nodes != model.structure.num_nodes:
         raise ValueError(
             f"dataset has {h.num_nodes} nodes, model expects {model.structure.num_nodes}"
         )
+    splits.check(h.num_edges)
     if model.task == "prediction":
         neg = _draw_run_negatives(h, splits, np.random.default_rng(model.config.seed))
         return _test_metrics(model, *_test_candidates(h, splits, neg["test"]))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hyperconv.cli import main
+from hyperconv.cli import _config_from_args, build_parser, main
+from hyperconv.training import TASKS, TrainConfig
 
 from helpers import planted_communities
 
@@ -221,3 +222,27 @@ class TestSweepCommand:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "--values" in err and "'2,x'" in err
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_train_flags_default_to_the_config_fields(task):
+    args = build_parser().parse_args(["train", "--task", task, "--data", "D"])
+    assert _config_from_args(args) == TrainConfig(task=task)
+
+
+def test_train_flags_set_their_fields():
+    args = build_parser().parse_args([
+        "sweep", "--task", "prediction", "--data", "D", "--k", "3", "--omega", "var",
+        "--bilinear", "off", "--dim", "8", "--epochs", "5", "--patience", "2", "--lr", "0.5",
+        "--batch-size", "7", "--seed", "9", "--ratios", "0.5,0.25,0.25",
+        "--param", "dim", "--values", "4"])
+    assert _config_from_args(args) == TrainConfig(
+        task="prediction", clusters=3, omega="var", bilinear=False, hidden_dim=8, epochs=5,
+        patience=2, learning_rate=0.5, batch_size=7, seed=9, split_ratios=(0.5, 0.25, 0.25))
+
+
+def test_bilinear_takes_on_or_off(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--task", "completion", "--data", "D",
+                                   "--bilinear", "yes"])
+    assert "--bilinear: expected on or off, got 'yes'" in capsys.readouterr().err

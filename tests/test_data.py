@@ -61,6 +61,17 @@ class TestSplits:
         with pytest.raises(ValueError, match="out of range"):
             s2.check(3)
 
+    @pytest.mark.parametrize("train, valid, test, message", [
+        ([0, 1], [1], [2], "splits overlap: valid split repeats edge id 1"),
+        ([0, 2, 0], [1], [3], "splits overlap: train split repeats edge id 0"),
+        ([0], [1], [2, 3, 2], "splits overlap: test split repeats edge id 2"),
+        ([0, -1], [1], [2], r"train split has edge id -1, out of range \[0, 4\)"),
+        ([0], [1], [2, 5, 7], r"test split has edge id 5, out of range \[0, 4\)"),
+    ])
+    def test_check_names_the_split_and_its_first_bad_id(self, train, valid, test, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Splits(train, valid, test).check(4)
+
 
 class TestLoadKnowledge:
     def test_single_binary_fact(self, tmp_path):
@@ -120,6 +131,12 @@ class TestLoadKnowledge:
     def test_empty_relation_token(self, tmp_path):
         d = write_knowledge(tmp_path, ["\ta\tb"], ["r\ta\tb"], ["r\ta\tb"])
         with pytest.raises(ValueError, match="empty relation"):
+            load_knowledge(d)
+
+    @pytest.mark.parametrize("line", ["r1\ta\t\tb", "r1\t"])
+    def test_empty_entity_token(self, tmp_path, line):
+        d = write_knowledge(tmp_path, ["r\ta\tb", line], ["r\ta\tb"], ["r\ta\tb"])
+        with pytest.raises(ValueError, match=r"^train.txt:2: empty entity token$"):
             load_knowledge(d)
 
     def test_undecodable_byte_names_file_and_line(self, tmp_path):

@@ -354,6 +354,13 @@ class TestNegativeSampling:
         with pytest.raises(SamplingError, match="100 attempts"):
             sample_negative(h, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("edge", [-1, -3, 3, 2.0, True])
+    def test_edge_id_must_be_an_integer_in_range(self, edge):
+        # -1 once sampled an empty set and -3 corrupted edge 0
+        h = build_hypergraph([[0, 1], [1, 2], [2, 3]], num_nodes=6)
+        with pytest.raises(ValueError, match=rf"^edge id {edge} is not an integer in \[0, 3\)$"):
+            sample_negative(h, edge, np.random.default_rng(0))
+
 
 def test_tiny_gradient_step_never_raises_batch_loss():
     rng = np.random.default_rng(50)
@@ -451,7 +458,8 @@ class TestCompletion:
         # the run stopped early, and its last epoch scored below the best one
         assert report.epochs_run < cfg.epochs
         assert report.history[-1]["valid_metric"] < best
-        on_valid = Splits(splits.train, splits.valid, splits.valid)
+        # scores the valid split as the test split; evaluate rejects overlapping splits
+        on_valid = Splits(splits.train, splits.test, splits.valid)
         assert evaluate(model, kh, on_valid)["mrr"] == best
 
     def test_batch_masks_leave_edge_init_intact(self):
@@ -577,6 +585,26 @@ class TestPrediction:
         other = build_hypergraph([[0, 1]], num_nodes=5)
         with pytest.raises(ValueError, match="nodes"):
             evaluate(model, other, Splits(np.array([0]), np.array([0]), np.array([0])))
+
+
+@pytest.mark.parametrize("task", ["completion", "prediction"])
+def test_evaluate_checks_its_splits(task):
+    if task == "prediction":
+        data, cfg = prediction_setup(), prediction_config(epochs=2, patience=2)
+        n = data.num_edges
+    else:
+        data = planted_knowledge(np.random.default_rng(5), nodes_per=10, num_edges=100)
+        cfg, n = completion_config(epochs=2, patience=2), data.base.num_edges
+    splits = Splits.from_ratios(n, cfg.split_ratios, cfg.seed)
+    model, _ = getattr(training, f"train_{task}")(data, cfg, splits)
+    out = Splits(splits.train, splits.valid, np.append(splits.test, n + 1))
+    with pytest.raises(ValueError, match=rf"^test split has edge id {n + 1}, out of range "
+                                         rf"\[0, {n}\)$"):
+        evaluate(model, data, out)
+    overlap = Splits(splits.train, splits.valid, splits.valid)
+    with pytest.raises(ValueError, match=rf"^splits overlap: test split repeats edge id "
+                                         rf"{splits.valid[0]}$"):
+        evaluate(model, data, overlap)
 
 
 class TestQueries:

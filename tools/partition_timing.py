@@ -14,10 +14,11 @@ A speed change is compared with its parent in one process:
 
 With ``--parent DIR`` the script loads the ``hyperconv`` package of the
 parent checkout's ``src/`` beside this tree's and runs the two in turns,
-five times each per structure. Its line gives both medians, their ratio
-(parent over this tree) and whether the two ``cluster_of`` hashes agree;
-they must. Two separate processes on a loaded machine spread more than a
-small change moves the time.
+five times each per structure, the parent first in odd turns and second
+in even ones. Its line gives both medians, their ratio (parent over this
+tree) and whether the two ``cluster_of`` hashes agree; they must. Two
+separate processes on a loaded machine spread more than a small change
+moves the time.
 
 A run takes about a minute on one core, most of it at 80k edges; with
 ``--parent`` a few minutes.
@@ -29,14 +30,13 @@ import blas_pin  # noqa: F401  (pins BLAS before numpy loads)
 
 import argparse
 import hashlib
-import importlib.util
 import statistics
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
 from exactness import PLANTED_PARTITIONS, planted, uniform_edges
+from parent_tree import in_turns, load_parent
 
 import hyperconv as hc
 
@@ -52,19 +52,6 @@ def structures():
         yield edges, n
     for num_edges in UNIFORM_EDGES:
         yield uniform_edges(num_edges), num_edges // 2
-
-
-def load_parent(checkout: Path):
-    """The parent checkout's ``hyperconv``, imported as ``parent_hyperconv``."""
-    init = checkout / "src" / "hyperconv" / "__init__.py"
-    if not init.is_file():
-        sys.exit(f"--parent: no {init}")
-    spec = importlib.util.spec_from_file_location(
-        "parent_hyperconv", init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its relative imports look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 def timed_partition(package, h) -> tuple[float, str]:
@@ -88,10 +75,8 @@ def main() -> None:
             print(f"{head} seconds={min(s for s, _ in runs):.3f} {runs[0][1]}", flush=True)
             continue
         parent_h = parent.build_hypergraph(edges, num_nodes=num_nodes)
-        before, after = [], []
-        for _ in range(PAIRS):
-            before.append(timed_partition(parent, parent_h))
-            after.append(timed_partition(hc, h))
+        before, after = in_turns(PAIRS, lambda: timed_partition(parent, parent_h),
+                                 lambda: timed_partition(hc, h))
         old = statistics.median(s for s, _ in before)
         new = statistics.median(s for s, _ in after)
         hashes = {digest for _, digest in before + after}
