@@ -1,16 +1,18 @@
 """Versioned checkpoint container for trained models.
 
-Version 3 is one header line, a JSON document, followed by the arrays'
+Version 4 is one header line, a JSON document, followed by the arrays'
 raw little-endian bytes: float64 weights and int64 ids, so a reloaded
 model reproduces every prediction bit-exactly. Each array's entry in the
-header holds its ``shape`` and its ``offset``, counted in bytes from the
-end of the header line; the arrays lie back to back from offset 0, each
-at a multiple of 8, and the file ends where the last one does. Loading
-reads each array straight into its own buffer. The file stores what
-cannot be derived: the structure's CSR arrays, the edge types
-(relational tasks), the cluster ids, the weights, the vocabularies and
-the config. The features, one-hots of those, and the layers' shapes and
-activations follow from them by the rules training builds a model by.
+header is its shape. The arrays follow the header back to back in one
+fixed order, ``_PACKED``, which saving and loading share; an absent or
+null entry takes no bytes. So the shapes place every array, and loading
+first checks that they account for exactly the bytes after the header,
+then reads each array straight into its own buffer. The file stores
+what cannot be derived: the structure's CSR arrays, the edge types
+(relational tasks), the cluster ids, whose count is the node count, the
+weights, the vocabularies and the config. The task is the config's; the
+features, one-hots of those, and the layers' shapes and activations
+follow from them by the rules training builds a model by.
 """
 
 from __future__ import annotations
@@ -26,20 +28,16 @@ import numpy as np
 from .convolution import LayerParams
 from .hypergraph import Hypergraph
 from .partition import ClusterAssignment
-from .training import (_JSON_NAMES, ModelParams, TrainConfig, TrainedModel, _features,
+from .training import (ModelParams, TrainConfig, TrainedModel, _check_type, _features,
                        _layer_shapes)
 
 FORMAT_NAME = "hyperconv-checkpoint"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
-
-def _pack(out: list, arr: np.ndarray, dtype: str = "<f8") -> dict:
-    """The header entry of ``arr``, whose bytes are appended to ``out``
-    after those already there (every dtype is 8 bytes wide, so each offset
-    is a multiple of 8)."""
-    offset = sum(a.nbytes for a in out)
-    out.append(np.ascontiguousarray(arr, dtype=dtype))
-    return {"shape": list(out[-1].shape), "offset": offset}
+# every packed array with its dtype, in the order their bytes follow the header
+_PACKED = {"structure.edge_ptr": "<i8", "structure.pins": "<i8", "structure.edge_type": "<i8",
+           "clusters.cluster_of": "<i8", "arrays.W1": "<f8", "arrays.W2": "<f8",
+           "arrays.Wh": "<f8", "arrays.bh": "<f8"}
 
 
 def _field(path, doc: dict, name: str):
@@ -56,63 +54,49 @@ def _field(path, doc: dict, name: str):
 
 def _typed(path, doc: dict, name: str, *types):
     """The value at ``name``; fails naming the field unless its type is one
-    of ``types`` (a JSON true or false is not an integer)."""
+    of ``types``, by ``_check_type``'s rule."""
     value = _field(path, doc, name)
-    if type(value) not in types:
-        expected = " or ".join(_JSON_NAMES[t] for t in types)
-        raise ValueError(f"{path}: field {name} is {reprlib.repr(value)}, expected {expected}")
+    _check_type(f"{path}: field {name}", value, types)
     return value
 
 
 class _Payload:
     """The bytes after the header line of the checkpoint open as ``fh``,
-    ``start`` bytes in; each packed array is read from them straight into
+    ``start`` bytes in. The header's shapes place every packed array, back
+    to back in ``_PACKED`` order; each is read from the file straight into
     a buffer of its own."""
 
-    def __init__(self, path, fh, start: int):
-        self.path, self.fh, self.start = path, fh, start
-        self.size = os.fstat(fh.fileno()).st_size - start
-        self.spans = []  # (offset, end, field) of each array read
+    def __init__(self, path, fh, doc: dict, start: int):
+        """Fails naming the field unless each packed entry in ``doc`` is a
+        shape, absent or null, and fails naming both byte counts unless the
+        shapes account for exactly the bytes after the header."""
+        self.path, self.fh = path, fh
+        self.offsets = {}
+        end = start
+        for name, dtype in _PACKED.items():
+            section, key = name.split(".")
+            shape = _typed(path, doc, section, dict).get(key)
+            if shape is None:  # absent or null: no bytes
+                continue
+            if type(shape) is not list or any(type(s) is not int or s < 0 for s in shape):
+                raise ValueError(f"{path}: field {name} is {reprlib.repr(shape)}, "
+                                 "expected a shape, a list of non-negative integers")
+            self.offsets[name] = end
+            end += np.dtype(dtype).itemsize * math.prod(shape)
+        size = os.fstat(fh.fileno()).st_size
+        if end != size:
+            raise ValueError(f"{path}: the header's shapes account for {end - start} bytes "
+                             f"of arrays, but {size - start} follow the header")
 
-    def array(self, doc: dict, name: str, dtype: str = "<f8") -> np.ndarray:
-        """The packed array at ``name``; fails naming the field unless its
-        entry holds a shape and an aligned offset whose bytes are in the file."""
-        path = self.path
-        entry = _typed(path, doc, name, dict)
-        if entry.keys() != {"shape", "offset"}:
-            raise ValueError(f"{path}: field {name} has keys {sorted(entry)}, "
-                             "expected offset and shape")
-        shape, offset = entry["shape"], entry["offset"]
-        if type(shape) is not list or any(type(s) is not int or s < 0 for s in shape):
-            raise ValueError(f"{path}: field {name}.shape is {reprlib.repr(shape)}, "
-                             "expected a list of non-negative integers")
-        if type(offset) is not int or offset % 8 or not 0 <= offset <= self.size:
-            raise ValueError(f"{path}: field {name}.offset is {reprlib.repr(offset)}, expected "
-                             f"a multiple of 8 within the {self.size} bytes after the header")
-        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
-        if nbytes > self.size - offset:
-            raise ValueError(f"{path}: field {name} of shape {shape} needs {nbytes} bytes at "
-                             f"offset {offset}, but only {self.size - offset} follow")
-        arr = np.empty(shape, dtype)
-        self.fh.seek(self.start + offset)
+    def array(self, doc: dict, name: str) -> np.ndarray:
+        """The packed array at ``name``; fails naming the field when its
+        entry is absent or null."""
+        arr = np.empty(_typed(self.path, doc, name, list), _PACKED[name])
+        self.fh.seek(self.offsets[name])
         self.fh.readinto(arr)
-        self.spans.append((offset, offset + nbytes, name))
         if not arr.dtype.isnative:  # a big-endian machine swaps in place
             arr = arr.byteswap(inplace=True).view(arr.dtype.newbyteorder("="))
         return arr
-
-    def check_layout(self) -> None:
-        """Fails unless the arrays read lie back to back from offset 0 to
-        the end of the file."""
-        end, name = 0, "the header"
-        for offset, stop, field in sorted(self.spans):
-            if offset != end:
-                raise ValueError(f"{self.path}: field {field}.offset is {offset}, expected "
-                                 f"{end}, where {name} ends: the arrays lie back to back")
-            end, name = stop, f"field {field}"
-        if end != self.size:
-            raise ValueError(f"{self.path}: {self.size - end} bytes are left after the last "
-                             f"array, {name}")
 
 
 def _ids(payload: _Payload, doc: dict, name: str, bound: int,
@@ -121,7 +105,7 @@ def _ids(payload: _Payload, doc: dict, name: str, bound: int,
     when given, each entry in [0, bound). Fails naming the field and the
     first bad id."""
     path = payload.path
-    ids = payload.array(doc, name, "<i8")
+    ids = payload.array(doc, name)
     if ids.ndim != 1 or size not in (None, ids.size):
         expected = "one dimension" if size is None else f"shape [{size}]"
         raise ValueError(f"{path}: field {name} has shape {list(ids.shape)}, expected {expected}")
@@ -147,8 +131,9 @@ def _task_layout(config: TrainConfig, init_cols: int, relation_names):
 def save_checkpoint(model: TrainedModel, path) -> None:
     """Write ``model`` to ``path``, by way of a temporary file beside it
     that replaces ``path`` once complete, so a failed or interrupted write
-    leaves what was there. Refuses a model whose clusters, features,
-    activations or arrays ``load_checkpoint`` would not give back."""
+    leaves what was there; a failure names ``path``. Refuses a model whose
+    task, clusters, features, vocabulary, activations or arrays
+    ``load_checkpoint`` would not give back."""
     edge_type = None
     if model.task != "prediction":
         # the relation one-hot leads each edge_init row
@@ -157,47 +142,50 @@ def save_checkpoint(model: TrainedModel, path) -> None:
                                   model.relation_names, model.entity_names)
     activations, shapes = _task_layout(model.config, edge_init.shape[1], model.relation_names)
     arrays = model.params.trainable()
-    same = {"clusters": (model.clusters.k, model.clusters.balance_epsilon)
+    names = model.entity_names
+    same = {"task": model.task == model.config.task,
+            "clusters": (model.clusters.k, model.clusters.balance_epsilon)
             == (model.config.clusters, model.config.balance_epsilon),
             "edge_init": np.array_equal(edge_init, model.edge_init),
             "node_x": np.array_equal(node_x, model.node_x),
+            "entity_names": not names or len(names) == model.structure.num_nodes,
             "activations": [layer.activation for layer in model.layers] == activations,
             "arrays": {name: arr.shape for name, arr in arrays.items()} == shapes}
     wrong = [name for name, ok in same.items() if not ok]
     if wrong:
         raise ValueError(f"{path}: not saved, the model's {wrong[0]} disagrees with its "
                          "config, cluster ids and edge types")
-    packed = []
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "task": model.task,
         "config": model.config.to_dict(),
-        "activations": activations,
-        "structure": {
-            "num_nodes": model.structure.num_nodes,
-            "edge_ptr": _pack(packed, model.structure.edge_ptr, "<i8"),
-            "pins": _pack(packed, model.structure.pins, "<i8"),
-            "edge_type": None if edge_type is None else _pack(packed, edge_type, "<i8"),
-        },
-        "clusters": {"cluster_of": _pack(packed, model.clusters.cluster_of, "<i8")},
-        "arrays": {name: _pack(packed, arr) for name, arr in arrays.items()},
+        "structure": {"edge_ptr": model.structure.edge_ptr, "pins": model.structure.pins,
+                      "edge_type": edge_type},
+        "clusters": {"cluster_of": model.clusters.cluster_of},
+        "arrays": arrays,
         "relation_names": list(model.relation_names) if model.relation_names else None,
         "entity_names": list(model.entity_names) if model.entity_names else None,
     }
+    packed = []  # each array's entry becomes its shape, its bytes queued in file order
+    for name, dtype in _PACKED.items():
+        section, key = name.split(".")
+        if doc[section].get(key) is not None:
+            packed.append(np.ascontiguousarray(doc[section][key], dtype))
+            doc[section][key] = list(packed[-1].shape)
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    fh = open(temporary, "xb")
     try:
-        with fh:
+        with open(temporary, "xb") as fh:
             fh.write(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n")
             for arr in packed:
                 fh.write(arr)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # name the checkpoint, not the temporary file
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from None
         raise
 
 
@@ -217,21 +205,22 @@ def load_checkpoint(path) -> TrainedModel:
                 f"{path}: checkpoint version {doc.get('version')} unsupported "
                 f"(expected {FORMAT_VERSION})"
             )
-        payload = _Payload(path, fh, len(header))
+        payload = _Payload(path, fh, doc, len(header))
         fields = _typed(path, doc, "config", dict)
         try:
             config = TrainConfig.from_dict(fields)
         except ValueError as exc:
             raise ValueError(f"{path}: field config: {exc}") from None
-        task = _field(path, doc, "task")
-        if task != config.task:
-            raise ValueError(f"{path}: field task is {task!r} but config.task is "
-                             f"{config.task!r}")
         # the relational tasks rebuild their typed structure from the vocabularies
-        vocabulary = (list, type(None)) if task == "prediction" else (list,)
+        vocabulary = (list, type(None)) if config.task == "prediction" else (list,)
         relation_names = _typed(path, doc, "relation_names", *vocabulary)
         entity_names = _typed(path, doc, "entity_names", *vocabulary)
-        n = _typed(path, doc, "structure.num_nodes", int)
+        # one cluster id per node: their count is the node count
+        cluster_of = _ids(payload, doc, "clusters.cluster_of", config.clusters)
+        n = cluster_of.size
+        if entity_names is not None and len(entity_names) != n:
+            raise ValueError(f"{path}: field entity_names holds {len(entity_names)} names, "
+                             f"but field clusters.cluster_of gives {n} nodes")
         pins = _ids(payload, doc, "structure.pins", n)
         edge_ptr = _ids(payload, doc, "structure.edge_ptr", pins.size + 1)
         empty = np.flatnonzero(np.diff(edge_ptr) <= 0)
@@ -247,8 +236,7 @@ def load_checkpoint(path) -> TrainedModel:
             members = pins[edge_ptr[wrong[0]]:edge_ptr[wrong[0] + 1]].tolist()
             raise ValueError(f"{path}: field structure.pins holds edge {wrong[0]} as "
                              f"{reprlib.repr(members)}, expected ascending and distinct node ids")
-        cluster_of = _ids(payload, doc, "clusters.cluster_of", config.clusters, n)
-        if task == "prediction":
+        if config.task == "prediction":
             edge_type = _typed(path, doc, "structure.edge_type", type(None))
         else:
             edge_type = _ids(payload, doc, "structure.edge_type", len(relation_names),
@@ -257,9 +245,6 @@ def load_checkpoint(path) -> TrainedModel:
         # are edge types, before the cluster one-hot
         init_cols = config.clusters + (0 if edge_type is None else len(relation_names))
         activations, shapes = _task_layout(config, init_cols, relation_names)
-        if _field(path, doc, "activations") != activations:
-            raise ValueError(f"{path}: field activations is "
-                             f"{reprlib.repr(doc['activations'])}, expected {activations}")
         arrays = {}
         for name, shape in shapes.items():
             arr = arrays[name] = payload.array(doc, f"arrays.{name}")
@@ -268,9 +253,8 @@ def load_checkpoint(path) -> TrainedModel:
                                  f"expected shape {list(shape)} and finite values")
         extra = sorted(doc["arrays"].keys() - shapes.keys())
         if extra:
-            raise ValueError(f"{path}: field arrays.{extra[0]} is not an array of a {task} "
-                             "model")
-        payload.check_layout()
+            raise ValueError(f"{path}: field arrays.{extra[0]} is not an array of a "
+                             f"{config.task} model")
     del doc  # every packed array is read; free the header before the features
     clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
     try:
@@ -281,7 +265,7 @@ def load_checkpoint(path) -> TrainedModel:
     params = ModelParams(LayerParams(arrays["W1"], activations[0]),
                          LayerParams(arrays["W2"], activations[1]),
                          arrays.get("Wh"), arrays.get("bh"))
-    return TrainedModel(task=task, config=config, structure=structure, clusters=clusters,
-                        params=params, edge_init=edge_init, node_x=node_x,
+    return TrainedModel(task=config.task, config=config, structure=structure,
+                        clusters=clusters, params=params, edge_init=edge_init, node_x=node_x,
                         relation_names=tuple(relation_names) if relation_names else None,
                         entity_names=tuple(entity_names) if entity_names else None)

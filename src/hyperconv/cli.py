@@ -21,6 +21,7 @@ from .partition import cut, partition
 from .training import (
     TASKS,
     TrainConfig,
+    _check_vocabulary,
     evaluate,
     predict_edge,
     predict_relation,
@@ -154,7 +155,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    data, splits, _ = _load_task_data(model.config, args.data)
+    data, splits, names = _load_task_data(model.config, args.data)
+    if model.task == "prediction" and model.entity_names:  # evaluate checks the others
+        _check_vocabulary("node", names, model.entity_names)
     print(json.dumps(evaluate(model, data, splits), sort_keys=True))
     return 0
 

@@ -546,13 +546,16 @@ _EXACT_PIN_LIMIT = 512
 
 def _exact_bipartition(
     h: Hypergraph, weights: np.ndarray, cap: int
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Optimal balanced 2-way split by vectorized enumeration.
 
     Only called for tiny coarsest levels, where 2^(n-1) assignments fit
     comfortably in memory. Node 0 is pinned to cluster 0 (the objective
-    and the balance bound are label-symmetric). Returns None when no
-    enumerated assignment satisfies the balance bound.
+    and the balance bound are label-symmetric). Such a level is the input
+    itself, since a coarsened level keeps over 50 nodes (``partition``
+    coarsens only above 200, merging at most ``MERGE_GROUP_CAP`` = 4 into
+    one), so every weight is 1 and a split of sizes floor(n/2) and
+    ceil(n/2) meets the bound.
     """
     n = h.num_nodes
     count = 1 << (n - 1)
@@ -561,8 +564,6 @@ def _exact_bipartition(
     labels[:, 1:] = (codes[:, None] >> np.arange(n - 1, dtype=np.uint32)) & 1
     loads1 = labels @ weights.astype(np.int64)
     feasible = (loads1 <= cap) & (int(weights.sum()) - loads1 <= cap)
-    if not feasible.any():
-        return None
     cuts = np.zeros(count, dtype=np.int64)
     ptr = h.edge_ptr.tolist()
     for a, b in zip(ptr, ptr[1:]):
@@ -627,9 +628,7 @@ def partition(
         and cur.num_nodes <= _EXACT_NODE_LIMIT
         and cur.pins.size <= _EXACT_PIN_LIMIT
     ):
-        exact = _exact_bipartition(cur, wts, cap)
-        if exact is not None:
-            candidates.append(exact)
+        candidates.append(_exact_bipartition(cur, wts, cap))
 
     labels = None
     best = None

@@ -23,6 +23,7 @@ Validation and test edges enter solely as query sets.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import numbers
@@ -756,13 +757,23 @@ def train_prediction(
 # inference and re-evaluation
 
 
+def _check_vocabulary(kind: str, dataset, model) -> None:
+    """Fail naming the first id at which the dataset's ``kind`` names
+    differ from the model's, None standing for a name one side lacks: a
+    model's ids mean the names it was trained with."""
+    for i, (ours, theirs) in enumerate(itertools.zip_longest(dataset, model)):
+        if ours != theirs:
+            raise ValueError(f"dataset's {kind} {i} is {ours!r}, the model's is {theirs!r}")
+
+
 def evaluate(model: TrainedModel, data, splits: Splits) -> dict[str, float]:
     """Recompute a trained model's test metrics against a dataset.
 
     For prediction models the test negatives are regenerated from the
     run seed with the training draw order, so the result matches the
     original report exactly. The splits are checked against the dataset
-    as training checks them (``Splits.check``).
+    as training checks them (``Splits.check``), and for relational models
+    the relation and entity names as ``_check_vocabulary`` checks them.
     """
     h: Hypergraph = data if model.task == "prediction" else data.base
     if h.num_nodes != model.structure.num_nodes:
@@ -773,11 +784,8 @@ def evaluate(model: TrainedModel, data, splits: Splits) -> dict[str, float]:
     if model.task == "prediction":
         neg = _draw_run_negatives(h, splits, np.random.default_rng(model.config.seed))
         return _test_metrics(model, *_test_candidates(h, splits, neg["test"]))
-    if model.relation_names and data.num_relations != len(model.relation_names):
-        raise ValueError(
-            f"dataset has {data.num_relations} relations, model expects "
-            f"{len(model.relation_names)}"
-        )
+    _check_vocabulary("relation", data.relation_names, model.relation_names or ())
+    _check_vocabulary("entity", data.entity_names, model.entity_names or ())
     return _test_metrics(model, *_facts(data, splits.test))
 
 

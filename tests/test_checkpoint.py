@@ -105,36 +105,41 @@ def test_head_arrays_stored_for_prediction(prediction_model, tmp_path):
     )
 
 
-def _entries(node):
-    """Every packed entry in the header ``node``, once per place it appears."""
-    if isinstance(node, dict):
-        if {"offset", "bytes"} & node.keys():
-            yield node
-        else:
-            for value in node.values():
-                yield from _entries(value)
+def _places(doc):
+    """The (section, key) of each packed entry in the header ``doc``, in the
+    order the arrays follow the header; an absent or null entry has none."""
+    for name in checkpoint._PACKED:
+        section, key = name.split(".")
+        if isinstance(doc.get(section), dict) and doc[section].get(key) is not None:
+            yield section, key
 
 
 def _read(path) -> dict:
-    """The header of the checkpoint at ``path``, each packed entry holding
-    its array's ``bytes`` in place of its offset."""
+    """The header of the checkpoint at ``path``, each packed entry an object
+    holding its ``shape`` and its array's ``bytes``."""
     with open(path, "rb") as fh:
         doc = json.loads(fh.readline())
         data = fh.read()
-    for entry in _entries(doc):
-        start = entry.pop("offset")
-        entry["bytes"] = data[start:start + 8 * int(np.prod(entry["shape"]))]
+    start = 0
+    for section, key in _places(doc):
+        shape = doc[section][key]
+        end = start + 8 * int(np.prod(shape))
+        doc[section][key] = {"shape": shape, "bytes": data[start:end]}
+        start = end
     return doc
 
 
 def _write(path, doc: dict) -> None:
-    """Write a header from ``_read`` back, its arrays back to back in header
-    order; an entry an edit gave an offset keeps it."""
+    """Write a header from ``_read`` back, its arrays back to back in
+    ``_PACKED`` order. An entry an edit left holding more than its shape
+    and bytes is written as that object, without the bytes."""
     data = bytearray()
-    for entry in _entries(doc):
-        if "bytes" in entry:
-            entry.setdefault("offset", len(data))
-            data += entry.pop("bytes")
+    for section, key in _places(doc):
+        entry = doc[section][key]
+        if isinstance(entry, dict) and "bytes" in entry:
+            data += entry["bytes"]
+            rest = {k: v for k, v in entry.items() if k != "bytes"}
+            doc[section][key] = rest["shape"] if rest.keys() == {"shape"} else rest
     path.write_bytes(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n" + data)
 
 
@@ -291,7 +296,8 @@ def test_config_fields_all_present_with_json_types(completion_model, tmp_path):
 
 
 def test_out_of_range_node_id_rejected(completion_model, tmp_path):
-    edit = _put(0, lambda doc: doc["structure"]["num_nodes"], "structure", "pins")
+    # the node count is the number of cluster ids
+    edit = _put(0, lambda doc: doc["clusters"]["cluster_of"]["shape"][0], "structure", "pins")
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), "structure.pins")
 
 
@@ -324,19 +330,20 @@ def _as_float_bytes(ids, doc):
     return ids.astype("<f8").view("<i8")
 
 
+# the one message for shapes that do not account for the bytes after the header
+_SIZE_ERROR = "the header's shapes account for"
+
+
 @pytest.mark.parametrize("edit, field", [
     (_drop("arrays", "W1"), "arrays.W1"),
     (_drop("structure"), "structure"),
     (_set("!!!!", "arrays", "W1", "data"), "arrays.W1"),
-    (_set(np.zeros(3).tobytes(), "arrays", "W2", "bytes"), "arrays.W2"),
+    (_set(np.zeros(3).tobytes(), "arrays", "W2", "bytes"), _SIZE_ERROR),
     (_put(0, lambda doc: doc["config"]["clusters"], "clusters", "cluster_of"),
      "clusters.cluster_of"),
-    (_set("tanh", "activations", 1), "activations"),
     (_set([-1], "arrays", "W1", "shape"), "arrays.W1"),
     (_rewrite(_as_float_bytes, "structure", "pins"), "structure.pins"),
     (_rewrite(_as_float_bytes, "clusters", "cluster_of"), "clusters.cluster_of"),
-    (_set("prediction", "task"), "config.task"),
-    (_set("40", "structure", "num_nodes"), "structure.num_nodes"),
     (_set("4", "config", "clusters"), "config"),
     (_set(5, "structure", "edge_ptr"), "structure.edge_ptr"),
     (_set(3, "clusters", "cluster_of"), "clusters.cluster_of"),
@@ -371,20 +378,17 @@ def _as_float_bytes(ids, doc):
     (_set(lambda doc: doc["entity_names"][:-1], "entity_names"), "entity_names"),
     (_set(lambda doc: doc["relation_names"][:1] * len(doc["relation_names"]),
           "relation_names"), "relation_names"),
-    (_set(1 << 40, "arrays", "W1", "offset"), "arrays.W1.offset"),
-    (_set(-8, "arrays", "W1", "offset"), "arrays.W1.offset"),
-    (_set(4, "arrays", "W2", "offset"), "arrays.W2.offset"),
-    (_set("0", "structure", "pins", "offset"), "structure.pins.offset"),
-    (_set(0, "arrays", "W2", "offset"), "arrays.W2"),
     (_drop("arrays", "W1", "shape"), "arrays.W1"),
     (_set(lambda doc: doc["structure"]["pins"]["bytes"][:-8], "structure", "pins", "bytes"),
-     "structure.pins of shape"),
+     _SIZE_ERROR),
     (_set(lambda doc: doc["structure"]["pins"]["bytes"] + bytes(8), "structure", "pins",
-          "bytes"), "structure.pins"),
+          "bytes"), _SIZE_ERROR),
+    (_set(None, "arrays", "W1"), "field arrays.W1 is None"),
+    (_set([2.0, 3], "arrays", "W1", "shape"), "arrays.W1"),
 ], ids=["missing-array", "missing-section", "bad-base64", "data-short-of-shape",
-        "cluster-out-of-range", "unknown-activation", "weight-not-a-matrix",
-        "float-node-id", "float-cluster-id", "task-disagrees-with-config",
-        "string-num-nodes", "string-k", "integer-edge", "integer-cluster-of",
+        "cluster-out-of-range", "weight-not-a-matrix",
+        "float-node-id", "float-cluster-id",
+        "string-k", "integer-edge", "integer-cluster-of",
         "string-balance-epsilon", "missing-patience", "boolean-k", "integer-bilinear",
         "integer-omega", "harmonic-agg", "two-split-ratios", "list-config",
         "negative-balance-epsilon", "nan-balance-epsilon",
@@ -393,27 +397,10 @@ def _as_float_bytes(ids, doc):
         "cluster-of-bad-base64", "edge-ptr-not-one-dimensional",
         "pins-not-one-dimensional", "edge-ptr-out-of-range", "negative-node-id",
         "edge-type-out-of-range", "edge-ptr-not-from-zero", "null-entity-names",
-        "short-entity-names", "repeated-relation-name", "offset-outside-file",
-        "negative-offset", "misaligned-offset", "string-offset", "overlapping-arrays",
-        "missing-shape", "last-array-cut-short", "bytes-left-after-last-array"])
+        "short-entity-names", "repeated-relation-name", "missing-shape",
+        "last-array-cut-short", "bytes-left-after-last-array", "null-array", "float-shape"])
 def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)
-
-
-def _as_task(model, task):
-    """``model`` relabelled as a model of ``task``, which has the same layers."""
-    return dataclasses.replace(model, task=task,
-                               config=dataclasses.replace(model.config, task=task))
-
-
-@pytest.mark.parametrize("task, activations", [
-    ("completion", ["relu", "relu"]), ("classification", ["relu", "relu"]),
-    ("prediction", ["relu", "identity"])])
-def test_activations_must_be_the_tasks(completion_model, prediction_model, tmp_path,
-                                       task, activations):
-    model = prediction_model if task == "prediction" else _as_task(completion_model, task)
-    path = _corrupt(model, tmp_path, _set(activations, "activations"))
-    _expect_field_error(path, "activations")
 
 
 def _nan_at(name):
@@ -458,13 +445,52 @@ def test_version_2_document_rejected(completion_model, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(completion_model, path)
     doc = _read(path)
-    for entry in _entries(doc):
+    for section, key in _places(doc):
+        entry = doc[section][key]
         entry["data"] = base64.b64encode(entry.pop("bytes")).decode("ascii")
     doc["version"] = 2
     path.write_text(json.dumps(doc, sort_keys=True), "utf-8")
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
-    assert str(info.value) == f"{path}: checkpoint version 2 unsupported (expected 3)"
+    assert str(info.value) == f"{path}: checkpoint version 2 unsupported (expected 4)"
+
+
+def test_version_3_file_rejected(completion_model, tmp_path):
+    # version 3 gave each array's offset beside its shape, and stored the
+    # task, the activations and the node count
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(completion_model, path)
+    doc = _read(path)
+    data = bytearray()
+    for section, key in _places(doc):
+        entry = doc[section][key]
+        entry["offset"] = len(data)
+        data += entry.pop("bytes")
+    doc.update(version=3, task="completion", activations=["relu", "identity"])
+    doc["structure"]["num_nodes"] = completion_model.structure.num_nodes
+    path.write_bytes(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n" + data)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: checkpoint version 3 unsupported (expected 4)"
+
+
+@pytest.mark.parametrize("change", [-8, 8], ids=["short", "long"])
+def test_payload_size_checked_before_any_array_is_read(completion_model, tmp_path,
+                                                       monkeypatch, change):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(completion_model, path)
+    saved = path.read_bytes()
+    path.write_bytes(saved[:change] if change < 0 else saved + bytes(change))
+    packed = len(saved) - saved.index(b"\n") - 1
+
+    def unreachable(*args):
+        raise AssertionError("an array was read")
+
+    monkeypatch.setattr(checkpoint._Payload, "array", unreachable)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (f"{path}: the header's shapes account for {packed} bytes of "
+                               f"arrays, but {packed + change} follow the header")
 
 
 @pytest.fixture(scope="module")
@@ -476,11 +502,10 @@ def saved_bytes(completion_model, tmp_path_factory):
 
 def _boundaries(saved: bytes) -> list[int]:
     """The cuts on either side of the header's newline and of each array's end."""
-    header = saved[:saved.index(b"\n")]
-    start = len(header) + 1
-    ends = [start + entry["offset"] + 8 * int(np.prod(entry["shape"]))
-            for entry in _entries(json.loads(header))]
-    return sorted({cut for end in [start - 1, start, *ends] for cut in (end - 1, end)
+    start = saved.index(b"\n") + 1
+    doc = json.loads(saved[:start])
+    ends = np.cumsum([start - 1, 1] + [8 * int(np.prod(doc[s][k])) for s, k in _places(doc)])
+    return sorted({int(cut) for end in ends for cut in (end - 1, end)
                    if 0 <= cut < len(saved)})
 
 
@@ -541,14 +566,19 @@ def test_failed_save_keeps_the_old_checkpoint(completion_model, prediction_model
 
 
 def test_saved_document_stores_no_derived_field(completion_model, prediction_model, tmp_path):
-    for model, stored in ((completion_model, dict), (prediction_model, type(None))):
+    for model, stored, arrays in ((completion_model, list, 6), (prediction_model, type(None), 7)):
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        doc = _read(path)
-        assert set(doc["structure"]) == {"num_nodes", "edge_ptr", "pins", "edge_type"}
+        doc = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert set(doc) == {"format", "version", "config", "structure", "clusters", "arrays",
+                            "relation_names", "entity_names"}
+        assert set(doc["structure"]) == {"edge_ptr", "pins", "edge_type"}
         assert type(doc["structure"]["edge_type"]) is stored
         assert set(doc["clusters"]) == {"cluster_of"}
         assert not {"edge_init", "node_x"} & set(doc["arrays"])
+        places = list(_places(doc))
+        assert len(places) == arrays
+        assert all(type(doc[section][key]) is list for section, key in places)
 
 
 def test_prediction_edge_type_must_be_null(prediction_model, tmp_path):
@@ -579,6 +609,20 @@ def test_save_refuses_clusters_disagreeing_with_config(completion_model, tmp_pat
         save_checkpoint(model, tmp_path / "model.ckpt")
 
 
+# loading takes the task from the config and names one node per cluster id
+@pytest.mark.parametrize("task, change, field", [
+    ("completion", lambda m: dataclasses.replace(m, task="classification"), "task"),
+    ("prediction", lambda m: dataclasses.replace(m, entity_names=("a", "b")), "entity_names"),
+], ids=["task-not-the-configs", "short-entity-names"])
+def test_save_refuses_what_loading_would_not_give_back(completion_model, prediction_model,
+                                                       tmp_path, task, change, field):
+    model = change(prediction_model if task == "prediction" else completion_model)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=f"the model's {field} disagrees") as info:
+        save_checkpoint(model, path)
+    assert "\n" not in str(info.value) and not path.exists()
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_any_single_bad_pin_is_named(completion_model, data):
@@ -588,7 +632,7 @@ def test_any_single_bad_pin_is_named(completion_model, data):
         doc = _read(path)
         pins = _packed(doc, "structure", "pins", dtype="<i8")
         ptr = _packed(doc, "structure", "edge_ptr", dtype="<i8")
-        n = doc["structure"]["num_nodes"]
+        n = doc["clusters"]["cluster_of"]["shape"][0]
         if data.draw(st.booleans(), label="swap"):
             # positions whose right neighbour is in the same edge
             inner = np.setdiff1d(np.arange(pins.size - 1), ptr[1:] - 1)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ def edges_file(tmp_path_factory):
         "utf-8",
     )
     return p
+
+
+def _rewrite(source, target, change):
+    """``source``'s lines, shuffled or with every name but a relation's
+    renamed, written to ``target``."""
+    lines = source.read_text("utf-8").splitlines(keepends=True)
+    if change == "shuffle":
+        lines = [lines[i] for i in np.random.default_rng(0).permutation(len(lines))]
+    else:
+        lines = [re.sub(r"(^|\s)([en])", r"\1x\2", line) for line in lines]
+    target.write_text("".join(lines), "utf-8")
 
 
 def train_args(data, report, ckpt, task="completion", extra=()):
@@ -132,6 +144,14 @@ class TestTrainCommand:
         assert err.count("\n") == 1
 
 
+    def test_unwritable_checkpoint_named_in_one_line(self, knowledge_dir, tmp_path, capsys):
+        ckpt = tmp_path / "nodir" / "model.ckpt"
+        assert main(train_args(knowledge_dir, tmp_path / "r.json", ckpt)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{ckpt}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
 class TestEvalCommand:
     def test_reproduces_training_metrics(self, knowledge_dir, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -151,6 +171,28 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(edges_file)]) == 0
         got = json.loads(capsys.readouterr().out)
         assert got == json.loads(report.read_text("utf-8"))["test_metrics"]
+
+    @pytest.mark.parametrize("change", ["shuffle", "rename"])
+    @pytest.mark.parametrize("task", ["completion", "prediction"])
+    def test_dataset_numbering_names_otherwise_fails(self, knowledge_dir, edges_file, tmp_path,
+                                                      capsys, task, change):
+        # shuffled lines hold the same facts under other ids; renamed ones other facts
+        source = edges_file if task == "prediction" else knowledge_dir
+        ckpt = tmp_path / "model.json"
+        assert main(train_args(source, tmp_path / "r.json", ckpt, task=task)) == 0
+        data = tmp_path / "data"
+        if task == "prediction":
+            _rewrite(source, data, change)
+        else:
+            data.mkdir()
+            for name in ("train.txt", "valid.txt", "test.txt"):
+                _rewrite(source / name, data / name, change)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        kind = "node" if task == "prediction" else "relation|entity"
+        assert re.fullmatch(rf"error: dataset's ({kind}) \d+ is '\w+', the model's is '\w+'\n",
+                            err)
 
     def test_bad_checkpoint_path(self, knowledge_dir, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -239,6 +281,14 @@ def test_train_flags_set_their_fields():
     assert _config_from_args(args) == TrainConfig(
         task="prediction", clusters=3, omega="var", bilinear=False, hidden_dim=8, epochs=5,
         patience=2, learning_rate=0.5, batch_size=7, seed=9, split_ratios=(0.5, 0.25, 0.25))
+
+
+def test_ratios_take_three_fractions(capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["train", "--task", "completion", "--data", "D",
+                                   "--ratios", "0.8,0.2"])
+    assert info.value.code == 2
+    assert "--ratios: expected three comma-separated fractions" in capsys.readouterr().err
 
 
 def test_bilinear_takes_on_or_off(capsys):

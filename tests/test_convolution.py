@@ -279,6 +279,20 @@ class TestE2EForward:
             e2e_forward(layers, "mean", h, edge_init[:0], node_x, [[0]])
         with pytest.raises(ValueError, match="^unknown aggregation 'harmonic'$"):
             e2e_forward(layers, "mean", h, edge_init, node_x, [[0]], agg="harmonic")
+        with pytest.raises(ValueError, match="^unknown omega kind 'median'$"):
+            e2e_forward(layers, "median", h, edge_init, node_x, [[0]])
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["blocked", "lifted"])
+    def test_bilinear_weight_of_another_width_rejected(self, lifted):
+        rng = np.random.default_rng(1)
+        h = build_hypergraph([[0, 1], [1, 2]])
+        (layer1, layer2), edge_init, node_x = tiny_model(rng, h)
+        d = edge_init.shape[1] + node_x.shape[1]
+        narrow = LayerParams(layer1.weight[:, :-1], layer1.activation)
+        lift = lift_edges("mean", h, edge_init, node_x) if lifted else None
+        with pytest.raises(ValueError, match=f"^weight expects input dim {d * d - 1}, "
+                                             f"bilinear gives {d * d}$"):
+            e2e_forward((narrow, layer2), "mean", h, edge_init, node_x, [[0]], lift=lift)
 
     @pytest.mark.parametrize("targets, position, node", [
         ([[-1]], 0, -1), ([[0, 1], [2, 3]], 1, 3), ([[0], [], [1, 4]], 2, 4)])

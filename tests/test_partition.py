@@ -221,6 +221,11 @@ class TestFMRefine:
         h = build_hypergraph([], num_nodes=0)
         assert fm_refine(h, assignment([], 2)).num_nodes == 0
 
+    def test_assignment_of_another_node_count_rejected(self):
+        h = build_hypergraph([[0, 1], [2, 3]])
+        with pytest.raises(ValueError, match="^assignment does not match hypergraph$"):
+            fm_refine(h, assignment([0, 0, 1], 2))
+
     def test_unbalanced_input_rejected(self):
         h = build_hypergraph([[0, 1], [2, 3]])
         with pytest.raises(ValueError, match="balance"):

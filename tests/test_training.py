@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,7 @@ from hyperconv import convolution
 from hyperconv.convolution import AGG_KINDS, OMEGA_KINDS, e2e_backward, e2e_forward, init_layer
 from hyperconv.data import Splits
 from hyperconv.features import edge_cluster_pool
-from hyperconv.hypergraph import build_hypergraph
+from hyperconv.hypergraph import KnowledgeHypergraph, build_hypergraph
 from hyperconv.training import (
     TASKS,
     Adam,
@@ -87,6 +89,10 @@ class TestTrainConfig:
             TrainConfig(task="completion", epochs=0)
         with pytest.raises(ValueError, match="balance_epsilon"):
             TrainConfig(task="completion", balance_epsilon=-0.01)
+        with pytest.raises(ValueError, match="^clusters must be >= 1$"):
+            TrainConfig(task="completion", clusters=0)
+        with pytest.raises(ValueError, match="^hidden_dim must be >= 1$"):
+            TrainConfig(task="completion", hidden_dim=0)
 
     @pytest.mark.parametrize("field, value", [
         ("hidden_dim", 4.0), ("clusters", True), ("seed", 1.5), ("epochs", "3"),
@@ -354,6 +360,15 @@ class TestNegativeSampling:
         with pytest.raises(SamplingError, match="100 attempts"):
             sample_negative(h, 0, np.random.default_rng(0))
 
+    def test_a_run_whose_every_corruption_collides_fails_naming_each_skip(self, caplog):
+        # every pair of 4 nodes is an edge, so each corruption of a pair is one
+        h = build_hypergraph(list(itertools.combinations(range(4), 2)))
+        with pytest.raises(ValueError, match="^no negatives could be sampled$"):
+            training._sample_negatives(h, range(h.num_edges), np.random.default_rng(0))
+        skips = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert skips == [f"skipping negative: edge {e}: no novel corruption in 100 attempts"
+                         for e in range(h.num_edges)]
+
     @pytest.mark.parametrize("edge", [-1, -3, 3, 2.0, True])
     def test_edge_id_must_be_an_integer_in_range(self, edge):
         # -1 once sampled an empty set and -3 corrupted edge 0
@@ -577,6 +592,10 @@ class TestPrediction:
         for got, want in zip(capped[1], blocked[1], strict=True):
             assert np.array_equal(got, want)
 
+    def test_task_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^config is for task 'completion'$"):
+            train_prediction(prediction_setup(), completion_config())
+
     def test_node_count_mismatch_rejected(self):
         h = prediction_setup()
         cfg = prediction_config(epochs=3, patience=3)
@@ -585,6 +604,31 @@ class TestPrediction:
         other = build_hypergraph([[0, 1]], num_nodes=5)
         with pytest.raises(ValueError, match="nodes"):
             evaluate(model, other, Splits(np.array([0]), np.array([0]), np.array([0])))
+
+
+def _renamed_entity(kh, index):
+    names = list(kh.entity_names)
+    names[index] = "renamed"
+    return names
+
+
+@pytest.mark.parametrize("vocabulary, message", [
+    (lambda kh: (kh.relation_names + ("extra",), kh.entity_names),
+     "dataset's relation 4 is 'extra', the model's is None"),
+    (lambda kh: (kh.relation_names[::-1], kh.entity_names),
+     "dataset's relation 0 is 'r3', the model's is 'r0'"),
+    (lambda kh: (kh.relation_names, _renamed_entity(kh, 5)),
+     "dataset's entity 5 is 'renamed', the model's is 'e5'"),
+], ids=["another-relation-count", "relations-renumbered", "entity-renamed"])
+def test_evaluate_checks_the_vocabularies(vocabulary, message):
+    kh = planted_knowledge(np.random.default_rng(5), nodes_per=10, num_edges=100)
+    cfg = completion_config(epochs=2, patience=2)
+    splits = Splits.from_ratios(kh.base.num_edges, cfg.split_ratios, cfg.seed)
+    model, report = train_completion(kh, cfg, splits)
+    other = KnowledgeHypergraph(kh.base, kh.edge_type, *vocabulary(kh))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate(model, other, splits)
+    assert evaluate(model, kh, splits) == report.test_metrics
 
 
 @pytest.mark.parametrize("task", ["completion", "prediction"])
