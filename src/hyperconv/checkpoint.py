@@ -1,18 +1,18 @@
 """Versioned checkpoint container for trained models.
 
-Version 4 is one header line, a JSON document, followed by the arrays'
-raw little-endian bytes: float64 weights and int64 ids, so a reloaded
-model reproduces every prediction bit-exactly. Each array's entry in the
-header is its shape. The arrays follow the header back to back in one
-fixed order, ``_PACKED``, which saving and loading share; an absent or
-null entry takes no bytes. So the shapes place every array, and loading
-first checks that they account for exactly the bytes after the header,
-then reads each array straight into its own buffer. The file stores
-what cannot be derived: the structure's CSR arrays, the edge types
-(relational tasks), the cluster ids, whose count is the node count, the
-weights, the vocabularies and the config. The task is the config's; the
-features, one-hots of those, and the layers' shapes and activations
-follow from them by the rules training builds a model by.
+Version 5 is one header line, a JSON document, followed by the arrays' raw
+little-endian bytes: float64 weights and int64 ids, so a reloaded model
+reproduces every prediction bit-exactly. The header holds the config, the
+relation and entity vocabularies and three counts: nodes, edges and pins.
+The arrays are what cannot be derived: the structure's CSR arrays, the
+edge types (relational tasks), the cluster ids and the weights, back to
+back in one fixed order, ``_PACKED``. No shape is stored: the ids' follow
+from the counts and the weights' from the config and the relation count,
+by the rules training builds a model by. So loading checks that the
+shapes account for exactly the bytes after the header before it reads
+each array into its own buffer. The task is the config's; the features,
+one-hots of the cluster ids and edge types, and the activations are
+rebuilt as training builds them.
 """
 
 from __future__ import annotations
@@ -32,92 +32,74 @@ from .training import (ModelParams, TrainConfig, TrainedModel, _check_type, _fea
                        _layer_shapes)
 
 FORMAT_NAME = "hyperconv-checkpoint"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # every packed array with its dtype, in the order their bytes follow the header
-_PACKED = {"structure.edge_ptr": "<i8", "structure.pins": "<i8", "structure.edge_type": "<i8",
-           "clusters.cluster_of": "<i8", "arrays.W1": "<f8", "arrays.W2": "<f8",
-           "arrays.Wh": "<f8", "arrays.bh": "<f8"}
+_PACKED = {"edge_ptr": "<i8", "pins": "<i8", "edge_type": "<i8", "cluster_of": "<i8",
+           "W1": "<f8", "W2": "<f8", "Wh": "<f8", "bh": "<f8"}
 
 
-def _field(path, doc: dict, name: str):
+def _typed(path, doc: dict, name: str, *types):
     """The value at the dotted ``name`` in ``doc``; fails naming the first
-    missing key."""
+    missing key, or the field unless its type is one of ``types`` by
+    ``_check_type``'s rule."""
     keys = name.split(".")
     value = doc
     for i, key in enumerate(keys):
         if not isinstance(value, dict) or key not in value:
             raise ValueError(f"{path}: field {'.'.join(keys[:i + 1])} is missing")
         value = value[key]
-    return value
-
-
-def _typed(path, doc: dict, name: str, *types):
-    """The value at ``name``; fails naming the field unless its type is one
-    of ``types``, by ``_check_type``'s rule."""
-    value = _field(path, doc, name)
     _check_type(f"{path}: field {name}", value, types)
     return value
 
 
-class _Payload:
-    """The bytes after the header line of the checkpoint open as ``fh``,
-    ``start`` bytes in. The header's shapes place every packed array, back
-    to back in ``_PACKED`` order; each is read from the file straight into
-    a buffer of its own."""
-
-    def __init__(self, path, fh, doc: dict, start: int):
-        """Fails naming the field unless each packed entry in ``doc`` is a
-        shape, absent or null, and fails naming both byte counts unless the
-        shapes account for exactly the bytes after the header."""
-        self.path, self.fh = path, fh
-        self.offsets = {}
-        end = start
-        for name, dtype in _PACKED.items():
-            section, key = name.split(".")
-            shape = _typed(path, doc, section, dict).get(key)
-            if shape is None:  # absent or null: no bytes
-                continue
-            if type(shape) is not list or any(type(s) is not int or s < 0 for s in shape):
-                raise ValueError(f"{path}: field {name} is {reprlib.repr(shape)}, "
-                                 "expected a shape, a list of non-negative integers")
-            self.offsets[name] = end
-            end += np.dtype(dtype).itemsize * math.prod(shape)
-        size = os.fstat(fh.fileno()).st_size
-        if end != size:
-            raise ValueError(f"{path}: the header's shapes account for {end - start} bytes "
-                             f"of arrays, but {size - start} follow the header")
-
-    def array(self, doc: dict, name: str) -> np.ndarray:
-        """The packed array at ``name``; fails naming the field when its
-        entry is absent or null."""
-        arr = np.empty(_typed(self.path, doc, name, list), _PACKED[name])
-        self.fh.seek(self.offsets[name])
-        self.fh.readinto(arr)
-        if not arr.dtype.isnative:  # a big-endian machine swaps in place
-            arr = arr.byteswap(inplace=True).view(arr.dtype.newbyteorder("="))
-        return arr
+def _distinct_strings(what: str, names) -> None:
+    """Fail naming ``what`` and the first of ``names`` that is not a string
+    or repeats an earlier one."""
+    if set(map(type, names)) <= {str} and len(set(names)) == len(names):
+        return
+    first = {}
+    for i, name in enumerate(names):
+        if type(name) is not str or first.setdefault(name, i) != i:
+            raise ValueError(f"{what} holds {reprlib.repr(name)} at entry {i}, "
+                             "expected distinct strings")
 
 
-def _ids(payload: _Payload, doc: dict, name: str, bound: int,
-         size: int | None = None) -> np.ndarray:
-    """The packed int64 array at ``name``: one-dimensional, ``size`` long
-    when given, each entry in [0, bound). Fails naming the field and the
-    first bad id."""
-    path = payload.path
-    ids = payload.array(doc, name)
-    if ids.ndim != 1 or size not in (None, ids.size):
-        expected = "one dimension" if size is None else f"shape [{size}]"
-        raise ValueError(f"{path}: field {name} has shape {list(ids.shape)}, expected {expected}")
+def _read(path, fh, start: int, shapes: dict) -> dict:
+    """The arrays named in ``shapes``, read in ``_PACKED`` order from the
+    bytes after the header line of ``fh``, ``start`` bytes in, each into a
+    native buffer of its own. Before any is allocated, fails naming both
+    byte counts unless the shapes account for exactly those bytes."""
+    needed = sum(np.dtype(_PACKED[name]).itemsize * math.prod(shape)
+                 for name, shape in shapes.items())
+    size = os.fstat(fh.fileno()).st_size - start
+    if needed != size:
+        raise ValueError(f"{path}: fields counts, config and relation_names account for "
+                         f"{needed} bytes of arrays, but {size} follow the header")
+    arrays = {}
+    for name, dtype in _PACKED.items():
+        if name in shapes:
+            arr = np.empty(shapes[name], dtype)
+            fh.readinto(arr)
+            if not arr.dtype.isnative:  # a big-endian machine swaps in place
+                arr = arr.byteswap(inplace=True).view(arr.dtype.newbyteorder("="))
+            arrays[name] = arr
+    return arrays
+
+
+def _ids(path, arrays: dict, name: str, bound: int) -> np.ndarray:
+    """The int64 array ``name``, each entry in [0, bound). Fails naming the
+    array and the first bad id."""
+    ids = arrays[name]
     bad = np.flatnonzero((ids < 0) | (ids >= bound))
     if bad.size:
-        raise ValueError(f"{path}: field {name} holds id {ids[bad[0]]} at entry {bad[0]}, "
+        raise ValueError(f"{path}: array {name} holds id {ids[bad[0]]} at entry {bad[0]}, "
                          f"expected an integer in [0, {bound})")
     return ids
 
 
 def _task_layout(config: TrainConfig, init_cols: int, relation_names):
-    """The activations and array shapes ``_layer_shapes`` gives over
+    """The activations and weight shapes ``_layer_shapes`` gives over
     ``init_cols`` edge feature columns (the width squared when bilinear),
     plus the binary head's for prediction."""
     layers = _layer_shapes(config, init_cols, len(relation_names or ()))
@@ -132,8 +114,11 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     """Write ``model`` to ``path``, by way of a temporary file beside it
     that replaces ``path`` once complete, so a failed or interrupted write
     leaves what was there; a failure names ``path``. Refuses a model whose
-    task, clusters, features, vocabulary, activations or arrays
+    task, clusters, features, vocabularies, activations or arrays
     ``load_checkpoint`` would not give back."""
+    vocabularies = {"relation_names": model.relation_names, "entity_names": model.entity_names}
+    for name, names in vocabularies.items():
+        _distinct_strings(f"{path}: not saved, the model's {name}", names or ())
     edge_type = None
     if model.task != "prediction":
         # the relation one-hot leads each edge_init row
@@ -141,44 +126,33 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     edge_init, node_x = _features(model.structure, model.clusters, edge_type,
                                   model.relation_names, model.entity_names)
     activations, shapes = _task_layout(model.config, edge_init.shape[1], model.relation_names)
-    arrays = model.params.trainable()
-    names = model.entity_names
+    arrays, structure, names = model.params.trainable(), model.structure, model.entity_names
     same = {"task": model.task == model.config.task,
             "clusters": (model.clusters.k, model.clusters.balance_epsilon)
             == (model.config.clusters, model.config.balance_epsilon),
             "edge_init": np.array_equal(edge_init, model.edge_init),
             "node_x": np.array_equal(node_x, model.node_x),
-            "entity_names": not names or len(names) == model.structure.num_nodes,
+            "entity_names": not names or len(names) == structure.num_nodes,
             "activations": [layer.activation for layer in model.layers] == activations,
             "arrays": {name: arr.shape for name, arr in arrays.items()} == shapes}
     wrong = [name for name, ok in same.items() if not ok]
     if wrong:
         raise ValueError(f"{path}: not saved, the model's {wrong[0]} disagrees with its "
                          "config, cluster ids and edge types")
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "config": model.config.to_dict(),
-        "structure": {"edge_ptr": model.structure.edge_ptr, "pins": model.structure.pins,
-                      "edge_type": edge_type},
-        "clusters": {"cluster_of": model.clusters.cluster_of},
-        "arrays": arrays,
-        "relation_names": list(model.relation_names) if model.relation_names else None,
-        "entity_names": list(model.entity_names) if model.entity_names else None,
-    }
-    packed = []  # each array's entry becomes its shape, its bytes queued in file order
-    for name, dtype in _PACKED.items():
-        section, key = name.split(".")
-        if doc[section].get(key) is not None:
-            packed.append(np.ascontiguousarray(doc[section][key], dtype))
-            doc[section][key] = list(packed[-1].shape)
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "config": model.config.to_dict(),
+           "counts": {"nodes": structure.num_nodes, "edges": structure.num_edges,
+                      "pins": structure.pins.size},
+           **{name: list(names) if names else None for name, names in vocabularies.items()}}
+    arrays.update(edge_ptr=structure.edge_ptr, pins=structure.pins, edge_type=edge_type,
+                  cluster_of=model.clusters.cluster_of)
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(temporary, "xb") as fh:
             fh.write(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n")
-            for arr in packed:
-                fh.write(arr)
+            for name, dtype in _PACKED.items():
+                if arrays.get(name) is not None:
+                    fh.write(np.ascontiguousarray(arrays[name], dtype))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(temporary, path)
@@ -190,6 +164,15 @@ def save_checkpoint(model: TrainedModel, path) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """The model ``save_checkpoint`` wrote to ``path``.
+
+    The file holds one JSON header line (the config, the relation and
+    entity vocabularies and the node, edge and pin counts) followed by
+    the raw bytes of the structure's CSR arrays, the edge types, the
+    cluster ids and the weights, whose shapes follow from the header. A
+    malformed file fails with one ``ValueError`` line that names the file
+    and the field; a missing or unreadable file raises ``OSError``.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         # a file without a newline, such as a version-2 document, is all header
@@ -201,67 +184,60 @@ def load_checkpoint(path) -> TrainedModel:
         if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
             raise ValueError(f"{path}: not a model checkpoint")
         if doc.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: checkpoint version {doc.get('version')} unsupported "
-                f"(expected {FORMAT_VERSION})"
-            )
-        payload = _Payload(path, fh, doc, len(header))
+            raise ValueError(f"{path}: checkpoint version {doc.get('version')} unsupported "
+                             f"(expected {FORMAT_VERSION})")
         fields = _typed(path, doc, "config", dict)
         try:
             config = TrainConfig.from_dict(fields)
         except ValueError as exc:
             raise ValueError(f"{path}: field config: {exc}") from None
         # the relational tasks rebuild their typed structure from the vocabularies
-        vocabulary = (list, type(None)) if config.task == "prediction" else (list,)
-        relation_names = _typed(path, doc, "relation_names", *vocabulary)
-        entity_names = _typed(path, doc, "entity_names", *vocabulary)
-        # one cluster id per node: their count is the node count
-        cluster_of = _ids(payload, doc, "clusters.cluster_of", config.clusters)
-        n = cluster_of.size
+        relational = config.task != "prediction"
+        vocabulary = (list,) if relational else (list, type(None))
+        relation_names, entity_names = (
+            _typed(path, doc, name, *vocabulary) for name in ("relation_names", "entity_names"))
+        counts = {}
+        for key in ("nodes", "edges", "pins"):
+            count = counts[key] = _typed(path, doc, f"counts.{key}", int)
+            if count < 0:
+                raise ValueError(f"{path}: field counts.{key} is {count}, "
+                                 "expected a non-negative integer")
+        n, m = counts["nodes"], counts["edges"]
+        for name, names in (("relation_names", relation_names), ("entity_names", entity_names)):
+            _distinct_strings(f"{path}: field {name}", names or ())
         if entity_names is not None and len(entity_names) != n:
             raise ValueError(f"{path}: field entity_names holds {len(entity_names)} names, "
-                             f"but field clusters.cluster_of gives {n} nodes")
-        pins = _ids(payload, doc, "structure.pins", n)
-        edge_ptr = _ids(payload, doc, "structure.edge_ptr", pins.size + 1)
-        empty = np.flatnonzero(np.diff(edge_ptr) <= 0)
-        if edge_ptr[:1].tolist() != [0] or edge_ptr[-1:].tolist() != [pins.size] or empty.size:
-            where = f"edge {empty[0]} is empty; " if empty.size else ""
-            raise ValueError(f"{path}: field structure.edge_ptr: {where}expected offsets "
-                             f"rising strictly from 0 to {pins.size}, the pin count")
-        structure = Hypergraph(edge_ptr, pins, n)
-        # each edge lists distinct ids in ascending order, as ``build_hypergraph``
-        # stores them, so the pins' (edge, node) codes rise strictly
-        wrong = structure.pin_edge[1:][np.diff(structure.pin_edge * n + pins) <= 0]
-        if wrong.size:
-            members = pins[edge_ptr[wrong[0]]:edge_ptr[wrong[0] + 1]].tolist()
-            raise ValueError(f"{path}: field structure.pins holds edge {wrong[0]} as "
-                             f"{reprlib.repr(members)}, expected ascending and distinct node ids")
-        if config.task == "prediction":
-            edge_type = _typed(path, doc, "structure.edge_type", type(None))
-        else:
-            edge_type = _ids(payload, doc, "structure.edge_type", len(relation_names),
-                             structure.num_edges)
-        # the features ``_features`` builds: the relation one-hot, when there
-        # are edge types, before the cluster one-hot
-        init_cols = config.clusters + (0 if edge_type is None else len(relation_names))
-        activations, shapes = _task_layout(config, init_cols, relation_names)
-        arrays = {}
-        for name, shape in shapes.items():
-            arr = arrays[name] = payload.array(doc, f"arrays.{name}")
-            if arr.shape != shape or not np.isfinite(arr).all():
-                raise ValueError(f"{path}: field arrays.{name} has shape {list(arr.shape)}, "
-                                 f"expected shape {list(shape)} and finite values")
-        extra = sorted(doc["arrays"].keys() - shapes.keys())
-        if extra:
-            raise ValueError(f"{path}: field arrays.{extra[0]} is not an array of a "
-                             f"{config.task} model")
+                             f"but field counts.nodes is {n}")
+        # the features ``_features`` builds: the relation one-hot, for the
+        # relational tasks, before the cluster one-hot
+        init_cols = config.clusters + (len(relation_names) if relational else 0)
+        activations, weights = _task_layout(config, init_cols, relation_names)
+        shapes = {"edge_ptr": (m + 1,), "pins": (counts["pins"],), "cluster_of": (n,),
+                  **({"edge_type": (m,)} if relational else {}), **weights}
+        arrays = _read(path, fh, len(header), shapes)
     del doc  # every packed array is read; free the header before the features
+    cluster_of = _ids(path, arrays, "cluster_of", config.clusters)
+    pins = _ids(path, arrays, "pins", n)
+    edge_ptr = _ids(path, arrays, "edge_ptr", pins.size + 1)
+    empty = np.flatnonzero(np.diff(edge_ptr) <= 0)
+    if edge_ptr[0] != 0 or edge_ptr[-1] != pins.size or empty.size:
+        where = f"edge {empty[0]} is empty; " if empty.size else ""
+        raise ValueError(f"{path}: array edge_ptr: {where}expected offsets rising strictly "
+                         f"from 0 to {pins.size}, the pin count")
+    structure = Hypergraph(edge_ptr, pins, n)
+    # each edge lists distinct ids in ascending order, as ``build_hypergraph``
+    # stores them, so the pins' (edge, node) codes rise strictly
+    wrong = structure.pin_edge[1:][np.diff(structure.pin_edge * n + pins) <= 0]
+    if wrong.size:
+        members = pins[edge_ptr[wrong[0]]:edge_ptr[wrong[0] + 1]].tolist()
+        raise ValueError(f"{path}: array pins holds edge {wrong[0]} as "
+                         f"{reprlib.repr(members)}, expected ascending and distinct node ids")
+    edge_type = _ids(path, arrays, "edge_type", len(relation_names)) if relational else None
+    for name in weights:
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: array {name} holds a value that is not finite")
     clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
-    try:
-        edge_init, node_x = _features(structure, clusters, edge_type, relation_names,
-                                      entity_names)
-    except (TypeError, ValueError) as exc:  # only the vocabularies are left unchecked
-        raise ValueError(f"{path}: fields relation_names, entity_names: {exc}") from None
+    edge_init, node_x = _features(structure, clusters, edge_type, relation_names, entity_names)
     params = ModelParams(LayerParams(arrays["W1"], activations[0]),
                          LayerParams(arrays["W2"], activations[1]),
                          arrays.get("Wh"), arrays.get("bh"))

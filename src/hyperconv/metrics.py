@@ -23,6 +23,7 @@ def rank_of_true(scores: np.ndarray, true_index: int) -> int:
 
 
 def mrr(ranks) -> float:
+    """Mean reciprocal rank: the mean of 1 / rank over 1-based ranks."""
     ranks = np.asarray(ranks, dtype=np.float64)
     if len(ranks) == 0:
         raise ValueError("no ranks")
@@ -75,6 +76,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def accuracy(predicted, truth) -> float:
+    """Fraction of predictions equal to the truth, entry by entry."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape or predicted.size == 0:

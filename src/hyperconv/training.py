@@ -212,10 +212,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(**d)
-
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

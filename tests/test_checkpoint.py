@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import errno
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -103,62 +104,59 @@ def test_head_arrays_stored_for_prediction(prediction_model, tmp_path):
     np.testing.assert_array_equal(
         again.params.head_bias, prediction_model.params.head_bias
     )
+def _shapes(doc):
+    """Each packed array's shape, in the order the arrays follow the header:
+    the ids' from ``counts``, the weights' from the config and the relation
+    count."""
+    config, counts = doc["config"], doc["counts"]
+    k, h = config["clusters"], config["hidden_dim"]
+    power = 2 if config["bilinear"] else 1
+    shapes = {"edge_ptr": (counts["edges"] + 1,), "pins": (counts["pins"],)}
+    if config["task"] == "prediction":
+        return {**shapes, "cluster_of": (counts["nodes"],), "W1": (h, (2 * k) ** power),
+                "W2": (h, (h + k) ** power), "Wh": (2, h), "bh": (2,)}
+    r = len(doc["relation_names"])
+    return {**shapes, "edge_type": (counts["edges"],), "cluster_of": (counts["nodes"],),
+            "W1": (h, (r + 2 * k) ** power), "W2": (r, (h + k) ** power)}
 
 
-def _places(doc):
-    """The (section, key) of each packed entry in the header ``doc``, in the
-    order the arrays follow the header; an absent or null entry has none."""
-    for name in checkpoint._PACKED:
-        section, key = name.split(".")
-        if isinstance(doc.get(section), dict) and doc[section].get(key) is not None:
-            yield section, key
-
-
-def _read(path) -> dict:
-    """The header of the checkpoint at ``path``, each packed entry an object
-    holding its ``shape`` and its array's ``bytes``."""
+def _read(path):
+    """The header of the checkpoint at ``path`` and a copy of each array
+    after it, in file order."""
     with open(path, "rb") as fh:
         doc = json.loads(fh.readline())
         data = fh.read()
-    start = 0
-    for section, key in _places(doc):
-        shape = doc[section][key]
-        end = start + 8 * int(np.prod(shape))
-        doc[section][key] = {"shape": shape, "bytes": data[start:end]}
+    arrays, start = {}, 0
+    for name, shape in _shapes(doc).items():
+        end = start + 8 * math.prod(shape)
+        dtype = "<i8" if name in ("edge_ptr", "pins", "edge_type", "cluster_of") else "<f8"
+        arrays[name] = np.frombuffer(data[start:end], dtype).reshape(shape).copy()
         start = end
-    return doc
+    return doc, arrays
 
 
-def _write(path, doc: dict) -> None:
-    """Write a header from ``_read`` back, its arrays back to back in
-    ``_PACKED`` order. An entry an edit left holding more than its shape
-    and bytes is written as that object, without the bytes."""
-    data = bytearray()
-    for section, key in _places(doc):
-        entry = doc[section][key]
-        if isinstance(entry, dict) and "bytes" in entry:
-            data += entry["bytes"]
-            rest = {k: v for k, v in entry.items() if k != "bytes"}
-            doc[section][key] = rest["shape"] if rest.keys() == {"shape"} else rest
+def _write(path, doc: dict, arrays: dict) -> None:
+    """Write a header and the arrays back, their bytes back to back in the
+    dict's order; an entry may be raw bytes."""
+    data = b"".join(a if isinstance(a, bytes) else a.tobytes() for a in arrays.values())
     path.write_bytes(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n" + data)
 
 
 def test_format_marker_checked(completion_model, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(completion_model, path)
-    doc = _read(path)
+    doc, arrays = _read(path)
     assert doc["format"] == FORMAT_NAME
     assert doc["version"] == FORMAT_VERSION
 
     doc["format"] = "something-else"
-    _write(path, doc)
+    _write(path, doc, arrays)
     with pytest.raises(ValueError, match="not a model checkpoint"):
         load_checkpoint(path)
 
-    doc = _read(path)
     doc["format"] = FORMAT_NAME
     doc["version"] = FORMAT_VERSION + 1
-    _write(path, doc)
+    _write(path, doc, arrays)
     with pytest.raises(ValueError, match="unsupported"):
         load_checkpoint(path)
 
@@ -169,72 +167,79 @@ def test_missing_file_raises_oserror(tmp_path):
 
 
 def _corrupt(model, tmp_path, edit):
+    """The checkpoint of ``model`` after ``edit(doc, arrays)``."""
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    doc = _read(path)
-    edit(doc)
-    _write(path, doc)
+    doc, arrays = _read(path)
+    edit(doc, arrays)
+    _write(path, doc, arrays)
     return path
 
 
-def _section(doc, keys):
-    for key in keys:
-        doc = doc[key]
-    return doc
-
-
-def _packed(doc, *keys, dtype="<f8"):
-    """A copy of the packed array at ``keys``."""
-    field = _section(doc, keys)
-    return np.frombuffer(field["bytes"], dtype=dtype).reshape(field["shape"]).copy()
-
-
-def _store(doc, arr, *keys, dtype="<f8"):
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    field = _section(doc, keys)
-    field["shape"] = list(arr.shape)
-    field["bytes"] = arr.tobytes()
-
-
-def _resize(doc, name, rows=None, cols=None):
-    arr = _packed(doc, "arrays", name)
-    _store(doc, arr[:rows] if cols is None else arr[..., :cols], "arrays", name)
-
-
-def _rewrite(change, *keys):
-    """An edit replacing the packed ids at ``keys`` with ``change(ids, doc)``."""
-    def edit(doc):
-        _store(doc, change(_packed(doc, *keys, dtype="<i8"), doc), *keys, dtype="<i8")
+def _set(value, *keys):
+    """An edit setting the header field at ``keys`` to ``value``, or to
+    ``value(doc)`` when it is callable."""
+    def edit(doc, arrays):
+        new = value(doc) if callable(value) else value
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = new
 
     return edit
 
 
-def _put(index, value, *keys):
-    """An edit setting entry ``index`` of the packed ids at ``keys`` to
-    ``value``, or to ``value(doc)`` when it is callable."""
-    def change(ids, doc):
-        ids[index] = value(doc) if callable(value) else value
-        return ids
+def _drop(*keys):
+    def edit(doc, arrays):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
 
-    return _rewrite(change, *keys)
+    return edit
 
 
-def _edge(ids, doc, e):
+def _array(change, name):
+    """An edit replacing array ``name`` with ``change(array, arrays)``."""
+    def edit(doc, arrays):
+        arrays[name] = change(arrays[name], arrays)
+
+    return edit
+
+
+def _put(index, value, name):
+    """An edit setting entry ``index`` of array ``name`` to ``value``, or to
+    ``value(doc)`` when it is callable."""
+    def edit(doc, arrays):
+        arrays[name][index] = value(doc) if callable(value) else value
+
+    return edit
+
+
+def _edge(ids, arrays, e):
     """Edge ``e``'s slice of the pins."""
-    ptr = _packed(doc, "structure", "edge_ptr", dtype="<i8")
+    ptr = arrays["edge_ptr"]
     return ids[ptr[e]:ptr[e + 1]]
 
 
-def _reverse_edge(ids, doc):
-    members = _edge(ids, doc, 1)
+def _reverse_edge(ids, arrays):
+    members = _edge(ids, arrays, 1)
     members[:] = members[::-1].copy()
     return ids
 
 
-def _repeat_member(ids, doc):
-    members = _edge(ids, doc, 2)
+def _repeat_member(ids, arrays):
+    members = _edge(ids, arrays, 2)
     members[1] = members[0]
     return ids
+
+
+def _as_float_bytes(ids, arrays):
+    """The ids packed as float64, read back as int64."""
+    return ids.astype("<f8").view("<i8")
+
+
+def _shift(key, change):
+    """An edit adding ``change`` to ``counts[key]``, the arrays left as saved."""
+    return _set(lambda doc: doc["counts"][key] + change, "counts", key)
 
 
 def _expect_field_error(path, field):
@@ -245,10 +250,14 @@ def _expect_field_error(path, field):
     assert message.count(str(path)) == 1 and field in message
 
 
+# the one message for shapes that do not account for the bytes after the header
+_SIZE_ERROR = "fields counts, config and relation_names account for"
+
+
 def test_edge_init_rows_checked_against_structure(completion_model, tmp_path):
-    # edge_init is rebuilt from the edge types, one per structure edge
-    edit = _rewrite(lambda ids, doc: ids[:-1], "structure", "edge_type")
-    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "structure.edge_type")
+    # edge_init is rebuilt from the edge types, one per edge of the count
+    path = _corrupt(completion_model, tmp_path, _shift("edges", -1))
+    _expect_field_error(path, _SIZE_ERROR)
 
 
 def test_node_x_shape_checked(completion_model, tmp_path):
@@ -257,38 +266,37 @@ def test_node_x_shape_checked(completion_model, tmp_path):
         save_checkpoint(model, tmp_path / "model.ckpt")
 
 
-def test_cluster_of_length_checked(completion_model, tmp_path):
-    edit = _rewrite(lambda ids, doc: ids[:-1], "clusters", "cluster_of")
-    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "clusters.cluster_of")
+def test_cluster_of_length_checked(prediction_model, tmp_path):
+    # one cluster id per node of the count
+    path = _corrupt(prediction_model, tmp_path, _shift("nodes", -1))
+    _expect_field_error(path, _SIZE_ERROR)
 
 
 def test_w1_shape_checked_against_config(completion_model, tmp_path):
-    def edit(doc):
-        doc["config"]["hidden_dim"] += 1
-
-    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "arrays.W1")
+    path = _corrupt(completion_model, tmp_path,
+                    _set(lambda doc: doc["config"]["hidden_dim"] + 1, "config", "hidden_dim"))
+    _expect_field_error(path, _SIZE_ERROR)
 
 
 def test_w2_rows_checked_against_relation_vocabulary(completion_model, tmp_path):
-    path = _corrupt(completion_model, tmp_path, lambda d: _resize(d, "W2", rows=-1))
-    _expect_field_error(path, "arrays.W2")
+    path = _corrupt(completion_model, tmp_path,
+                    _set(lambda doc: doc["relation_names"][:-1], "relation_names"))
+    _expect_field_error(path, _SIZE_ERROR)
 
 
 def test_head_weight_shape_checked(prediction_model, tmp_path):
-    path = _corrupt(prediction_model, tmp_path, lambda d: _resize(d, "Wh", cols=-1))
-    _expect_field_error(path, "arrays.Wh")
+    path = _corrupt(prediction_model, tmp_path, _array(lambda w, arrays: w[:, :-1], "Wh"))
+    _expect_field_error(path, _SIZE_ERROR)
 
 
 def test_unknown_config_key_rejected(completion_model, tmp_path):
-    def edit(doc):
-        doc["config"]["dropout"] = 0.5
-
-    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "config: dropout")
+    _expect_field_error(_corrupt(completion_model, tmp_path, _set(0.5, "config", "dropout")),
+                        "config: dropout")
 
 
 def test_config_fields_all_present_with_json_types(completion_model, tmp_path):
     # a float width and a missing patience used to load as 16.0 and 20
-    def edit(doc):
+    def edit(doc, arrays):
         doc["config"]["hidden_dim"] = float(doc["config"]["hidden_dim"])
         del doc["config"]["patience"]
 
@@ -296,57 +304,24 @@ def test_config_fields_all_present_with_json_types(completion_model, tmp_path):
 
 
 def test_out_of_range_node_id_rejected(completion_model, tmp_path):
-    # the node count is the number of cluster ids
-    edit = _put(0, lambda doc: doc["clusters"]["cluster_of"]["shape"][0], "structure", "pins")
-    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "structure.pins")
+    edit = _put(0, lambda doc: doc["counts"]["nodes"], "pins")
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "array pins")
 
 
 def test_head_bias_shape_checked(prediction_model, tmp_path):
-    path = _corrupt(prediction_model, tmp_path, lambda d: _resize(d, "bh", rows=1))
-    _expect_field_error(path, "arrays.bh")
-
-
-def _drop(*keys):
-    def edit(doc):
-        for key in keys[:-1]:
-            doc = doc[key]
-        del doc[keys[-1]]
-
-    return edit
-
-
-def _set(value, *keys):
-    def edit(doc):
-        new = value(doc) if callable(value) else value
-        for key in keys[:-1]:
-            doc = doc[key]
-        doc[keys[-1]] = new
-
-    return edit
-
-
-def _as_float_bytes(ids, doc):
-    """The ids packed as float64, read back as int64."""
-    return ids.astype("<f8").view("<i8")
-
-
-# the one message for shapes that do not account for the bytes after the header
-_SIZE_ERROR = "the header's shapes account for"
+    path = _corrupt(prediction_model, tmp_path, _array(lambda b, arrays: b[:1], "bh"))
+    _expect_field_error(path, _SIZE_ERROR)
 
 
 @pytest.mark.parametrize("edit, field", [
-    (_drop("arrays", "W1"), "arrays.W1"),
-    (_drop("structure"), "structure"),
-    (_set("!!!!", "arrays", "W1", "data"), "arrays.W1"),
-    (_set(np.zeros(3).tobytes(), "arrays", "W2", "bytes"), _SIZE_ERROR),
-    (_put(0, lambda doc: doc["config"]["clusters"], "clusters", "cluster_of"),
-     "clusters.cluster_of"),
-    (_set([-1], "arrays", "W1", "shape"), "arrays.W1"),
-    (_rewrite(_as_float_bytes, "structure", "pins"), "structure.pins"),
-    (_rewrite(_as_float_bytes, "clusters", "cluster_of"), "clusters.cluster_of"),
+    (_array(lambda w, arrays: b"", "W1"), _SIZE_ERROR),
+    (_drop("counts"), "field counts is missing"),
+    (_array(lambda w, arrays: b"!!!!", "W1"), _SIZE_ERROR),
+    (_array(lambda w, arrays: w[:3], "W2"), _SIZE_ERROR),
+    (_put(0, lambda doc: doc["config"]["clusters"], "cluster_of"), "array cluster_of"),
+    (_array(_as_float_bytes, "pins"), "array pins"),
+    (_array(_as_float_bytes, "cluster_of"), "array cluster_of"),
     (_set("4", "config", "clusters"), "config"),
-    (_set(5, "structure", "edge_ptr"), "structure.edge_ptr"),
-    (_set(3, "clusters", "cluster_of"), "clusters.cluster_of"),
     (_set("0.05", "config", "balance_epsilon"), "config"),
     (_drop("config", "patience"), "config: patience"),
     (_set(True, "config", "clusters"), "config: clusters"),
@@ -358,68 +333,72 @@ _SIZE_ERROR = "the header's shapes account for"
     (_set(-1, "config", "balance_epsilon"), "config"),
     (_set(float("nan"), "config", "balance_epsilon"), "config"),
     (_set(5, "relation_names"), "relation_names"),
-    (_put(1, 0, "structure", "edge_ptr"), "structure.edge_ptr"),
-    (_rewrite(_reverse_edge, "structure", "pins"), "structure.pins"),
-    (_rewrite(_repeat_member, "structure", "pins"), "structure.pins"),
-    (_set("!!!!", "structure", "edge_ptr", "data"), "structure.edge_ptr"),
-    (_set("!!!!", "structure", "pins", "data"), "structure.pins"),
-    (_set("!!!!", "structure", "edge_type", "data"), "structure.edge_type"),
-    (_set("!!!!", "clusters", "cluster_of", "data"), "clusters.cluster_of"),
-    (_rewrite(lambda ids, doc: ids.reshape(1, -1), "structure", "edge_ptr"),
-     "structure.edge_ptr"),
-    (_rewrite(lambda ids, doc: ids.reshape(1, -1), "structure", "pins"), "structure.pins"),
-    (_put(-1, lambda doc: doc["structure"]["pins"]["shape"][0] + 1, "structure", "edge_ptr"),
-     "structure.edge_ptr"),
-    (_put(0, -1, "structure", "pins"), "structure.pins"),
-    (_put(0, lambda doc: len(doc["relation_names"]), "structure", "edge_type"),
-     "structure.edge_type"),
-    (_put(0, 1, "structure", "edge_ptr"), "structure.edge_ptr"),
+    (_put(1, 0, "edge_ptr"), "array edge_ptr"),
+    (_array(_reverse_edge, "pins"), "array pins"),
+    (_array(_repeat_member, "pins"), "array pins"),
+    (_array(lambda ids, arrays: b"!!!!", "edge_ptr"), _SIZE_ERROR),
+    (_array(lambda ids, arrays: b"!!!!", "pins"), _SIZE_ERROR),
+    (_array(lambda ids, arrays: b"!!!!", "edge_type"), _SIZE_ERROR),
+    (_array(lambda ids, arrays: b"!!!!", "cluster_of"), _SIZE_ERROR),
+    (_put(-1, lambda doc: doc["counts"]["pins"] + 1, "edge_ptr"), "array edge_ptr"),
+    (_put(0, -1, "pins"), "array pins"),
+    (_put(0, lambda doc: len(doc["relation_names"]), "edge_type"), "array edge_type"),
+    (_put(0, 1, "edge_ptr"), "array edge_ptr"),
     (_set(None, "entity_names"), "entity_names"),
-    (_set(lambda doc: doc["entity_names"][:-1], "entity_names"), "entity_names"),
+    (_set(lambda doc: doc["entity_names"][:-1], "entity_names"), "field entity_names"),
     (_set(lambda doc: doc["relation_names"][:1] * len(doc["relation_names"]),
-          "relation_names"), "relation_names"),
-    (_drop("arrays", "W1", "shape"), "arrays.W1"),
-    (_set(lambda doc: doc["structure"]["pins"]["bytes"][:-8], "structure", "pins", "bytes"),
-     _SIZE_ERROR),
-    (_set(lambda doc: doc["structure"]["pins"]["bytes"] + bytes(8), "structure", "pins",
-          "bytes"), _SIZE_ERROR),
-    (_set(None, "arrays", "W1"), "field arrays.W1 is None"),
-    (_set([2.0, 3], "arrays", "W1", "shape"), "arrays.W1"),
+          "relation_names"), "field relation_names holds 'r0' at entry 1"),
+    (_drop("counts", "pins"), "field counts.pins is missing"),
+    (_array(lambda ids, arrays: ids[:-1], "pins"), _SIZE_ERROR),
+    (_array(lambda ids, arrays: np.append(ids, 0), "pins"), _SIZE_ERROR),
+    (_set(None, "counts", "edges"), "field counts.edges is None"),
+    (_set(40.0, "counts", "nodes"), "field counts.nodes is 40.0"),
+    (_set(-1, "counts", "pins"), "field counts.pins is -1"),
+    (_set(True, "counts", "edges"), "field counts.edges is True"),
+    (_set("7", "counts", "pins"), "field counts.pins is '7'"),
 ], ids=["missing-array", "missing-section", "bad-base64", "data-short-of-shape",
-        "cluster-out-of-range", "weight-not-a-matrix",
-        "float-node-id", "float-cluster-id",
-        "string-k", "integer-edge", "integer-cluster-of",
+        "cluster-out-of-range", "float-node-id", "float-cluster-id", "string-k",
         "string-balance-epsilon", "missing-patience", "boolean-k", "integer-bilinear",
         "integer-omega", "harmonic-agg", "two-split-ratios", "list-config",
         "negative-balance-epsilon", "nan-balance-epsilon",
         "integer-relation-names", "empty-edge", "descending-edge", "repeated-member",
         "edge-ptr-bad-base64", "pins-bad-base64", "edge-type-bad-base64",
-        "cluster-of-bad-base64", "edge-ptr-not-one-dimensional",
-        "pins-not-one-dimensional", "edge-ptr-out-of-range", "negative-node-id",
+        "cluster-of-bad-base64", "edge-ptr-out-of-range", "negative-node-id",
         "edge-type-out-of-range", "edge-ptr-not-from-zero", "null-entity-names",
         "short-entity-names", "repeated-relation-name", "missing-shape",
-        "last-array-cut-short", "bytes-left-after-last-array", "null-array", "float-shape"])
+        "last-array-cut-short", "bytes-left-after-last-array", "null-array", "float-shape",
+        "negative-count", "boolean-count", "string-count"])
 def test_malformed_field_is_named(completion_model, tmp_path, edit, field):
     _expect_field_error(_corrupt(completion_model, tmp_path, edit), field)
 
 
 def _nan_at(name):
-    def edit(doc):
-        arr = _packed(doc, "arrays", name)
-        arr.flat[0] = np.nan
-        _store(doc, arr, "arrays", name)
+    def change(w, arrays):
+        w.flat[0] = np.nan
+        return w
 
-    return edit
+    return _array(change, name)
 
 
 @pytest.mark.parametrize("name", ["W1", "W2", "Wh", "bh"])
 def test_non_finite_array_rejected(prediction_model, tmp_path, name):
-    _expect_field_error(_corrupt(prediction_model, tmp_path, _nan_at(name)), f"arrays.{name}")
+    _expect_field_error(_corrupt(prediction_model, tmp_path, _nan_at(name)), f"array {name}")
 
 
 def test_array_of_another_task_rejected(completion_model, tmp_path):
-    edit = _set(lambda doc: doc["arrays"]["W2"], "arrays", "Wh")
-    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "arrays.Wh")
+    # a prediction head's bytes after a completion model's weights
+    def edit(doc, arrays):
+        arrays.update(Wh=np.zeros((2, doc["config"]["hidden_dim"])), bh=np.zeros(2))
+
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), _SIZE_ERROR)
+
+
+def test_prediction_edge_type_must_be_null(prediction_model, tmp_path):
+    # a prediction model has no edge types: their bytes are left over
+    def edit(doc, arrays):
+        arrays["edge_type"] = np.zeros(doc["counts"]["edges"], "<i8")
+
+    _expect_field_error(_corrupt(prediction_model, tmp_path, edit), _SIZE_ERROR)
 
 
 def test_save_refuses_activation_not_the_tasks(completion_model, tmp_path):
@@ -432,46 +411,71 @@ def test_save_refuses_activation_not_the_tasks(completion_model, tmp_path):
     assert "\n" not in str(info.value) and not path.exists()
 
 
-def test_version_1_document_rejected(completion_model, tmp_path):
-    path = _corrupt(completion_model, tmp_path, _set(1, "version"))
-    with pytest.raises(ValueError, match="version 1 unsupported") as info:
+def _old_file(path, version: int) -> None:
+    """Rewrite the checkpoint at ``path`` as version 2, 3 or 4 stored it:
+    ``structure``, ``clusters`` and ``arrays`` sections in place of
+    ``counts``, each array's entry its shape (4), or an object holding its
+    shape and its offset (3) or its base64 ``data`` in one document without
+    a newline (2). Version 3 also stored the task, activations and node
+    count."""
+    doc, arrays = _read(path)
+    counts = doc.pop("counts")
+    doc["version"] = version
+    data = bytearray()
+    sections = {"structure": ("edge_ptr", "pins", "edge_type"),
+                "clusters": ("cluster_of",), "arrays": ("W1", "W2", "Wh", "bh")}
+    for section, keys in sections.items():
+        doc[section] = {"edge_type": None} if section == "structure" else {}
+        for key in filter(arrays.__contains__, keys):
+            shape, raw = list(arrays[key].shape), arrays[key].tobytes()
+            doc[section][key] = {2: {"shape": shape, "data": base64.b64encode(raw).decode()},
+                                 3: {"shape": shape, "offset": len(data)}, 4: shape}[version]
+            data += raw
+    if version == 3:
+        doc.update(task=doc["config"]["task"], activations=["relu", "identity"])
+        doc["structure"]["num_nodes"] = counts["nodes"]
+    header = json.dumps(doc, sort_keys=True).encode("ascii")
+    path.write_bytes(header if version == 2 else header + b"\n" + bytes(data))
+
+
+def _expect_version_error(path, version):
+    with pytest.raises(ValueError) as info:
         load_checkpoint(path)
-    assert str(path) in str(info.value)
+    assert str(info.value) == f"{path}: checkpoint version {version} unsupported (expected 5)"
+
+
+def test_version_1_document_rejected(completion_model, tmp_path):
+    _expect_version_error(_corrupt(completion_model, tmp_path, _set(1, "version")), 1)
 
 
 def test_version_2_document_rejected(completion_model, tmp_path):
-    # version 2 was one JSON document, without a newline, holding each
-    # array as base64 ``data``
     path = tmp_path / "model.ckpt"
     save_checkpoint(completion_model, path)
-    doc = _read(path)
-    for section, key in _places(doc):
-        entry = doc[section][key]
-        entry["data"] = base64.b64encode(entry.pop("bytes")).decode("ascii")
-    doc["version"] = 2
-    path.write_text(json.dumps(doc, sort_keys=True), "utf-8")
-    with pytest.raises(ValueError) as info:
-        load_checkpoint(path)
-    assert str(info.value) == f"{path}: checkpoint version 2 unsupported (expected 4)"
+    _old_file(path, 2)
+    _expect_version_error(path, 2)
 
 
 def test_version_3_file_rejected(completion_model, tmp_path):
-    # version 3 gave each array's offset beside its shape, and stored the
-    # task, the activations and the node count
     path = tmp_path / "model.ckpt"
     save_checkpoint(completion_model, path)
-    doc = _read(path)
-    data = bytearray()
-    for section, key in _places(doc):
-        entry = doc[section][key]
-        entry["offset"] = len(data)
-        data += entry.pop("bytes")
-    doc.update(version=3, task="completion", activations=["relu", "identity"])
-    doc["structure"]["num_nodes"] = completion_model.structure.num_nodes
-    path.write_bytes(json.dumps(doc, sort_keys=True).encode("ascii") + b"\n" + data)
-    with pytest.raises(ValueError) as info:
-        load_checkpoint(path)
-    assert str(info.value) == f"{path}: checkpoint version 3 unsupported (expected 4)"
+    _old_file(path, 3)
+    _expect_version_error(path, 3)
+
+
+@pytest.mark.parametrize("task", ["completion", "prediction"])
+def test_version_4_file_rejected(completion_model, prediction_model, tmp_path, task):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(prediction_model if task == "prediction" else completion_model, path)
+    _old_file(path, 4)
+    _expect_version_error(path, 4)
+
+
+def _no_array_read(monkeypatch):
+    """Make allocating any array fail the test."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    monkeypatch.setattr(checkpoint.np, "empty", unreachable)
 
 
 @pytest.mark.parametrize("change", [-8, 8], ids=["short", "long"])
@@ -482,15 +486,48 @@ def test_payload_size_checked_before_any_array_is_read(completion_model, tmp_pat
     saved = path.read_bytes()
     path.write_bytes(saved[:change] if change < 0 else saved + bytes(change))
     packed = len(saved) - saved.index(b"\n") - 1
-
-    def unreachable(*args):
-        raise AssertionError("an array was read")
-
-    monkeypatch.setattr(checkpoint._Payload, "array", unreachable)
+    _no_array_read(monkeypatch)
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
-    assert str(info.value) == (f"{path}: the header's shapes account for {packed} bytes of "
-                               f"arrays, but {packed + change} follow the header")
+    assert str(info.value) == (f"{path}: {_SIZE_ERROR} {packed} bytes of arrays, "
+                               f"but {packed + change} follow the header")
+
+
+@pytest.mark.parametrize("task, field", [("completion", "field counts.nodes is"),
+                                         ("prediction", _SIZE_ERROR)])
+def test_huge_count_fails_before_any_array_is_read(completion_model, prediction_model,
+                                                   tmp_path, monkeypatch, task, field):
+    # 2**62 ids of 8 bytes each overflow int64: numpy would refuse the shape
+    model = prediction_model if task == "prediction" else completion_model
+    path = _corrupt(model, tmp_path, _set(2**62, "counts", "nodes"))
+    _no_array_read(monkeypatch)
+    _expect_field_error(path, field)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_count_or_width_loads_or_fails_in_one_line(completion_model, prediction_model,
+                                                       data):
+    model = data.draw(st.sampled_from([completion_model, prediction_model]), label="model")
+    keys = data.draw(st.sampled_from([("counts", "nodes"), ("counts", "edges"),
+                                      ("counts", "pins"), ("config", "hidden_dim"),
+                                      ("config", "clusters")]), label="field")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, path)
+        doc, arrays = _read(path)
+        saved = doc[keys[0]][keys[1]]
+        value = data.draw(st.integers(0, 2**64) | st.integers(saved - 1, saved + 1),
+                          label="value")
+        doc[keys[0]][keys[1]] = value
+        _write(path, doc, arrays)
+        if value != saved:
+            _expect_field_error(path, "")
+            return
+        again = load_checkpoint(path)
+    assert again.structure.edge_members == model.structure.edge_members
+    for name, w in model.params.trainable().items():
+        assert again.params.trainable()[name].tobytes() == w.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -504,7 +541,7 @@ def _boundaries(saved: bytes) -> list[int]:
     """The cuts on either side of the header's newline and of each array's end."""
     start = saved.index(b"\n") + 1
     doc = json.loads(saved[:start])
-    ends = np.cumsum([start - 1, 1] + [8 * int(np.prod(doc[s][k])) for s, k in _places(doc)])
+    ends = np.cumsum([start - 1, 1] + [8 * math.prod(s) for s in _shapes(doc).values()])
     return sorted({int(cut) for end in ends for cut in (end - 1, end)
                    if 0 <= cut < len(saved)})
 
@@ -566,24 +603,23 @@ def test_failed_save_keeps_the_old_checkpoint(completion_model, prediction_model
 
 
 def test_saved_document_stores_no_derived_field(completion_model, prediction_model, tmp_path):
-    for model, stored, arrays in ((completion_model, list, 6), (prediction_model, type(None), 7)):
+    for model, vocabulary in ((completion_model, list), (prediction_model, type(None))):
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        doc = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert set(doc) == {"format", "version", "config", "structure", "clusters", "arrays",
-                            "relation_names", "entity_names"}
-        assert set(doc["structure"]) == {"edge_ptr", "pins", "edge_type"}
-        assert type(doc["structure"]["edge_type"]) is stored
-        assert set(doc["clusters"]) == {"cluster_of"}
-        assert not {"edge_init", "node_x"} & set(doc["arrays"])
-        places = list(_places(doc))
-        assert len(places) == arrays
-        assert all(type(doc[section][key]) is list for section, key in places)
-
-
-def test_prediction_edge_type_must_be_null(prediction_model, tmp_path):
-    edit = _set(lambda doc: doc["structure"]["pins"], "structure", "edge_type")
-    _expect_field_error(_corrupt(prediction_model, tmp_path, edit), "structure.edge_type")
+        saved = path.read_bytes()
+        doc = json.loads(saved.split(b"\n", 1)[0])
+        assert set(doc) == {"format", "version", "config", "counts", "relation_names",
+                            "entity_names"}
+        assert doc["counts"] == {"nodes": model.structure.num_nodes,
+                                 "edges": model.structure.num_edges,
+                                 "pins": model.structure.pins.size}
+        assert type(doc["relation_names"]) is vocabulary
+        # the bytes after the header are the arrays, nothing more
+        arrays = [model.structure.edge_ptr, model.structure.pins, model.clusters.cluster_of,
+                  *model.params.trainable().values()]
+        edge_types = 0 if vocabulary is type(None) else model.structure.num_edges
+        assert len(saved) - saved.index(b"\n") - 1 == 8 * (
+            sum(a.size for a in arrays) + edge_types)
 
 
 def _moved_row(arr):
@@ -623,16 +659,48 @@ def test_save_refuses_what_loading_would_not_give_back(completion_model, predict
     assert "\n" not in str(info.value) and not path.exists()
 
 
+def _named(model, name, first):
+    """``model`` with the first entry of its vocabulary ``name`` replaced."""
+    return dataclasses.replace(model, **{name: (first, *getattr(model, name)[1:])})
+
+
+@pytest.mark.parametrize("task, change, message", [
+    ("completion", lambda m: _named(m, "relation_names", 7), "relation_names holds 7 at entry 0"),
+    ("completion", lambda m: _named(m, "relation_names", True),
+     "relation_names holds True at entry 0"),
+    ("completion", lambda m: _named(m, "entity_names", None),
+     "entity_names holds None at entry 0"),
+    ("completion", lambda m: _named(m, "entity_names", ["e0"]),
+     "entity_names holds ['e0'] at entry 0"),
+    ("prediction", lambda m: dataclasses.replace(m, entity_names=("dup",) * 40),
+     "entity_names holds 'dup' at entry 1"),
+], ids=["integer-relation-name", "boolean-relation-name", "null-entity-name",
+        "list-entity-name", "repeated-node-name"])
+def test_vocabularies_are_distinct_strings(completion_model, prediction_model, tmp_path, task,
+                                           change, message):
+    model = change(prediction_model if task == "prediction" else completion_model)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError) as info:
+        save_checkpoint(model, path)
+    assert str(info.value) == (f"{path}: not saved, the model's {message}, "
+                               "expected distinct strings")
+    assert not path.exists()
+    # the same vocabulary in a saved file fails to load, naming the field
+    name = message.split()[0]
+    path = _corrupt(prediction_model if task == "prediction" else completion_model, tmp_path,
+                    _set(list(getattr(model, name)), name))
+    _expect_field_error(path, f"field {message}")
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_any_single_bad_pin_is_named(completion_model, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(completion_model, path)
-        doc = _read(path)
-        pins = _packed(doc, "structure", "pins", dtype="<i8")
-        ptr = _packed(doc, "structure", "edge_ptr", dtype="<i8")
-        n = doc["clusters"]["cluster_of"]["shape"][0]
+        doc, arrays = _read(path)
+        pins, ptr = arrays["pins"], arrays["edge_ptr"]
+        n = doc["counts"]["nodes"]
         if data.draw(st.booleans(), label="swap"):
             # positions whose right neighbour is in the same edge
             inner = np.setdiff1d(np.arange(pins.size - 1), ptr[1:] - 1)
@@ -642,9 +710,8 @@ def test_any_single_bad_pin_is_named(completion_model, data):
             i = data.draw(st.integers(0, pins.size - 1), label="pin")
             pins[i] = data.draw(st.integers(-2**63, -1) | st.integers(n, 2**63 - 1),
                                 label="id")
-        _store(doc, pins, "structure", "pins", dtype="<i8")
-        _write(path, doc)
-        _expect_field_error(path, "structure.pins")
+        _write(path, doc, arrays)
+        _expect_field_error(path, "array pins")
 
 
 def test_non_json_file_is_named(tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import os
 import subprocess
@@ -12,6 +13,15 @@ def test_every_exported_name_resolves():
     missing = [name for name in hyperconv.__all__ if not hasattr(hyperconv, name)]
     assert missing == []
     assert len(set(hyperconv.__all__)) == len(hyperconv.__all__)
+
+
+def test_every_exported_function_and_class_has_a_docstring():
+    # the names themselves, not their members
+    exported = [getattr(hyperconv, name) for name in hyperconv.__all__]
+    undocumented = [obj.__name__ for obj in exported
+                    if (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and not (obj.__doc__ or "").strip()]
+    assert undocumented == []
 
 
 def test_readme_library_example_runs():

@@ -17,7 +17,6 @@ from hyperconv.hypergraph import KnowledgeHypergraph, build_hypergraph
 from hyperconv.training import (
     TASKS,
     Adam,
-    RunReport,
     SamplingError,
     TrainConfig,
     _batch_cross_entropy,
@@ -485,12 +484,6 @@ class TestCompletion:
         types = model.edge_init[:, : kh.num_relations]
         np.testing.assert_array_equal(types.sum(axis=1), 1.0)
         assert types.argmax(axis=1).tolist() == [kh.edge_type[int(e)] for e in splits.train]
-
-    def test_report_round_trip(self):
-        kh = planted_knowledge(np.random.default_rng(5), nodes_per=10, num_edges=100)
-        _, report = train_completion(kh, completion_config(epochs=3, patience=3))
-        again = RunReport.from_dict(report.to_dict())
-        assert again.to_dict() == report.to_dict()
 
 
 class TestClassification:
