@@ -119,6 +119,10 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     vocabularies = {"relation_names": model.relation_names, "entity_names": model.entity_names}
     for name, names in vocabularies.items():
         _distinct_strings(f"{path}: not saved, the model's {name}", names or ())
+    if model.clusters.num_nodes != model.structure.num_nodes:
+        raise ValueError(f"{path}: not saved, the model's clusters cover "
+                         f"{model.clusters.num_nodes} nodes, its structure "
+                         f"{model.structure.num_nodes}")
     edge_type = None
     if model.task != "prediction":
         # the relation one-hot leads each edge_init row

@@ -165,7 +165,9 @@ def _cmd_eval(args) -> int:
 def _resolve_nodes(model, tokens: list[str]) -> list[int]:
     names = {name: i for i, name in enumerate(model.entity_names or ())}
     ids = []
-    for tok in tokens:
+    for position, tok in enumerate(tokens, 1):
+        if not tok:
+            raise ValueError(f"--nodes: empty name at position {position}")
         if tok in names:
             ids.append(names[tok])
         elif tok.isdigit():
@@ -177,7 +179,7 @@ def _resolve_nodes(model, tokens: list[str]) -> list[int]:
 
 def _cmd_query(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    ids = _resolve_nodes(model, [t for t in args.nodes.split(",") if t])
+    ids = _resolve_nodes(model, args.nodes.split(","))
     if model.task == "prediction":
         score = predict_edge(model, ids)
         print(f"edge score: {score:.6f}")

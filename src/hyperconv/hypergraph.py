@@ -35,15 +35,12 @@ class Hypergraph:
         pin_edge: the edge of each entry of ``pins``.
         node_ptr, node_edges: node-major CSR of the incidence; node v's
             edges, ascending, are ``node_edges[node_ptr[v]:node_ptr[v + 1]]``.
-        duplicates_removed: count of repeated node ids ``build_hypergraph``
-            dropped from its input edges.
     """
 
     __slots__ = ("num_nodes", "num_edges", "edge_ptr", "pins", "pin_edge", "node_ptr",
-                 "node_edges", "duplicates_removed", "__weakref__")
+                 "node_edges", "__weakref__")
 
-    def __init__(self, edge_ptr: np.ndarray, pins: np.ndarray, num_nodes: int,
-                 duplicates_removed: int = 0):
+    def __init__(self, edge_ptr: np.ndarray, pins: np.ndarray, num_nodes: int):
         """From the edge-major CSR, taken as given: each segment of ``pins``
         must be nonempty, ascending and distinct, with ids in [0, num_nodes).
         ``build_hypergraph`` makes such arrays from raw member lists."""
@@ -61,7 +58,6 @@ class Hypergraph:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "num_nodes", num_nodes)
         object.__setattr__(self, "num_edges", m)
-        object.__setattr__(self, "duplicates_removed", duplicates_removed)
 
     @property
     def edge_members(self) -> tuple[tuple[int, ...], ...]:
@@ -136,7 +132,7 @@ def build_hypergraph(
 
     Each edge follows the node-set rule of ``_node_sets``. Repeated ids
     inside one edge are dropped (n-ary facts in real datasets repeat
-    entities); the drop count is surfaced as ``duplicates_removed``.
+    entities); the drop count is logged at debug level.
 
     Args:
         edges: one iterable of node ids per hyperedge.
@@ -154,7 +150,7 @@ def build_hypergraph(
     if duplicates:
         logger.debug("dropped %d duplicate member ids during construction", duplicates)
     n = int(members.max(initial=-1)) + 1 if num_nodes is None else num_nodes
-    return Hypergraph(np.append(starts, members.size), members, n, duplicates_removed=duplicates)
+    return Hypergraph(np.append(starts, members.size), members, n)
 
 
 class KnowledgeHypergraph:

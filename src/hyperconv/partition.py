@@ -19,7 +19,7 @@ most once per pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,25 +73,6 @@ class ClusterAssignment:
         return bool(self.cluster_sizes().max(initial=0) <= self.capacity())
 
 
-@dataclass(frozen=True)
-class _CoarseLevel:
-    """One coarsening step: the smaller hypergraph plus the projection map.
-
-    ``projection[v]`` is the coarse node absorbing fine node v; it is total
-    and surjective onto the coarse node ids. ``progress`` is False when no
-    merge was possible (coarse graph identical in size).
-    """
-
-    coarse: Hypergraph
-    projection: np.ndarray = field(repr=False)
-    progress: bool = True
-
-    def __post_init__(self):
-        arr = np.array(self.projection, dtype=np.int64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "projection", arr)
-
-
 def _balance_cap(n: int, k: int, eps: float) -> int:
     # tiny slack keeps float noise in (1 + eps) * n / k from bumping the ceil
     return int(math.ceil((1.0 + eps) * n / k - 1e-9))
@@ -127,23 +108,23 @@ def _size_order(h: Hypergraph) -> np.ndarray:
 
 
 def coarsen(
-    h: Hypergraph,
-    node_weights: np.ndarray | None = None,
-    weight_cap: int | None = None,
-) -> _CoarseLevel:
-    """Merge nodes along hyperedges to produce a strictly smaller hypergraph.
+    h: Hypergraph, node_weights: np.ndarray, weight_cap: int
+) -> tuple[Hypergraph, np.ndarray, np.ndarray]:
+    """Merge nodes along hyperedges into a hypergraph with no more nodes.
 
     Hyperedges are visited in ascending (size, id) order; each edge fuses
     its still-unmatched members into merge groups of at most
-    ``MERGE_GROUP_CAP`` fine nodes (and at most ``weight_cap`` total weight
-    when given). Nodes left alone by every edge survive as singletons.
-    Coarse ids are assigned by first appearance in fine-node order, and
-    coarse edges are the projected images of fine edges with singleton
-    images dropped.
+    ``MERGE_GROUP_CAP`` fine nodes and at most ``weight_cap`` total weight.
+    Nodes left alone by every edge survive as singletons. Coarse ids are
+    assigned by first appearance in fine-node order, and coarse edges are
+    the projected images of fine edges with singleton images dropped.
+
+    Returns the coarse hypergraph; the read-only projection, whose entry v
+    is the coarse node absorbing fine node v (total and onto the coarse
+    ids); and each coarse node's total fine weight. The node count stays
+    the same exactly when nothing merged.
     """
     n = h.num_nodes
-    if node_weights is None:
-        node_weights = np.ones(n, dtype=np.int64)
     weights = node_weights.tolist()
     pins, ptr = h.pins.tolist(), h.edge_ptr.tolist()
     group_of = [-1] * n
@@ -155,10 +136,7 @@ def coarsen(
             if group_of[v] >= 0:
                 continue
             w = weights[v]
-            if pending and (
-                len(pending) >= MERGE_GROUP_CAP
-                or (weight_cap is not None and pending_weight + w > weight_cap)
-            ):
+            if pending and (len(pending) >= MERGE_GROUP_CAP or pending_weight + w > weight_cap):
                 if len(pending) >= 2:
                     for u in pending:
                         group_of[u] = next_group
@@ -180,6 +158,7 @@ def coarsen(
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
     projection = rank[inverse]
+    projection.flags.writeable = False
     n_coarse = int(first.size)
 
     # one sort of (edge, coarse node) codes lists each edge's image in turn;
@@ -191,14 +170,8 @@ def coarsen(
     kept = sizes[image_edge] >= 2
     coarse_ptr = np.concatenate([[0], np.cumsum(sizes[sizes >= 2])])
     coarse = Hypergraph(coarse_ptr, codes[kept] % n_coarse, n_coarse)
-    return _CoarseLevel(coarse, projection, progress=n_coarse < n)
-
-
-def coarse_weights(level: _CoarseLevel, node_weights: np.ndarray) -> np.ndarray:
-    """Total fine weight carried by each coarse node."""
-    return np.bincount(
-        level.projection, weights=node_weights, minlength=level.coarse.num_nodes
-    ).astype(np.int64)
+    carried = np.bincount(projection, weights=node_weights, minlength=n_coarse)
+    return coarse, projection, carried.astype(np.int64)
 
 
 class _Neighbourhoods:
@@ -581,10 +554,11 @@ def partition(
     """Full multilevel flow: coarsen, seed, uncoarsen with refinement.
 
     Coarsening stops once the level has at most max(20 * k, 200) nodes or
-    no merge makes progress. The coarsest level is seeded with several
-    deterministic candidates (weight round-robin plus two packed
+    a ``coarsen`` call merges nothing. The coarsest level is seeded with
+    several deterministic candidates (weight round-robin plus two packed
     connectivity orders, plus exhaustive search for tiny 2-way cases);
-    each is refined and the best cut wins. The result is balanced and
+    each is refined and the best cut wins. Its labels are projected and
+    refined level by level back to ``h``. The result is balanced and
     identical across runs for fixed inputs.
     """
     n = h.num_nodes
@@ -603,21 +577,18 @@ def partition(
     weight_cap = cap - int(math.ceil(n / k))
     floor = max(20 * k, 200)
 
-    levels: list[_CoarseLevel] = []
-    cur = h
-    weights = np.ones(n, dtype=np.int64)
-    weight_stack = [weights]
+    # each level's fine graph, its node weights and its projection
+    levels: list[tuple[Hypergraph, np.ndarray, np.ndarray]] = []
+    cur, wts = h, np.ones(n, dtype=np.int64)
     while cur.num_nodes > floor:
-        level = coarsen(cur, weight_stack[-1], weight_cap)
-        if not level.progress:
+        coarse, projection, coarse_wts = coarsen(cur, wts, weight_cap)
+        if coarse.num_nodes == cur.num_nodes:
             break
-        levels.append(level)
-        weight_stack.append(coarse_weights(level, weight_stack[-1]))
-        cur = level.coarse
+        levels.append((cur, wts, projection))
+        cur, wts = coarse, coarse_wts
 
     # several deterministic seedings compete at the coarsest level; greedy
     # refinement cannot escape a bad basin on its own
-    wts = weight_stack[-1]
     candidates = [
         _initial_partition(wts, k),
         _packed_partition(_bfs_order(cur), wts, k, cap),
@@ -639,8 +610,6 @@ def partition(
         if best is None or value < best:
             labels, best = refined, value
 
-    for i in range(len(levels) - 1, -1, -1):
-        labels = labels[levels[i].projection]
-        fine = h if i == 0 else levels[i - 1].coarse
-        labels = _refine(fine, labels, k, weight_stack[i], cap)
+    for fine, weights, projection in reversed(levels):
+        labels = _refine(fine, labels[projection], k, weights, cap)
     return ClusterAssignment(labels, k, balance_epsilon)

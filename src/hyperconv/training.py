@@ -289,7 +289,6 @@ class NegativeSample:
     """A corrupted copy of a real hyperedge, same arity, novel member set."""
 
     members: tuple[int, ...]
-    source_edge: int
 
 
 class SamplingError(RuntimeError):
@@ -347,7 +346,7 @@ def sample_negative(
         # kept and fill are disjoint sets, so cand lists distinct ids
         cand = tuple(sorted(int(v) for v in np.concatenate([kept, fill])))
         if cand not in existing:
-            return NegativeSample(cand, edge)
+            return NegativeSample(cand)
     raise SamplingError(f"edge {edge}: no novel corruption in 100 attempts")
 
 

@@ -374,7 +374,7 @@ def naive_sample_negative(h: Hypergraph, edge: int, rng: np.random.Generator):
         fill = rng.choice(outside, size=size - keep, replace=False)
         cand = tuple(sorted(int(v) for v in np.concatenate([kept, fill])))
         if frozenset(cand) not in existing:
-            return NegativeSample(cand, edge)
+            return NegativeSample(cand)
     raise SamplingError(f"edge {edge}: no novel corruption in 100 attempts")
 
 

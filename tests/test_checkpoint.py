@@ -645,6 +645,22 @@ def test_save_refuses_clusters_disagreeing_with_config(completion_model, tmp_pat
         save_checkpoint(model, tmp_path / "model.ckpt")
 
 
+@pytest.mark.parametrize("task", ["completion", "prediction"])
+def test_save_refuses_clusters_of_another_node_count(completion_model, prediction_model,
+                                                     tmp_path, task):
+    # the count was once checked only inside the feature builder, whose
+    # message named neither the file nor the field
+    model = prediction_model if task == "prediction" else completion_model
+    n = model.structure.num_nodes
+    clusters = ClusterAssignment(model.clusters.cluster_of[:-1], model.clusters.k)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError) as info:
+        save_checkpoint(dataclasses.replace(model, clusters=clusters), path)
+    assert str(info.value) == (f"{path}: not saved, the model's clusters cover {n - 1} nodes, "
+                               f"its structure {n}")
+    assert not path.exists()
+
+
 # loading takes the task from the config and names one node per cluster id
 @pytest.mark.parametrize("task, change, field", [
     ("completion", lambda m: dataclasses.replace(m, task="classification"), "task"),

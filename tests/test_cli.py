@@ -238,6 +238,20 @@ class TestQueryCommand:
         assert main(["query", "--checkpoint", str(ckpt), "--nodes", "bogus"]) == 1
         assert "unknown node" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes, position", [
+        ("e1,,e2", 2), ("e1,e2,", 3), (",e1", 1), (",", 1),
+    ], ids=["middle", "trailing", "leading", "comma-only"])
+    def test_empty_name_fails_naming_its_position(self, knowledge_dir, tmp_path, capsys,
+                                                  nodes, position):
+        # the first three once scored with the empty name dropped
+        ckpt = tmp_path / "model.json"
+        assert main(train_args(knowledge_dir, tmp_path / "r.json", ckpt)) == 0
+        capsys.readouterr()
+        assert main(["query", "--checkpoint", str(ckpt), "--nodes", nodes]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --nodes: empty name at position {position}\n"
+
 
 class TestSweepCommand:
     def test_two_value_grid_emits_csv(self, knowledge_dir, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -39,16 +40,17 @@ def test_single_unary_edge():
 
 def test_constructor_takes_the_edge_major_csr():
     h = Hypergraph(np.array([0, 2, 3]), np.array([0, 2, 2]), 4)
-    assert (h.num_nodes, h.num_edges, h.duplicates_removed) == (4, 2, 0)
+    assert (h.num_nodes, h.num_edges) == (4, 2)
     assert h.edge_members == ((0, 2), (2,))
     assert h.pin_edge.tolist() == [0, 0, 1]
     assert incidence_rows(h) == [(0,), (), (0, 1), ()]
 
 
-def test_member_lists_are_sorted_and_deduplicated():
-    h = build_hypergraph([[2, 0, 2, 1]])
+def test_member_lists_are_sorted_and_deduplicated(caplog):
+    with caplog.at_level(logging.DEBUG, logger="hyperconv.hypergraph"):
+        h = build_hypergraph([[2, 0, 2, 1]])
     assert h.edge_members == ((0, 1, 2),)
-    assert h.duplicates_removed == 1
+    assert "dropped 1 duplicate member ids" in caplog.text
 
 
 def test_repeated_member_sets_stay_distinct_edges():
@@ -112,7 +114,6 @@ def test_incidence_arrays_match_the_input_edges(data):
     rows = [[e for e, members in enumerate(canon) if v in members] for v in range(n)]
     assert h.node_ptr.tolist() == [0, *itertools.accumulate(map(len, rows))]
     assert h.node_edges.tolist() == [e for row in rows for e in row]
-    assert h.duplicates_removed == sum(len(e) - len(set(e)) for e in edges)
     assert "edge_members" not in Hypergraph.__slots__
 
 

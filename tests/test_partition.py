@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from hyperconv.hypergraph import build_hypergraph
 from hyperconv.partition import (
     ClusterAssignment,
+    MERGE_GROUP_CAP,
     _bfs_order,
-    _CoarseLevel,
     _edge_order,
     _initial_partition,
     _RefineState,
     _refine,
-    coarse_weights,
     coarsen,
     cut,
     fm_refine,
@@ -131,39 +130,38 @@ class TestClusterAssignment:
         c = ClusterAssignment(labels, 2)
         labels[0] = 1
         assert c.cluster_of.tolist() == [0, 1, 0, 1]
-        projection = np.array([0, 0, 1])
-        level = _CoarseLevel(build_hypergraph([[0, 1]]), projection)
-        projection[0] = 1
-        assert level.projection.tolist() == [0, 0, 1]
-        assert not level.projection.flags.writeable
+
+
+def unit_coarsen(h):
+    """``coarsen`` with unit weights and a weight cap no group can reach."""
+    return coarsen(h, np.ones(h.num_nodes, dtype=np.int64), h.num_nodes)
 
 
 class TestCoarsen:
     def test_two_nodes_sharing_an_edge_merge(self):
-        level = coarsen(build_hypergraph([[0, 1]]))
-        assert level.coarse.num_nodes == 1
-        assert level.coarse.num_edges == 0  # singleton image dropped
-        assert level.projection.tolist() == [0, 0]
-        assert level.progress
+        coarse, projection, weights = unit_coarsen(build_hypergraph([[0, 1]]))
+        assert coarse.num_nodes == 1
+        assert coarse.num_edges == 0  # singleton image dropped
+        assert projection.tolist() == [0, 0]
+        assert weights.tolist() == [2]
 
     def test_disconnected_singleton_survives(self):
-        level = coarsen(build_hypergraph([[0, 1]], num_nodes=3))
-        assert level.coarse.num_nodes == 2
-        assert level.projection.tolist() == [0, 0, 1]
+        coarse, projection, _ = unit_coarsen(build_hypergraph([[0, 1]], num_nodes=3))
+        assert coarse.num_nodes == 2
+        assert projection.tolist() == [0, 0, 1]
 
     def test_merge_groups_capped_at_four(self):
-        level = coarsen(build_hypergraph([list(range(10))]))
-        sizes = np.bincount(level.projection)
+        _, projection, _ = unit_coarsen(build_hypergraph([list(range(10))]))
+        sizes = np.bincount(projection)
         assert sizes.max() == 4
 
     def test_projection_total_and_surjective(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             h = random_hypergraph(rng, max_nodes=30, max_edges=20)
-            level = coarsen(h)
-            proj = level.projection
+            coarse, proj, _ = unit_coarsen(h)
             assert proj.min() >= 0
-            assert set(proj.tolist()) == set(range(level.coarse.num_nodes))
+            assert set(proj.tolist()) == set(range(coarse.num_nodes))
 
     def test_lifted_assignment_preserves_cut(self):
         # the cut of any coarse labeling equals the cut of its lift, since
@@ -171,35 +169,61 @@ class TestCoarsen:
         rng = np.random.default_rng(9)
         for _ in range(20):
             h = random_hypergraph(rng, max_nodes=30, max_edges=25)
-            level = coarsen(h)
+            coarse, projection, _ = unit_coarsen(h)
             k = 3
-            coarse_labels = rng.integers(0, k, size=level.coarse.num_nodes)
-            fine_labels = coarse_labels[level.projection]
-            assert recount_cut(level.coarse, coarse_labels) == recount_cut(
-                h, fine_labels
-            )
+            coarse_labels = rng.integers(0, k, size=coarse.num_nodes)
+            fine_labels = coarse_labels[projection]
+            assert recount_cut(coarse, coarse_labels) == recount_cut(h, fine_labels)
 
     def test_weights_accumulate(self):
         h = build_hypergraph([[0, 1], [2, 3]], num_nodes=5)
-        level = coarsen(h)
-        w = coarse_weights(level, np.ones(5, dtype=np.int64))
-        assert w.tolist() == [2, 2, 1]
+        _, _, weights = unit_coarsen(h)
+        assert weights.tolist() == [2, 2, 1]
 
     @settings(max_examples=200)
     @given(data=st.data())
     def test_coarse_graph_is_the_projected_image_property(self, data):
         h = draw_hypergraph(data, max_nodes=20, max_edges=15)
-        level = coarsen(h)
-        proj = level.projection.tolist()
+        coarse, projection, _ = unit_coarsen(h)
+        proj = projection.tolist()
         # coarse ids appear in increasing order along the fine nodes
         firsts = list(dict.fromkeys(proj))
-        assert firsts == list(range(level.coarse.num_nodes))
+        assert firsts == list(range(coarse.num_nodes))
         images = [tuple(sorted({proj[v] for v in m})) for m in h.edge_members]
-        assert level.coarse.edge_members == tuple(i for i in images if len(i) >= 2)
+        assert coarse.edge_members == tuple(i for i in images if len(i) >= 2)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_weighted_coarsen_property(self, data):
+        h = draw_hypergraph(data, max_nodes=20, max_edges=15)
+        n = h.num_nodes
+        weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n),
+                            label="weights")
+        cap = data.draw(st.integers(max(weights), sum(weights)), label="weight_cap")
+        coarse, projection, coarse_weights = coarsen(h, np.array(weights, dtype=np.int64), cap)
+        assert not projection.flags.writeable
+        proj = projection.tolist()
+        assert len(proj) == n and set(proj) == set(range(coarse.num_nodes))
+        groups = [[v for v in range(n) if proj[v] == c] for c in range(coarse.num_nodes)]
+        carried = [sum(weights[v] for v in group) for group in groups]
+        assert coarse_weights.dtype == np.int64 and coarse_weights.tolist() == carried
+        assert sum(carried) == sum(weights)
+        for group, weight in zip(groups, carried):
+            if len(group) >= 2:
+                assert len(group) <= MERGE_GROUP_CAP and weight <= cap
+        images = [tuple(sorted({proj[v] for v in m})) for m in h.edge_members]
+        assert coarse.edge_members == tuple(i for i in images if len(i) >= 2)
+        # the first edge to merge finds every member unmatched and merges
+        # its first neighbouring pair whose weights fit together
+        fits = any(weights[a] + weights[b] <= cap
+                   for m in h.edge_members for a, b in zip(m, m[1:]))
+        assert (coarse.num_nodes == n) == (not fits)
 
     def test_no_progress_flag(self):
-        h = build_hypergraph([[0], [1]], num_nodes=2)  # nothing to merge
-        assert not coarsen(h).progress
+        # nothing to merge: the node count is kept
+        coarse, projection, _ = unit_coarsen(build_hypergraph([[0], [1]], num_nodes=2))
+        assert coarse.num_nodes == 2
+        assert projection.tolist() == [0, 1]
 
 
 class TestFMRefine:

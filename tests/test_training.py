@@ -314,7 +314,6 @@ class TestNegativeSampling:
             kept = set(neg.members) & set(members)
             assert len(kept) == math.ceil(len(members) / 2)
             assert frozenset(neg.members) not in existing
-            assert neg.source_edge == e
 
     def test_only_one_outside_node(self):
         h = build_hypergraph([[0, 1]], num_nodes=3)

@@ -30,7 +30,8 @@ pin as ``9d1d289d83853d70``, and two on planted graphs of mixed arity
 shaped like the benchmark's training structures. The coarsen line
 hashes the four CSR arrays (``edge_ptr``, ``pins``, ``node_ptr``,
 ``node_edges``) of those two planted graphs and of every level
-``partition(k=16)`` coarsens them to. A kernel line hashes the
+``partition(k=16)`` coarsens them to, as recorded from its own
+``coarsen`` calls. A kernel line hashes the
 scores of one ``e2e_forward`` call on a 128-edge batch of a planted
 graph, at hidden width 64 and 16 clusters, and the weight gradients
 ``e2e_backward`` returns for it; at that size both bilinear layers run
@@ -52,15 +53,15 @@ import blas_pin  # noqa: F401  (pins BLAS before numpy loads)
 import hashlib
 import itertools
 import json
-import math
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 import hyperconv as hc
 from hyperconv.convolution import lift_edges
-from hyperconv.partition import coarse_weights
 from hyperconv.training import _epoch_order
 
 TASKS = ("completion", "classification", "prediction")
@@ -206,22 +207,25 @@ def order_hash() -> str:
 
 def coarsen_hash() -> str:
     digest = hashlib.sha256()
+    module = sys.modules["hyperconv.partition"]
+    real = module.coarsen
     for n, num_edges, lo, hi, k in PLANTED_PARTITIONS:
         edges, _ = planted(np.random.default_rng(0), 16, n // 16, num_edges, lo, hi)
         h = hc.build_hypergraph(edges, num_nodes=n)
-        # the levels ``partition`` builds: its weight cap, floor and stop rule
-        cap = hc.ClusterAssignment(np.zeros(n, dtype=np.int64), k).capacity()
-        weight_cap = cap - math.ceil(n / k)
-        weights = np.ones(n, dtype=np.int64)
-        while True:
-            for arr in (h.edge_ptr, h.pins, h.node_ptr, h.node_edges):
+        levels = [h]
+
+        def recording(fine, *args):
+            coarse, projection, weights = real(fine, *args)
+            if coarse.num_nodes < fine.num_nodes:
+                levels.append(coarse)
+            return coarse, projection, weights
+
+        # ``partition`` looks ``coarsen`` up when it runs, as the bench's hook needs
+        with mock.patch.object(module, "coarsen", recording):
+            hc.partition(h, k)
+        for level in levels:
+            for arr in (level.edge_ptr, level.pins, level.node_ptr, level.node_edges):
                 digest.update(arr.tobytes())
-            if h.num_nodes <= max(20 * k, 200):
-                break
-            level = hc.coarsen(h, weights, weight_cap)
-            if not level.progress:
-                break
-            weights, h = coarse_weights(level, weights), level.coarse
     return digest.hexdigest()[:16]
 
 
