@@ -592,6 +592,11 @@ def _train_relational(
     splits, structure, clusters = _prepare(cfg, kh.base, splits)
     # structure edge i is base edge splits.train[i]
     train_sets, labels = _facts(kh, splits.train)
+    for name, ids in (("valid", splits.valid), ("test", splits.test)):
+        unseen = ids[~np.isin(kh.edge_type[ids], labels)]
+        if unseen.size:
+            logger.warning("%d %s facts have a relation with no training fact, first %r",
+                           unseen.size, name, kh.relation_names[kh.edge_type[unseen[0]]])
     rng = np.random.default_rng(cfg.seed)
     model = _new_model(cfg, rng, structure, clusters, labels, kh.relation_names,
                        kh.entity_names)
@@ -671,8 +676,10 @@ def train_prediction(
     Negatives are drawn once per run, one per positive, per split, from
     the run seed, so ``evaluate`` can replay them. No edge feature is
     masked, so layer 1's inputs are lifted once (``lift_edges``) and every
-    training forward reads them; the test metrics use the blocked kernels,
-    as ``evaluate`` does.
+    stage-1 forward and the frozen representations read them; the test
+    metrics use the blocked kernels, as ``evaluate`` does. The table and
+    the pretext optimizer's moments are released once the frozen
+    representations exist, so the head trains without them.
     """
     if cfg.task != "prediction":
         raise ValueError(f"config is for task {cfg.task!r}")
@@ -717,14 +724,16 @@ def train_prediction(
     history: list[dict] = []
     best_epoch = _fit(cfg, rng, len(train_sets), pretext_step, pretext_accuracy,
                       [layer1.weight, layer2.weight, head_w, head_b], history)
+    del adam  # the closures share its cell: this frees the moments, twice the weights
 
     # stage 2: frozen representations, fresh binary head
-    frozen1 = layer1.weight.copy()
-    frozen2 = layer2.weight.copy()
     train_reps = _forward(model, train_sets, lift)[0]
     bin_labels = (train_labels != k).astype(np.int64)
     valid_reps = _forward(model, valid_sets, lift)[0]
     valid_real = valid_labels != k
+    del lift
+    frozen1 = layer1.weight.copy()
+    frozen2 = layer2.weight.copy()
 
     params.head_weight = head_w2 = init_layer(2, cfg.hidden_dim, rng, False).weight
     params.head_bias = head_b2 = np.zeros(2)

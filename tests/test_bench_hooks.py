@@ -80,7 +80,10 @@ def test_a_traced_prediction_run_counts_every_pretext_set():
     steps = cfg.epochs * -(-pretext_sets // cfg.batch_size)
     trained = probe.tracer.named("conv.fwd_train")
     assert len(trained) == steps == probe.tracer.calls("conv.bwd")
-    forwards = trained + probe.tracer.named("conv.fwd_score")
+    # each epoch's validation, the train and valid representations, the test
+    scored = probe.tracer.named("conv.fwd_score")
+    assert len(scored) == cfg.epochs + 2 + 1
+    forwards = trained + scored
     assert all(0 < span.attrs["needed_edges"] <= span.attrs["edges"] for span in forwards)
 
 

@@ -1,7 +1,9 @@
 import itertools
+import logging
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import hyperconv.training as training
 from hyperconv import convolution
 from hyperconv.convolution import AGG_KINDS, OMEGA_KINDS, e2e_backward, e2e_forward, init_layer
-from hyperconv.data import Splits
+from hyperconv.data import Splits, load_knowledge
 from hyperconv.features import edge_cluster_pool
 from hyperconv.hypergraph import KnowledgeHypergraph, build_hypergraph
 from hyperconv.training import (
@@ -475,6 +477,25 @@ class TestCompletion:
         on_valid = Splits(splits.train, splits.test, splits.valid)
         assert evaluate(model, kh, on_valid)["mrr"] == best
 
+    def test_warns_once_per_split_of_relations_training_never_saw(self, tmp_path, caplog):
+        train = [f"{r}\t{a}\t{b}" for r in ("likes", "hates") for a, b in
+                 [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]]
+        files = {"train.txt": train, "valid.txt": ["likes\tb\td"],
+                 "test.txt": ["knows\ta\td", "hates\tc\ta", "owes\tb\ta", "knows\td\tb"]}
+        for name, lines in files.items():
+            (tmp_path / name).write_text("".join(line + "\n" for line in lines), "utf-8")
+        kh, splits = load_knowledge(tmp_path)
+        cfg = completion_config(clusters=2, hidden_dim=4, epochs=1, patience=1)
+        with caplog.at_level(logging.WARNING, logger="hyperconv.training"):
+            train_completion(kh, cfg, splits)
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 test facts have a relation with no training fact, first 'knows'"]
+        caplog.clear()
+        seen_only = Splits(splits.train, splits.valid, [12])  # "hates c a"
+        with caplog.at_level(logging.WARNING, logger="hyperconv.training"):
+            train_completion(kh, cfg, seen_only)
+        assert caplog.records == []
+
     def test_batch_masks_leave_edge_init_intact(self):
         kh = planted_knowledge(np.random.default_rng(5), nodes_per=10, num_edges=100)
         cfg = completion_config(epochs=3, patience=3)
@@ -583,6 +604,46 @@ class TestPrediction:
         assert capped[0] == blocked[0]
         for got, want in zip(capped[1], blocked[1], strict=True):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lift_bytes", [None, 0], ids=["lifted", "capped"])
+    def test_stage_one_state_is_released_before_stage_two(self, monkeypatch, lift_bytes):
+        # the pretext optimizer's moments and the lift table are stage 1's;
+        # the head stage's forwards must run without them
+        if lift_bytes is not None:
+            monkeypatch.setattr(convolution, "_LIFT_BYTES", lift_bytes)
+        adams, tables, fitted, alive = [], [], [], []
+        real_lift, real_fit, real_forward = training.lift_edges, training._fit, training.e2e_forward
+
+        class Spy(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                adams.append(weakref.ref(self))
+
+        def lifting(*args, **kwargs):
+            table = real_lift(*args, **kwargs)
+            tables.append(None if table is None else weakref.ref(table))
+            return table
+
+        def fitting(*args, **kwargs):
+            best = real_fit(*args, **kwargs)
+            fitted.append(True)
+            return best
+
+        def forward(*args, **kwargs):
+            if fitted:
+                table = tables[0] and tables[0]()
+                alive.append((adams[0]() is not None, table is not None))
+            return real_forward(*args, **kwargs)
+
+        for name, spy in (("Adam", Spy), ("lift_edges", lifting), ("_fit", fitting),
+                          ("e2e_forward", forward)):
+            monkeypatch.setattr(training, name, spy)
+        train_prediction(prediction_setup(), prediction_config(epochs=2, patience=2))
+        assert (tables[0] is None) == (lift_bytes == 0)
+        # train and valid representations, then the test metrics
+        assert len(alive) == 3
+        assert not any(adam for adam, _ in alive)
+        assert alive[-1] == (False, False)
 
     def test_task_mismatch_rejected(self):
         with pytest.raises(ValueError, match="^config is for task 'completion'$"):
