@@ -98,11 +98,10 @@ def _ids(path, arrays: dict, name: str, bound: int) -> np.ndarray:
     return ids
 
 
-def _task_layout(config: TrainConfig, init_cols: int, relation_names):
-    """The activations and weight shapes ``_layer_shapes`` gives over
-    ``init_cols`` edge feature columns (the width squared when bilinear),
-    plus the binary head's for prediction."""
-    layers = _layer_shapes(config, init_cols, len(relation_names or ()))
+def _task_layout(config: TrainConfig, relation_names):
+    """The activations and weight shapes ``_layer_shapes`` gives (the input
+    width squared when bilinear), plus the binary head's for prediction."""
+    layers = _layer_shapes(config, len(relation_names or ()))
     power = 2 if config.bilinear else 1
     shapes = {f"W{i}": (out, omega ** power) for i, (out, omega, _) in enumerate(layers, 1)}
     if config.task == "prediction":
@@ -129,7 +128,7 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         edge_type = model.edge_init[:, :len(model.relation_names)].argmax(axis=1)
     edge_init, node_x = _features(model.structure, model.clusters, edge_type,
                                   model.relation_names, model.entity_names)
-    activations, shapes = _task_layout(model.config, edge_init.shape[1], model.relation_names)
+    activations, shapes = _task_layout(model.config, model.relation_names)
     arrays, structure, names = model.params.trainable(), model.structure, model.entity_names
     same = {"task": model.task == model.config.task,
             "clusters": (model.clusters.k, model.clusters.balance_epsilon)
@@ -212,10 +211,7 @@ def load_checkpoint(path) -> TrainedModel:
         if entity_names is not None and len(entity_names) != n:
             raise ValueError(f"{path}: field entity_names holds {len(entity_names)} names, "
                              f"but field counts.nodes is {n}")
-        # the features ``_features`` builds: the relation one-hot, for the
-        # relational tasks, before the cluster one-hot
-        init_cols = config.clusters + (len(relation_names) if relational else 0)
-        activations, weights = _task_layout(config, init_cols, relation_names)
+        activations, weights = _task_layout(config, relation_names)
         shapes = {"edge_ptr": (m + 1,), "pins": (counts["pins"],), "cluster_of": (n,),
                   **({"edge_type": (m,)} if relational else {}), **weights}
         arrays = _read(path, fh, len(header), shapes)

@@ -193,9 +193,10 @@ def _cmd_sweep(args) -> int:
     base = _config_from_args(args)
     field = _FIELD_OF[args.param]
     metric_name = _PRIMARY_METRIC[base.task]
+    # every value is checked before the first job trains
+    configs = [(value, replace(base, **{field: value})) for value in args.values]
     rows = []
-    for value in args.values:
-        cfg = replace(base, **{field: value})
+    for value, cfg in configs:
         _, report = _run_training(cfg, args.data)
         rows.append((value, report.test_metrics[metric_name]))
         logger.info("%s=%d -> %s %.4f", args.param, value, metric_name, rows[-1][1])
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, FloatingPointError) as exc:
+    except (OSError, ValueError, KeyError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -422,23 +422,19 @@ def _gathered(lift: np.ndarray, needed: np.ndarray):
         yield slice(a, a + step), lift[needed[a:a + step]]
 
 
-def _lifted_forward(weight: np.ndarray, lift: np.ndarray, needed: np.ndarray, d: int,
-                    bilinear: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Layer 1's input rows and pre-activations for the ``needed`` edges,
-    from a ``lift_edges`` table. Bilinear, the input is the table itself,
-    and the weight is folded to its packing."""
-    if not bilinear:
-        z = lift[needed]
-        return z, _affine_forward(weight, z, False)
+def _lifted_forward(weight: np.ndarray, lift: np.ndarray, needed: np.ndarray,
+                    d: int) -> np.ndarray:
+    """Layer 1's pre-activations for the ``needed`` edges, from a bilinear
+    ``lift_edges`` table and the weight folded to its packing."""
     if weight.shape[1] != d * d:
         raise ValueError(f"weight expects input dim {weight.shape[1]}, bilinear gives {d * d}")
     packed = _fold(weight, d)
     if _reads_whole(lift, needed):
-        return lift, (lift @ packed.T)[needed]
+        return (lift @ packed.T)[needed]
     pre = np.empty((needed.size, weight.shape[0]), dtype=np.float64)
     for part, rows in _gathered(lift, needed):
         np.matmul(rows, packed.T, out=pre[part])
-    return lift, pre
+    return pre
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +516,16 @@ def e2e_forward(
     nodes2 = batch2.localize(h.num_nodes)
     inc2, needed, deg2 = _rows(h, nodes2)
 
-    if lift is None:
-        z1 = _edge_summaries(kind, h, needed, edge_init, node_x)
-        pre1 = _affine_forward(layer1.weight, z1, bilinear)
-    else:
+    if lift is not None:
         d = edge_init.shape[1] + node_x.shape[1]
         if lift.shape != (h.num_edges, d * (d + 1) // 2 if bilinear else d):
             raise ValueError(f"lift of shape {lift.shape} does not match the features")
-        z1, pre1 = _lifted_forward(layer1.weight, lift, needed, d, bilinear)
+    if lift is not None and bilinear:
+        z1, pre1 = lift, _lifted_forward(layer1.weight, lift, needed, d)
+    else:
+        # a table that is not bilinear holds each edge's z1 itself
+        z1 = _edge_summaries(kind, h, needed, edge_init, node_x) if lift is None else lift[needed]
+        pre1 = _affine_forward(layer1.weight, z1, bilinear)
     ef1 = _act(pre1, layer1.activation)
 
     nf2, inv_deg2 = _aggregate(inc2, deg2, ef1, node_x, nodes2)

@@ -74,8 +74,11 @@ class ClusterAssignment:
 
 
 def _balance_cap(n: int, k: int, eps: float) -> int:
+    bound = (1.0 + eps) * n / k
+    if not math.isfinite(bound):
+        raise ValueError(f"balance_epsilon {eps} gives a cluster bound of {bound}, not finite")
     # tiny slack keeps float noise in (1 + eps) * n / k from bumping the ceil
-    return int(math.ceil((1.0 + eps) * n / k - 1e-9))
+    return int(math.ceil(bound - 1e-9))
 
 
 def pin_counts(h: Hypergraph, labels: np.ndarray, k: int) -> np.ndarray:

@@ -1,17 +1,17 @@
 """Training pipelines for the three downstream tasks.
 
-Every stage trains through one loop, ``_fit``: shuffled mini-batches,
-early stopping on a validation metric and a restore of the best epoch's
-weights. Completion and classification draw each batch from a few
-partition clusters (as Cluster-GCN does), so its receptive field stays
-small; prediction's batches carry negatives with wide fields anyway, and
-keep a uniform shuffle. Knowledge completion and hyperedge
+Every stage trains through one loop, ``_fit``, which owns the stage's Adam:
+shuffled mini-batches, early stopping on a validation metric and a restore
+of the best epoch's weights. Completion and classification draw each batch
+from a few partition clusters (as Cluster-GCN does), so its receptive field
+stays small; prediction's batches carry negatives with wide fields anyway,
+and keep a uniform shuffle. Knowledge completion and hyperedge
 classification score batches of target edges against their relation (or
-class) label with cross entropy, with the target's own type slot masked
-out of the initial features for the duration of the batch. Hyperedge
-prediction trains in two stages, a cluster-id pretext task followed by a
-frozen-representation binary head. One function, ``_test_metrics``,
-scores the test sets for the drivers and for ``evaluate``.
+class) label with cross entropy, with the target's own type slot masked out
+of the initial features for the duration of the batch. Hyperedge prediction
+trains in two stages, a cluster-id pretext task followed by a
+frozen-representation binary head. One function, ``_test_metrics``, scores
+the test sets for the drivers and for ``evaluate``.
 
 Every driver sets a run up the same way: ``_prepare`` fixes the splits and
 builds and partitions the training-edge structure, and ``_new_model``
@@ -126,8 +126,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
-        if not self.balance_epsilon >= 0:
-            raise ValueError(f"balance_epsilon must be >= 0, got {self.balance_epsilon}")
+        if not 0 <= self.balance_epsilon < math.inf:
+            raise ValueError(f"balance_epsilon must be finite and >= 0, got {self.balance_epsilon}")
 
     @property
     def omega_kind(self) -> str:
@@ -413,7 +413,7 @@ def _epoch_order(rng: np.random.Generator, count: int,
 
 
 def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
-         weights: list[np.ndarray], history: list[dict],
+         params: dict[str, np.ndarray], history: list[dict],
          blocks: np.ndarray | None = None) -> int:
     """Shuffled mini-batch epochs with early stopping on a validation metric.
 
@@ -421,13 +421,16 @@ def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
     shuffle, or, given each item's partition cluster in ``blocks``, the
     items of a few clusters at a time, so that a batch's receptive field
     stays small. Batches are cut from the order one after another.
-    ``step(batch)`` trains on the item positions in ``batch`` and returns
-    their mean loss; ``validate()`` returns the metric, higher being
-    better. Each epoch appends one row to ``history``, numbered on from the
-    rows already there. After ``cfg.patience`` epochs without improvement
-    the loop stops, and ``weights`` are restored in place to the best
-    epoch's values. Returns that epoch's number within this call.
+    ``step(batch)`` yields one pair, the mean loss over the item positions
+    in ``batch`` and the gradients of ``params`` by name, which this call's
+    own ``Adam`` applies before the step resumes and frees its temporaries;
+    ``validate()`` returns the metric, higher being better. Each epoch
+    appends one row to ``history``, numbered on from the rows already there.
+    After ``cfg.patience`` epochs without improvement the loop stops, and
+    ``params`` are restored in place to the best epoch's values. Returns
+    that epoch's number within this call.
     """
+    adam = Adam(params, lr=cfg.learning_rate)
     best_value = -np.inf
     best_epoch = 0
     best_weights = None
@@ -439,8 +442,12 @@ def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
             loss_sum = 0.0
             for lo in range(0, count, cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
-                loss_sum += step(batch) * len(batch)
-            if not all(np.isfinite(w).all() for w in weights):
+                # the step's temporaries live through the update, where the bench times a kernel
+                for loss, grads in step(batch):
+                    adam.step(grads)
+                del grads  # not held through the next batch's forward
+                loss_sum += loss * len(batch)
+            if not all(np.isfinite(w).all() for w in params.values()):
                 raise FloatingPointError(f"non-finite weights after epoch {epoch}")
             value = validate()
             history.append(
@@ -449,14 +456,14 @@ def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
             if value > best_value:
                 best_value = value
                 best_epoch = epoch
-                best_weights = [w.copy() for w in weights]
+                best_weights = [w.copy() for w in params.values()]
                 stale = 0
             else:
                 stale += 1
                 if stale >= cfg.patience:
                     break
     if best_weights is not None:
-        for w, best in zip(weights, best_weights):
+        for w, best in zip(params.values(), best_weights):
             w[...] = best
     return best_epoch
 
@@ -535,14 +542,15 @@ def _prepare(cfg: TrainConfig, h: Hypergraph, splits: Splits | None
     return splits, structure, clusters
 
 
-def _layer_shapes(cfg: TrainConfig, init_cols: int, num_relations: int) -> tuple:
-    """``(out_dim, omega_dim, activation)`` of layers 1 and 2 over
-    ``init_cols`` edge feature columns. Prediction's layer 2 is a relu of
-    width ``hidden_dim``, which its head reads; the relational tasks' is
-    identity with one logit per relation."""
+def _layer_shapes(cfg: TrainConfig, num_relations: int) -> tuple:
+    """``(out_dim, omega_dim, activation)`` of layers 1 and 2. Layer 1 reads
+    the relation one-hot (none for prediction) and two cluster one-hots.
+    Prediction's layer 2 is a relu of width ``hidden_dim``, which its head
+    reads; the relational tasks' is identity with one logit per relation."""
     k, hidden = cfg.clusters, cfg.hidden_dim
-    out2, act2 = (hidden, "relu") if cfg.task == "prediction" else (num_relations, "identity")
-    return (hidden, init_cols + k, "relu"), (out2, hidden + k, act2)
+    if cfg.task == "prediction":
+        return (hidden, 2 * k, "relu"), (hidden, hidden + k, "relu")
+    return (hidden, num_relations + 2 * k, "relu"), (num_relations, hidden + k, "identity")
 
 
 def _features(structure: Hypergraph, clusters: ClusterAssignment, edge_type=None,
@@ -564,7 +572,7 @@ def _new_model(cfg: TrainConfig, rng: np.random.Generator, structure: Hypergraph
     """A model over the training structure, its features built by
     ``_features`` and both layers freshly drawn from ``rng``, layer 1 first."""
     edge_init, node_x = _features(structure, clusters, edge_type, relation_names, entity_names)
-    shapes = _layer_shapes(cfg, edge_init.shape[1], len(relation_names or ()))
+    shapes = _layer_shapes(cfg, len(relation_names or ()))
     layers = [init_layer(out, omega, rng, cfg.bilinear, act) for out, omega, act in shapes]
     return TrainedModel(task=cfg.task, config=cfg, structure=structure, clusters=clusters,
                         params=ModelParams(*layers), edge_init=edge_init, node_x=node_x,
@@ -600,7 +608,6 @@ def _train_relational(
     rng = np.random.default_rng(cfg.seed)
     model = _new_model(cfg, rng, structure, clusters, labels, kh.relation_names,
                        kh.entity_names)
-    adam = Adam(model.params.trainable(), lr=cfg.learning_rate)
 
     def step(batch):
         # hide the targets' own labels from the message passing; the
@@ -612,8 +619,7 @@ def _train_relational(
         finally:
             model.edge_init[batch, labels[batch]] = 1.0
         loss, dlogits = _batch_cross_entropy(out, labels[batch])
-        adam.step(e2e_backward(cache, dlogits))
-        return loss
+        yield loss, e2e_backward(cache, dlogits)
 
     valid_sets, valid_labels = _facts(kh, splits.valid)
 
@@ -623,9 +629,8 @@ def _train_relational(
 
     history: list[dict] = []
     # batches from a few clusters at a time need layer 1 on fewer edges
-    best_epoch = _fit(cfg, rng, len(labels), step, validate,
-                      [layer.weight for layer in model.layers], history,
-                      blocks=edge_cluster_pool(structure, clusters))
+    best_epoch = _fit(cfg, rng, len(labels), step, validate, model.params.trainable(),
+                      history, blocks=edge_cluster_pool(structure, clusters))
     test_metrics = _test_metrics(model, *_facts(kh, splits.test))
     return model, _report(model, history, test_metrics, best_epoch, start)
 
@@ -677,9 +682,9 @@ def train_prediction(
     the run seed, so ``evaluate`` can replay them. No edge feature is
     masked, so layer 1's inputs are lifted once (``lift_edges``) and every
     stage-1 forward and the frozen representations read them; the test
-    metrics use the blocked kernels, as ``evaluate`` does. The table and
-    the pretext optimizer's moments are released once the frozen
-    representations exist, so the head trains without them.
+    metrics use the blocked kernels, as ``evaluate`` does. The pretext
+    optimizer's moments go when stage 1's loop returns, and the table once
+    the frozen representations exist, so the head trains without them.
     """
     if cfg.task != "prediction":
         raise ValueError(f"config is for task {cfg.task!r}")
@@ -694,8 +699,7 @@ def train_prediction(
     lift = lift_edges(cfg.omega_kind, structure, model.edge_init, model.node_x, cfg.bilinear)
     layer1, layer2 = model.layers
     params = model.params
-    params.head_weight = head_w = init_layer(k + 1, cfg.hidden_dim, rng, False).weight
-    params.head_bias = head_b = np.zeros(k + 1)
+    pretext_w, pretext_b = init_layer(k + 1, cfg.hidden_dim, rng, False).weight, np.zeros(k + 1)
 
     # stage 1: pretext classes, k for a negative
     pooled = edge_cluster_pool(h, clusters)
@@ -705,26 +709,23 @@ def train_prediction(
     valid_sets, valid_labels = _with_negatives(
         h, splits.valid, neg["valid"], pooled[splits.valid], k
     )
-    adam = Adam(params.trainable(), lr=cfg.learning_rate)
 
     def pretext_step(batch):
         reps, cache = _forward(model, [train_sets[int(b)] for b in batch], lift)
-        logits = reps @ head_w.T + head_b
+        logits = reps @ pretext_w.T + pretext_b
         loss, dlogits = _batch_cross_entropy(logits, train_labels[batch])
-        grads = e2e_backward(cache, dlogits @ head_w)
+        grads = e2e_backward(cache, dlogits @ pretext_w)
         grads["Wh"] = dlogits.T @ reps
         grads["bh"] = dlogits.sum(axis=0)
-        adam.step(grads)
-        return loss
+        yield loss, grads
 
     def pretext_accuracy():
-        logits = _forward(model, valid_sets, lift)[0] @ head_w.T + head_b
+        logits = _forward(model, valid_sets, lift)[0] @ pretext_w.T + pretext_b
         return accuracy(logits.argmax(axis=1), valid_labels)
 
     history: list[dict] = []
     best_epoch = _fit(cfg, rng, len(train_sets), pretext_step, pretext_accuracy,
-                      [layer1.weight, layer2.weight, head_w, head_b], history)
-    del adam  # the closures share its cell: this frees the moments, twice the weights
+                      {**params.trainable(), "Wh": pretext_w, "bh": pretext_b}, history)
 
     # stage 2: frozen representations, fresh binary head
     train_reps = _forward(model, train_sets, lift)[0]
@@ -735,21 +736,19 @@ def train_prediction(
     frozen1 = layer1.weight.copy()
     frozen2 = layer2.weight.copy()
 
-    params.head_weight = head_w2 = init_layer(2, cfg.hidden_dim, rng, False).weight
-    params.head_bias = head_b2 = np.zeros(2)
-    adam2 = Adam({"Wh": head_w2, "bh": head_b2}, lr=cfg.learning_rate)
+    params.head_weight = head_w = init_layer(2, cfg.hidden_dim, rng, False).weight
+    params.head_bias = head_b = np.zeros(2)
 
     def head_step(batch):
         reps = train_reps[batch]
-        loss, dlogits = _batch_cross_entropy(reps @ head_w2.T + head_b2, bin_labels[batch])
-        adam2.step({"Wh": dlogits.T @ reps, "bh": dlogits.sum(axis=0)})
-        return loss
+        loss, dlogits = _batch_cross_entropy(reps @ head_w.T + head_b, bin_labels[batch])
+        yield loss, {"Wh": dlogits.T @ reps, "bh": dlogits.sum(axis=0)}
 
     def head_auc():
         scores = _binary_scores(model, valid_reps)
         return auc(scores[valid_real], scores[~valid_real])
 
-    _fit(cfg, rng, len(train_sets), head_step, head_auc, [head_w2, head_b2], history)
+    _fit(cfg, rng, len(train_sets), head_step, head_auc, {"Wh": head_w, "bh": head_b}, history)
     if not (np.array_equal(frozen1, layer1.weight) and np.array_equal(frozen2, layer2.weight)):
         raise AssertionError("stage 2 must not touch the convolution weights")
 

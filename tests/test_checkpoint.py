@@ -332,6 +332,7 @@ def test_head_bias_shape_checked(prediction_model, tmp_path):
     (_set([], "config"), "config"),
     (_set(-1, "config", "balance_epsilon"), "config"),
     (_set(float("nan"), "config", "balance_epsilon"), "config"),
+    (_set(float("inf"), "config", "balance_epsilon"), "config: balance_epsilon"),
     (_set(5, "relation_names"), "relation_names"),
     (_put(1, 0, "edge_ptr"), "array edge_ptr"),
     (_array(_reverse_edge, "pins"), "array pins"),
@@ -360,7 +361,7 @@ def test_head_bias_shape_checked(prediction_model, tmp_path):
         "cluster-out-of-range", "float-node-id", "float-cluster-id", "string-k",
         "string-balance-epsilon", "missing-patience", "boolean-k", "integer-bilinear",
         "integer-omega", "harmonic-agg", "two-split-ratios", "list-config",
-        "negative-balance-epsilon", "nan-balance-epsilon",
+        "negative-balance-epsilon", "nan-balance-epsilon", "infinite-balance-epsilon",
         "integer-relation-names", "empty-edge", "descending-edge", "repeated-member",
         "edge-ptr-bad-base64", "pins-bad-base64", "edge-type-bad-base64",
         "cluster-of-bad-base64", "edge-ptr-out-of-range", "negative-node-id",

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+import hyperconv.cli as cli
+import hyperconv.training as training
 from hyperconv.cli import _config_from_args, build_parser, main
 from hyperconv.training import TASKS, TrainConfig
 
@@ -79,6 +81,13 @@ class TestPartitionCommand:
         assert main(["partition", str(edges_file), "--k", "2", "--epsilon", "-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: balance_epsilon") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("epsilon", ["inf", "1e308"])
+    def test_epsilon_without_a_finite_bound_fails_in_one_line(self, edges_file, capsys, epsilon):
+        assert main(["partition", str(edges_file), "--k", "2", "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: balance_epsilon") and captured.err.count("\n") == 1
 
     def test_edge_file_too_small_to_split(self, tmp_path, capsys):
         # partitioning reads the structure only, so no split is drawn
@@ -253,6 +262,22 @@ class TestQueryCommand:
         assert captured.err == f"error: --nodes: empty name at position {position}\n"
 
 
+def test_an_allocation_too_large_fails_in_one_line(knowledge_dir, tmp_path, monkeypatch, capsys):
+    # the layers are never drawn: a real attempt could commit terabytes
+    message = "Unable to allocate 8.91 TiB for an array with shape (1000000000, 1225)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(training, "init_layer", refuse)
+    report = tmp_path / "report.json"
+    args = train_args(knowledge_dir, report, tmp_path / "model.ckpt",
+                      extra=("--dim", "1000000000"))
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
 class TestSweepCommand:
     def test_two_value_grid_emits_csv(self, knowledge_dir, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -278,6 +303,15 @@ class TestSweepCommand:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "--values" in err and "'2,x'" in err
+
+    def test_bad_value_fails_before_any_training(self, knowledge_dir, monkeypatch, capsys):
+        trained = []
+        monkeypatch.setattr(cli, "_run_training", lambda *args: trained.append(args))
+        args = ["sweep", "--task", "completion", "--data", str(knowledge_dir),
+                "--param", "k", "--values", "2,0"]
+        assert main(args) == 1
+        assert trained == []
+        assert capsys.readouterr().err == "error: clusters must be >= 1\n"
 
 
 @pytest.mark.parametrize("task", TASKS)

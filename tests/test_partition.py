@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import re
 
 import numpy as np
@@ -440,6 +441,15 @@ class TestPartition:
         h = build_hypergraph([[0, 1], [2, 3]])
         with pytest.raises(ValueError, match="balance_epsilon"):
             partition(h, 2, balance_epsilon=-0.1)
+
+    @pytest.mark.parametrize("eps", [math.inf, 1e308])
+    def test_epsilon_without_a_finite_bound_rejected(self, eps):
+        h = build_hypergraph([[v, (v + 1) % 40] for v in range(40)])
+        with pytest.raises(ValueError, match="^balance_epsilon .* not finite$"):
+            partition(h, 2, balance_epsilon=eps)
+        c = ClusterAssignment(np.zeros(40, dtype=np.int64), 2, balance_epsilon=eps)
+        with pytest.raises(ValueError, match="^balance_epsilon .* not finite$"):
+            c.is_balanced()
 
     def test_near_optimal_on_tiny_bipartitions(self):
         rng = np.random.default_rng(17)

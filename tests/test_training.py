@@ -90,6 +90,8 @@ class TestTrainConfig:
             TrainConfig(task="completion", epochs=0)
         with pytest.raises(ValueError, match="balance_epsilon"):
             TrainConfig(task="completion", balance_epsilon=-0.01)
+        with pytest.raises(ValueError, match="^balance_epsilon must be finite and >= 0, got inf$"):
+            TrainConfig(task="completion", balance_epsilon=math.inf)
         with pytest.raises(ValueError, match="^clusters must be >= 1$"):
             TrainConfig(task="completion", clusters=0)
         with pytest.raises(ValueError, match="^hidden_dim must be >= 1$"):
@@ -223,10 +225,10 @@ def fit_orders(seed, count, batch_size, blocks, epochs=3):
 
     def step(batch):
         batches.append(batch.copy())
-        return 0.0
+        yield 0.0, {}
 
     cfg = TrainConfig(task="completion", epochs=epochs, patience=epochs, batch_size=batch_size)
-    _fit(cfg, np.random.default_rng(seed), count, step, lambda: 0.0, [], [], blocks=blocks)
+    _fit(cfg, np.random.default_rng(seed), count, step, lambda: 0.0, {}, [], blocks=blocks)
     per_epoch = -(-count // batch_size)
     return [np.concatenate(batches[i:i + per_epoch]) for i in range(0, len(batches), per_epoch)]
 
@@ -649,6 +651,10 @@ class TestPrediction:
         with pytest.raises(ValueError, match="^config is for task 'completion'$"):
             train_prediction(prediction_setup(), completion_config())
 
+    def test_balance_bound_that_overflows_rejected(self):
+        with pytest.raises(ValueError, match="^balance_epsilon 1e\\+308 .* not finite$"):
+            train_prediction(prediction_setup(), prediction_config(balance_epsilon=1e308))
+
     def test_node_count_mismatch_rejected(self):
         h = prediction_setup()
         cfg = prediction_config(epochs=3, patience=3)
@@ -657,6 +663,43 @@ class TestPrediction:
         other = build_hypergraph([[0, 1]], num_nodes=5)
         with pytest.raises(ValueError, match="nodes"):
             evaluate(model, other, Splits(np.array([0]), np.array([0]), np.array([0])))
+
+
+@pytest.mark.parametrize("task, stages", [
+    ("completion", [{"W1", "W2"}]),
+    ("prediction", [{"W1", "W2", "Wh", "bh"}, {"Wh", "bh"}]),
+])
+def test_each_stage_optimizer_lives_inside_its_fit(monkeypatch, task, stages):
+    # per Adam: built while a _fit ran, over that call's own dict; per _fit
+    # call: its dict, and which of its Adams were gone when it returned
+    running, built, fits = [], [], []
+    real_fit = training._fit
+
+    class Spy(Adam):
+        def __init__(self, params, *args, **kwargs):
+            super().__init__(params, *args, **kwargs)
+            built.append(bool(running) and params is running[-1][0])
+            if running:
+                running[-1][1].append(weakref.ref(self))
+
+    def fitting(cfg, rng, count, step, validate, params, *args, **kwargs):
+        running.append((params, []))
+        try:
+            return real_fit(cfg, rng, count, step, validate, params, *args, **kwargs)
+        finally:
+            _, adams = running.pop()
+            fits.append((params, [adam() is None for adam in adams]))
+
+    monkeypatch.setattr(training, "Adam", Spy)
+    monkeypatch.setattr(training, "_fit", fitting)
+    if task == "completion":
+        kh = planted_knowledge(np.random.default_rng(7), nodes_per=10, num_edges=120)
+        train_completion(kh, completion_config(epochs=2, patience=2))
+    else:
+        train_prediction(prediction_setup(), prediction_config(epochs=2, patience=2))
+    assert built == [True] * len(stages)
+    assert [set(params) for params, _ in fits] == stages
+    assert [dead for _, dead in fits] == [[True]] * len(stages)
 
 
 def _renamed_entity(kh, index):
