@@ -10,9 +10,10 @@ back in one fixed order, ``_PACKED``. No shape is stored: the ids' follow
 from the counts and the weights' from the config and the relation count,
 by the rules training builds a model by. So loading checks that the
 shapes account for exactly the bytes after the header before it reads
-each array into its own buffer. The task is the config's; the features,
-one-hots of the cluster ids and edge types, and the activations are
-rebuilt as training builds them.
+each array into its own buffer. The task is the config's. The loaded
+model keeps its edge features as ids, the edge types and the pooled
+cluster ids, as training does, so no dense feature table is built; the
+node features and the activations are rebuilt as training builds them.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .convolution import LayerParams
+from .features import node_onehot
 from .hypergraph import Hypergraph
 from .partition import ClusterAssignment
-from .training import (ModelParams, TrainConfig, TrainedModel, _check_type, _features,
-                       _layer_shapes)
+from .training import ModelParams, TrainConfig, TrainedModel, _check_type, _layer_shapes
 
 FORMAT_NAME = "hyperconv-checkpoint"
 FORMAT_VERSION = 5
@@ -98,6 +99,12 @@ def _ids(path, arrays: dict, name: str, bound: int) -> np.ndarray:
     return ids
 
 
+def _finite(path, arrays: dict, name: str) -> None:
+    """Fail naming the array ``name`` unless its values are all finite."""
+    if not np.isfinite(arrays[name]).all():
+        raise ValueError(f"{path}: array {name} holds a value that is not finite")
+
+
 def _task_layout(config: TrainConfig, relation_names):
     """The activations and weight shapes ``_layer_shapes`` gives (the input
     width squared when bilinear), plus the binary head's for prediction."""
@@ -114,7 +121,8 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     that replaces ``path`` once complete, so a failed or interrupted write
     leaves what was there; a failure names ``path``. Refuses a model whose
     task, clusters, features, vocabularies, activations or arrays
-    ``load_checkpoint`` would not give back."""
+    ``load_checkpoint`` would not give back, and compares the edge types
+    and node features, not a dense edge table."""
     vocabularies = {"relation_names": model.relation_names, "entity_names": model.entity_names}
     for name, names in vocabularies.items():
         _distinct_strings(f"{path}: not saved, the model's {name}", names or ())
@@ -122,26 +130,25 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         raise ValueError(f"{path}: not saved, the model's clusters cover "
                          f"{model.clusters.num_nodes} nodes, its structure "
                          f"{model.structure.num_nodes}")
-    edge_type = None
-    if model.task != "prediction":
-        # the relation one-hot leads each edge_init row
-        edge_type = model.edge_init[:, :len(model.relation_names)].argmax(axis=1)
-    edge_init, node_x = _features(model.structure, model.clusters, edge_type,
-                                  model.relation_names, model.entity_names)
     activations, shapes = _task_layout(model.config, model.relation_names)
     arrays, structure, names = model.params.trainable(), model.structure, model.entity_names
+    edge_type = None if model.edge_type is None else np.asarray(model.edge_type)
     same = {"task": model.task == model.config.task,
             "clusters": (model.clusters.k, model.clusters.balance_epsilon)
             == (model.config.clusters, model.config.balance_epsilon),
-            "edge_init": np.array_equal(edge_init, model.edge_init),
-            "node_x": np.array_equal(node_x, model.node_x),
+            # a relation id per edge, or none for prediction
+            "edge_type": edge_type is None if model.task == "prediction" else (
+                edge_type is not None and edge_type.dtype.kind in "iu"
+                and edge_type.shape == (structure.num_edges,)
+                and ((0 <= edge_type) & (edge_type < len(model.relation_names or ()))).all()),
+            "node_x": np.array_equal(node_onehot(model.clusters), model.node_x),
             "entity_names": not names or len(names) == structure.num_nodes,
             "activations": [layer.activation for layer in model.layers] == activations,
             "arrays": {name: arr.shape for name, arr in arrays.items()} == shapes}
     wrong = [name for name, ok in same.items() if not ok]
     if wrong:
         raise ValueError(f"{path}: not saved, the model's {wrong[0]} disagrees with its "
-                         "config, cluster ids and edge types")
+                         "config, structure, cluster ids or vocabularies")
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "config": model.config.to_dict(),
            "counts": {"nodes": structure.num_nodes, "edges": structure.num_edges,
                       "pins": structure.pins.size},
@@ -215,7 +222,7 @@ def load_checkpoint(path) -> TrainedModel:
         shapes = {"edge_ptr": (m + 1,), "pins": (counts["pins"],), "cluster_of": (n,),
                   **({"edge_type": (m,)} if relational else {}), **weights}
         arrays = _read(path, fh, len(header), shapes)
-    del doc  # every packed array is read; free the header before the features
+    del doc  # every packed array is read; free the header before the model
     cluster_of = _ids(path, arrays, "cluster_of", config.clusters)
     pins = _ids(path, arrays, "pins", n)
     edge_ptr = _ids(path, arrays, "edge_ptr", pins.size + 1)
@@ -233,15 +240,19 @@ def load_checkpoint(path) -> TrainedModel:
         raise ValueError(f"{path}: array pins holds edge {wrong[0]} as "
                          f"{reprlib.repr(members)}, expected ascending and distinct node ids")
     edge_type = _ids(path, arrays, "edge_type", len(relation_names)) if relational else None
-    for name in weights:
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"{path}: array {name} holds a value that is not finite")
+    layers = []
+    for name, activation in zip(("W1", "W2"), activations):
+        try:  # the one pass over the weight: LayerParams checks it is finite
+            layers.append(LayerParams(arrays[name], activation))
+        except ValueError as exc:
+            _finite(path, arrays, name)
+            raise ValueError(f"{path}: array {name}: {exc}") from None
+    for name in ("Wh", "bh"):
+        if name in arrays:
+            _finite(path, arrays, name)
     clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
-    edge_init, node_x = _features(structure, clusters, edge_type, relation_names, entity_names)
-    params = ModelParams(LayerParams(arrays["W1"], activations[0]),
-                         LayerParams(arrays["W2"], activations[1]),
-                         arrays.get("Wh"), arrays.get("bh"))
-    return TrainedModel(task=config.task, config=config, structure=structure,
-                        clusters=clusters, params=params, edge_init=edge_init, node_x=node_x,
+    return TrainedModel(config.task, config, structure, clusters,
+                        ModelParams(*layers, arrays.get("Wh"), arrays.get("bh")),
+                        node_x=node_onehot(clusters), edge_type=edge_type,
                         relation_names=tuple(relation_names) if relation_names else None,
                         entity_names=tuple(entity_names) if entity_names else None)

@@ -10,7 +10,10 @@ every edge's layer-1 input once (``lift_edges``) and pass the table to
 each forward, which then computes layer 1 as one matrix product. With the
 bilinear lift, layer 1's weight gradient is always taken in the table's
 packed layout: from the table's rows when the forward read one, otherwise
-from the field's inputs lifted one column run at a time.
+from the field's inputs lifted one column run at a time. Layer 1 takes its
+edge features as a dense table or as a model's ``EdgeIds``, whose mean it
+computes as counts of ids; sums of ones are exact in any order, so both
+forms give the same aggregates bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .features import EdgeIds
 from .hypergraph import Hypergraph, _node_sets, _segments
 
 logger = logging.getLogger(__name__)
@@ -121,9 +125,9 @@ def _renumbering(id_arrays, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _aggregate(
-    incidence: sp.csr_matrix,
+    incidence,
     deg: np.ndarray,
-    edge_features: np.ndarray,
+    edge_features,
     node_x: np.ndarray,
     nodes: np.ndarray,
 ):
@@ -132,23 +136,56 @@ def _aggregate(
     ``edge_features`` has one row per column of ``incidence``, ``deg`` and
     ``nodes`` one per row; row r of ``node_x[nodes]`` is appended to row
     r's aggregate, both written into one buffer. Returns that buffer plus
-    the inverse degrees, which the backward pass needs.
+    the inverse degrees, which the backward pass needs. For ``EdgeIds``,
+    ``incidence`` lists the rows' edges one row after another and the
+    sums are counts (``_id_sums``).
     """
     cols = edge_features.shape[1]
     out = np.empty((deg.size, cols + node_x.shape[1]), dtype=np.float64)
     inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    np.multiply(incidence @ edge_features, inv_deg[:, None], out=out[:, :cols])
+    if isinstance(edge_features, EdgeIds):
+        sums = _id_sums(incidence, deg, edge_features)
+    else:
+        sums = incidence @ edge_features
+    np.multiply(sums, inv_deg[:, None], out=out[:, :cols])
     out[:, cols:] = node_x[nodes]
     return out, inv_deg
 
 
-def _edge_aggregate(h: Hypergraph, nodes: np.ndarray, edge_features: np.ndarray,
-                    node_x: np.ndarray) -> np.ndarray:
+def _id_sums(edges: np.ndarray, deg: np.ndarray, ids: EdgeIds) -> np.ndarray:
+    """Each row's sum of ``ids.dense()`` over its ``deg`` edges, listed
+    row after row in ``edges``, counted from the ids with no CSR. A hidden
+    relation is left out of the count, not the degree."""
+    width = ids.shape[1]
+    base = np.repeat(np.arange(0, deg.size * width, width), deg)
+    flat = [base + (ids.num_relations + ids.cluster[edges])]
+    if ids.relation is not None:
+        if ids.hidden is not None:
+            shown = ~ids.hidden[edges]
+            base, edges = base[shown], edges[shown]
+        flat.append(base + ids.relation[edges])
+    counts = np.bincount(np.concatenate(flat), minlength=deg.size * width)
+    return counts.reshape(deg.size, width)
+
+
+def _edge_aggregate(h: Hypergraph, nodes: np.ndarray, edge_features, node_x: np.ndarray
+                    ) -> np.ndarray:
     """``_aggregate`` of the ``nodes`` rows over ``edge_features``, one row
-    per edge of ``h``, read in place through global edge columns."""
-    incidence, _, deg = _rows(h, nodes, renumber=False)
+    per edge of ``h``: a dense table read in place through global edge
+    columns, or ``EdgeIds`` counted over the rows' edges."""
+    if isinstance(edge_features, EdgeIds):
+        pos, deg = _segments(h.node_ptr, nodes)
+        incidence = h.node_edges[pos]
+    else:
+        incidence, _, deg = _rows(h, nodes, renumber=False)
     out, _ = _aggregate(incidence, deg, edge_features, node_x, nodes)
     return out
+
+
+def _edge_input(edge_init):
+    """A dense edge feature table as float64, or ``EdgeIds`` as they are;
+    either way ``shape`` is the table's."""
+    return edge_init if isinstance(edge_init, EdgeIds) else np.asarray(edge_init, dtype=np.float64)
 
 
 def e2n(
@@ -365,7 +402,7 @@ def n2e(
 _LIFT_BYTES = 64 << 20
 
 
-def _edge_summaries(kind: str, h: Hypergraph, edges: np.ndarray, edge_init: np.ndarray,
+def _edge_summaries(kind: str, h: Hypergraph, edges: np.ndarray, edge_init,
                     node_x: np.ndarray) -> np.ndarray:
     """Layer 1's input z1 for ``edges`` (ascending ids): each edge's members
     aggregated over their incident edges, then reduced by Omega. A row
@@ -381,18 +418,20 @@ def _edge_summaries(kind: str, h: Hypergraph, edges: np.ndarray, edge_init: np.n
 def lift_edges(
     kind: str,
     h: Hypergraph,
-    edge_init: np.ndarray,
+    edge_init: np.ndarray | EdgeIds,
     node_x: np.ndarray,
     bilinear: bool = True,
 ) -> np.ndarray | None:
     """Every edge's layer-1 input, for a run whose edge features stay fixed.
 
-    Row e is z1 of edge e, or with ``bilinear`` its packed outer product:
-    z_a z_b for a <= b in ``np.triu_indices`` order, which holds all of
-    z z^T that a bilinear output reads. ``e2e_forward`` takes the table as
-    ``lift``. Returns None when it would exceed ``_LIFT_BYTES``.
+    ``edge_init`` is a dense edge feature table or a model's ``EdgeIds``,
+    as ``e2e_forward`` takes it. Row e is z1 of edge e, or with
+    ``bilinear`` its packed outer product: z_a z_b for a <= b in
+    ``np.triu_indices`` order, which holds all of z z^T that a bilinear
+    output reads. ``e2e_forward`` takes the table as ``lift``. Returns
+    None when it would exceed ``_LIFT_BYTES``.
     """
-    edge_init = np.asarray(edge_init, dtype=np.float64)
+    edge_init = _edge_input(edge_init)
     node_x = np.asarray(node_x, dtype=np.float64)
     d = edge_init.shape[1] + node_x.shape[1]
     width = d * (d + 1) // 2 if bilinear else d
@@ -473,7 +512,7 @@ def e2e_forward(
     layers: Sequence[LayerParams],
     kind: str,
     h: Hypergraph,
-    edge_init: np.ndarray,
+    edge_init: np.ndarray | EdgeIds,
     node_x: np.ndarray,
     targets: Sequence[Sequence[int]],
     bilinear: bool = True,
@@ -493,6 +532,11 @@ def e2e_forward(
     ones; outputs match the whole-graph composition of ``e2n`` and ``n2e``
     up to the rounding of dense products over different row counts.
 
+    ``edge_init`` holds the edge features: a dense (edges, columns) table,
+    or a model's ``EdgeIds`` (``TrainedModel.edge_ids``), which layer 1
+    counts in place of the table's product. Both give the same outputs bit
+    for bit; the ids build no incidence matrix for layer 1.
+
     ``lift``, the ``lift_edges`` table of the same structure, features,
     kind and bilinear flag, spares layer 1 its aggregation and reduction.
     Without ``bilinear`` the outputs are bit-identical; with it, layer 1 is
@@ -506,7 +550,7 @@ def e2e_forward(
         raise ValueError(f"unknown omega kind {kind!r}")
     if agg not in AGG_KINDS:
         raise ValueError(f"unknown aggregation {agg!r}")
-    edge_init = np.asarray(edge_init, dtype=np.float64)
+    edge_init = _edge_input(edge_init)
     node_x = np.asarray(node_x, dtype=np.float64)
     if edge_init.shape[0] != h.num_edges or node_x.shape[0] != h.num_nodes:
         raise ValueError("feature row counts do not match hypergraph")

@@ -7,15 +7,15 @@ from a few partition clusters (as Cluster-GCN does), so its receptive field
 stays small; prediction's batches carry negatives with wide fields anyway,
 and keep a uniform shuffle. Knowledge completion and hyperedge
 classification score batches of target edges against their relation (or
-class) label with cross entropy, with the target's own type slot masked out
-of the initial features for the duration of the batch. Hyperedge prediction
+class) label with cross entropy, with the target's own relation id hidden
+from layer 1's count for the duration of the batch. Hyperedge prediction
 trains in two stages, a cluster-id pretext task followed by a
 frozen-representation binary head. One function, ``_test_metrics``, scores
 the test sets for the drivers and for ``evaluate``.
 
 Every driver sets a run up the same way: ``_prepare`` fixes the splits and
 builds and partitions the training-edge structure, and ``_new_model``
-builds the features and draws both layers over it. Message-passing
+holds the edge features as ids and draws both layers over it. Message-passing
 structure, and the partition that seeds the features, therefore come
 from training edges only.
 Validation and test edges enter solely as query sets.
@@ -31,6 +31,7 @@ import reprlib
 import time
 import weakref
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -44,12 +45,9 @@ from .convolution import (
     lift_edges,
 )
 from .data import Splits
-from .features import (
-    edge_cluster_onehot,
-    edge_cluster_pool,
-    knowledge_edge_init,
-    node_onehot,
-)
+from .features import EdgeIds, edge_cluster_pool, node_onehot
+# the dense builders go unused here, but bench/tracing.py times them by these names
+from .features import edge_cluster_onehot, knowledge_edge_init  # noqa: F401
 from .hypergraph import Hypergraph, KnowledgeHypergraph, _edge_sets, _node_sets, build_hypergraph
 from .metrics import accuracy, auc, hit_at, mrr, rank_of_true
 from .partition import ClusterAssignment, cut, partition
@@ -172,12 +170,18 @@ class ModelParams:
         return all(np.isfinite(a).all() for a in self.trainable().values())
 
 
-@dataclass
+@dataclass(init=False)
 class TrainedModel:
     """A trained run's full inference state, the unit the checkpoint stores.
 
     ``structure`` holds training edges only; query sets are scored against
-    it without ever joining it.
+    it without ever joining it. The edge features are kept as ids:
+    ``edge_type``, each structure edge's relation id (None for prediction),
+    and ``edge_cluster_pool``, its pooled cluster id, computed once from
+    ``clusters``; ``node_x`` is each node's cluster one-hot. ``edge_init``
+    builds the dense one-hot table on access. The constructor also takes
+    that table as ``edge_init``, in place of ``edge_type``, and fails
+    naming it unless it is the one-hot of the ids.
     """
 
     task: str
@@ -185,14 +189,54 @@ class TrainedModel:
     structure: Hypergraph
     clusters: ClusterAssignment
     params: ModelParams
-    edge_init: np.ndarray
     node_x: np.ndarray
-    relation_names: tuple[str, ...] | None = None
-    entity_names: tuple[str, ...] | None = None
+    edge_type: np.ndarray | None
+    relation_names: tuple[str, ...] | None
+    entity_names: tuple[str, ...] | None
+
+    def __init__(self, task: str, config: TrainConfig, structure: Hypergraph,
+                 clusters: ClusterAssignment, params: ModelParams, *, node_x: np.ndarray,
+                 edge_type: np.ndarray | None = None, edge_init: np.ndarray | None = None,
+                 relation_names: tuple[str, ...] | None = None,
+                 entity_names: tuple[str, ...] | None = None):
+        self.task, self.config, self.structure, self.clusters = task, config, structure, clusters
+        self.params, self.node_x, self.edge_type = params, node_x, edge_type
+        self.relation_names, self.entity_names = relation_names, entity_names
+        if edge_type is not None and np.shape(edge_type) != (structure.num_edges,):
+            raise ValueError(f"edge_type has shape {np.shape(edge_type)}, the structure "
+                             f"{structure.num_edges} edges")
+        if edge_init is None:
+            return
+        table = np.asarray(edge_init, dtype=np.float64)
+        num_rel = len(relation_names or ())
+        if edge_type is None and num_rel and table.shape == (structure.num_edges,
+                                                              num_rel + clusters.k):
+            self.edge_type = table[:, :num_rel].argmax(axis=1)
+        if not np.array_equal(table, self.edge_init):
+            raise ValueError("edge_init is not the one-hot table of the model's edge types "
+                             "and pooled cluster ids")
 
     @property
     def layers(self) -> tuple[LayerParams, LayerParams]:
         return (self.params.layer1, self.params.layer2)
+
+    @cached_property
+    def edge_cluster_pool(self) -> np.ndarray:
+        """Each structure edge's pooled cluster id (``features.edge_cluster_pool``)."""
+        return edge_cluster_pool(self.structure, self.clusters)
+
+    @property
+    def edge_ids(self) -> EdgeIds:
+        """The edge features as layer 1 reads them."""
+        if self.edge_type is None:
+            return EdgeIds(self.edge_cluster_pool, self.clusters.k)
+        return EdgeIds(self.edge_cluster_pool, self.clusters.k, self.edge_type,
+                       len(self.relation_names or ()))
+
+    @property
+    def edge_init(self) -> np.ndarray:
+        """The dense one-hot table of ``edge_ids``, built on each access."""
+        return self.edge_ids.dense()
 
 
 @dataclass
@@ -468,12 +512,13 @@ def _fit(cfg: TrainConfig, rng: np.random.Generator, count: int, step, validate,
     return best_epoch
 
 
-def _forward(model: TrainedModel, member_sets, lift: np.ndarray | None = None):
+def _forward(model: TrainedModel, member_sets, lift: np.ndarray | None = None,
+             edge_ids: EdgeIds | None = None):
     return e2e_forward(
         model.layers,
         model.config.omega_kind,
         model.structure,
-        model.edge_init,
+        model.edge_ids if edge_ids is None else edge_ids,
         model.node_x,
         member_sets,
         bilinear=model.config.bilinear,
@@ -553,29 +598,16 @@ def _layer_shapes(cfg: TrainConfig, num_relations: int) -> tuple:
     return (hidden, num_relations + 2 * k, "relu"), (num_relations, hidden + k, "identity")
 
 
-def _features(structure: Hypergraph, clusters: ClusterAssignment, edge_type=None,
-              relation_names=None, entity_names=None) -> tuple[np.ndarray, np.ndarray]:
-    """``edge_init``, each edge's pooled-cluster one-hot after its type's
-    one-hot when ``edge_type`` is given (None for prediction), and
-    ``node_x``, each node's cluster one-hot."""
-    if edge_type is None:
-        edge_init = edge_cluster_onehot(structure, clusters)
-    else:
-        edge_init = knowledge_edge_init(
-            KnowledgeHypergraph(structure, edge_type, relation_names, entity_names), clusters)
-    return edge_init, node_onehot(clusters)
-
-
 def _new_model(cfg: TrainConfig, rng: np.random.Generator, structure: Hypergraph,
                clusters: ClusterAssignment, edge_type=None, relation_names=None,
                entity_names=None) -> TrainedModel:
-    """A model over the training structure, its features built by
-    ``_features`` and both layers freshly drawn from ``rng``, layer 1 first."""
-    edge_init, node_x = _features(structure, clusters, edge_type, relation_names, entity_names)
+    """A model over the training structure, its edge features the ids
+    ``edge_type`` (None for prediction) and the pooled clusters, and both
+    layers freshly drawn from ``rng``, layer 1 first."""
     shapes = _layer_shapes(cfg, len(relation_names or ()))
     layers = [init_layer(out, omega, rng, cfg.bilinear, act) for out, omega, act in shapes]
-    return TrainedModel(task=cfg.task, config=cfg, structure=structure, clusters=clusters,
-                        params=ModelParams(*layers), edge_init=edge_init, node_x=node_x,
+    return TrainedModel(cfg.task, cfg, structure, clusters, ModelParams(*layers),
+                        node_x=node_onehot(clusters), edge_type=edge_type,
                         relation_names=relation_names, entity_names=entity_names)
 
 
@@ -594,8 +626,7 @@ def _train_relational(
     if cfg.task != task:
         raise ValueError(f"config is for task {cfg.task!r}")
     start = time.perf_counter()
-    num_rel = kh.num_relations
-    if num_rel < 2:
+    if kh.num_relations < 2:
         raise ValueError("need at least 2 relation types")
     splits, structure, clusters = _prepare(cfg, kh.base, splits)
     # structure edge i is base edge splits.train[i]
@@ -610,14 +641,9 @@ def _train_relational(
                        kh.entity_names)
 
     def step(batch):
-        # hide the targets' own labels from the message passing; the
-        # backward pass never reads edge_init, so restoring after the
-        # forward is enough
-        model.edge_init[batch, :num_rel] = 0.0
-        try:
-            out, cache = _forward(model, [train_sets[int(b)] for b in batch])
-        finally:
-            model.edge_init[batch, labels[batch]] = 1.0
+        # the targets' own labels stay out of the message passing
+        out, cache = _forward(model, [train_sets[int(b)] for b in batch],
+                              edge_ids=model.edge_ids.hide(batch))
         loss, dlogits = _batch_cross_entropy(out, labels[batch])
         yield loss, e2e_backward(cache, dlogits)
 
@@ -630,7 +656,7 @@ def _train_relational(
     history: list[dict] = []
     # batches from a few clusters at a time need layer 1 on fewer edges
     best_epoch = _fit(cfg, rng, len(labels), step, validate, model.params.trainable(),
-                      history, blocks=edge_cluster_pool(structure, clusters))
+                      history, blocks=model.edge_cluster_pool)
     test_metrics = _test_metrics(model, *_facts(kh, splits.test))
     return model, _report(model, history, test_metrics, best_epoch, start)
 
@@ -680,7 +706,7 @@ def train_prediction(
     and fits a binary linear head on the 64-d set representations.
     Negatives are drawn once per run, one per positive, per split, from
     the run seed, so ``evaluate`` can replay them. No edge feature is
-    masked, so layer 1's inputs are lifted once (``lift_edges``) and every
+    hidden, so layer 1's inputs are lifted once (``lift_edges``) and every
     stage-1 forward and the frozen representations read them; the test
     metrics use the blocked kernels, as ``evaluate`` does. The pretext
     optimizer's moments go when stage 1's loop returns, and the table once
@@ -696,7 +722,7 @@ def train_prediction(
     neg = _draw_run_negatives(h, splits, rng)
     model = _new_model(cfg, rng, structure, clusters)
     # None above the size cap: the forwards then run the blocked kernels
-    lift = lift_edges(cfg.omega_kind, structure, model.edge_init, model.node_x, cfg.bilinear)
+    lift = lift_edges(cfg.omega_kind, structure, model.edge_ids, model.node_x, cfg.bilinear)
     layer1, layer2 = model.layers
     params = model.params
     pretext_w, pretext_b = init_layer(k + 1, cfg.hidden_dim, rng, False).weight, np.zeros(k + 1)

@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hyperconv
 import hyperconv.training as training
-from helpers import planted_communities, uniform_hypergraph
+from helpers import planted_communities, planted_knowledge, uniform_hypergraph
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -85,6 +86,23 @@ def test_a_traced_prediction_run_counts_every_pretext_set():
     assert len(scored) == cfg.epochs + 2 + 1
     forwards = trained + scored
     assert all(0 < span.attrs["needed_edges"] <= span.attrs["edges"] for span in forwards)
+
+
+@pytest.mark.parametrize("task", ["completion", "prediction"])
+def test_a_traced_job_records_a_features_span(task):
+    # the bench times features by the builders' names on the training
+    # module; a job that reached none of them would leave features.s missing
+    tracing = load_tracing()
+    cfg = hyperconv.TrainConfig(task=task, clusters=2, hidden_dim=4, epochs=1, patience=1,
+                                batch_size=32, seed=2)
+    probe = tracing.Probe(tracing.Tracer())
+    with tracing.hooked(probe):
+        if task == "completion":
+            hyperconv.train_completion(planted_knowledge(np.random.default_rng(4)), cfg)
+        else:
+            edges, _ = planted_communities(np.random.default_rng(3), 2, 20, 70, 4, 6)
+            hyperconv.train_prediction(hyperconv.build_hypergraph(edges, num_nodes=40), cfg)
+    assert probe.tracer.calls("features") == 1  # node_onehot, once a job
 
 
 BENCH_CALLERS = [BENCH / "workloads.py", BENCH / "generate.py"]

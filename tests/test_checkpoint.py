@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperconv import checkpoint
+from hyperconv import checkpoint, features, training
 from hyperconv.checkpoint import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -31,7 +31,7 @@ from hyperconv.training import (
 )
 
 from helpers import planted_communities, planted_knowledge
-from hyperconv.hypergraph import build_hypergraph
+from hyperconv.hypergraph import KnowledgeHypergraph, build_hypergraph
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,34 @@ def test_every_field_restored_exactly(completion_model, tmp_path):
     assert again.relation_names == completion_model.relation_names
     assert again.entity_names == completion_model.entity_names
     assert again.params.head_weight is None
+
+
+def test_relational_load_hashes_each_vocabulary_once(completion_model, tmp_path, monkeypatch):
+    # the loader checks each vocabulary in _distinct_strings and keeps the
+    # edge features as ids: no KnowledgeHypergraph, whose constructor hashes
+    # the names again, and no dense edge table, at load or at a query
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(completion_model, path)
+    checked, distinct = [], checkpoint._distinct_strings
+
+    def spy(what, names):
+        checked.append(what)
+        distinct(what, names)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the load reached a typed structure or a dense feature")
+
+    monkeypatch.setattr(checkpoint, "_distinct_strings", spy)
+    monkeypatch.setattr(KnowledgeHypergraph, "__init__", refuse)
+    monkeypatch.setattr(features.EdgeIds, "dense", refuse)
+    for module in (features, training):
+        for name in ("knowledge_edge_init", "edge_cluster_onehot"):
+            monkeypatch.setattr(module, name, refuse)
+    again = load_checkpoint(path)
+    answer = predict_relation(again, [0, 1, 2])
+    monkeypatch.undo()
+    assert checked == [f"{path}: field relation_names", f"{path}: field entity_names"]
+    assert answer == predict_relation(completion_model, [0, 1, 2])
 
 
 def test_head_arrays_stored_for_prediction(prediction_model, tmp_path):
@@ -386,6 +414,19 @@ def test_non_finite_array_rejected(prediction_model, tmp_path, name):
     _expect_field_error(_corrupt(prediction_model, tmp_path, _nan_at(name)), f"array {name}")
 
 
+def test_relational_checkpoint_without_relations_names_the_array(completion_model, tmp_path):
+    # with no relation and no edge every size adds up, and W2 has no rows
+    def edit(doc, arrays):
+        hidden, k = doc["config"]["hidden_dim"], doc["config"]["clusters"]
+        doc["relation_names"] = []
+        doc["counts"].update(edges=0, pins=0)
+        arrays.update(edge_ptr=np.zeros(1, "<i8"), pins=np.zeros(0, "<i8"),
+                      edge_type=np.zeros(0, "<i8"), W1=np.zeros((hidden, (2 * k) ** 2)),
+                      W2=np.zeros((0, (hidden + k) ** 2)))
+
+    _expect_field_error(_corrupt(completion_model, tmp_path, edit), "array W2: weight must")
+
+
 def test_array_of_another_task_rejected(completion_model, tmp_path):
     # a prediction head's bytes after a completion model's weights
     def edit(doc, arrays):
@@ -631,11 +672,11 @@ def _moved_row(arr):
 
 @pytest.mark.parametrize("name", ["node_x", "edge_init"])
 def test_save_refuses_features_not_derived(completion_model, tmp_path, name):
-    model = dataclasses.replace(completion_model,
-                                **{name: _moved_row(getattr(completion_model, name))})
+    moved = _moved_row(getattr(completion_model, name))
     path = tmp_path / "model.ckpt"
     with pytest.raises(ValueError, match=name) as info:
-        save_checkpoint(model, path)
+        # a dense edge_init is turned into ids, so the model refuses it first
+        save_checkpoint(dataclasses.replace(completion_model, **{name: moved}), path)
     assert "\n" not in str(info.value) and not path.exists()
 
 

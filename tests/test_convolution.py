@@ -11,6 +11,7 @@ from hyperconv.convolution import (
     OMEGA_KINDS,
     E2ECache,
     LayerParams,
+    _edge_aggregate,
     _edge_summaries,
     _affine_forward,
     _SetBatch,
@@ -21,6 +22,7 @@ from hyperconv.convolution import (
     lift_edges,
     n2e,
 )
+from hyperconv.features import EdgeIds
 from hyperconv.hypergraph import _node_sets, build_hypergraph
 
 from helpers import (
@@ -190,6 +192,67 @@ class TestE2N:
             e2n(h, np.ones((3, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError, match="node tag"):
             e2n(h, np.ones((1, 2)), np.ones((5, 1)))
+
+
+def draw_edge_ids(data, h, form):
+    """Random ``EdgeIds`` over ``h`` in one of three forms: ``relational``
+    (a relation and a cluster id per edge), ``cluster`` (prediction's
+    cluster ids alone) and ``masked`` (relational, some relations hidden);
+    returns them with the one-hot table they stand for, built by hand."""
+    m = h.num_edges
+    k = data.draw(st.integers(1, 4), label="k")
+    cluster = np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m),
+                                   label="cluster"), dtype=np.int64)
+    table = np.zeros((m, k))
+    table[np.arange(m), cluster] = 1.0
+    if form == "cluster":
+        return EdgeIds(cluster, k), table
+    r = data.draw(st.integers(1, 4), label="relations")
+    relation = np.asarray(data.draw(st.lists(st.integers(0, r - 1), min_size=m, max_size=m),
+                                    label="relation"), dtype=np.int64)
+    types = np.zeros((m, r))
+    types[np.arange(m), relation] = 1.0
+    ids = EdgeIds(cluster, k, relation, r)
+    if form == "masked":
+        hidden = np.flatnonzero(np.asarray(data.draw(
+            st.lists(st.booleans(), min_size=m, max_size=m), label="hidden"), dtype=bool))
+        ids = ids.hide(hidden)
+        types[hidden] = 0.0  # what zeroing a target's type slots gave
+    return ids, np.concatenate([types, table], axis=1)
+
+
+class TestEdgeIds:
+    """Layer 1's count over ``EdgeIds`` against the dense one-hot table."""
+
+    @settings(max_examples=300)
+    @given(data=st.data(), form=st.sampled_from(["relational", "cluster", "masked"]))
+    def test_count_equals_the_dense_aggregate(self, data, form):
+        h = draw_hypergraph(data, max_nodes=10, max_edges=12, max_size=5)
+        ids, table = draw_edge_ids(data, h, form)
+        assert ids.shape == table.shape and np.array_equal(ids.dense(), table)
+        nodes = np.flatnonzero(np.asarray(data.draw(
+            st.lists(st.booleans(), min_size=h.num_nodes, max_size=h.num_nodes),
+            label="nodes"), dtype=bool))
+        node_x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")
+                                       ).normal(size=(h.num_nodes, 2))
+        got = _edge_aggregate(h, nodes, ids, node_x)
+        want = _edge_aggregate(h, nodes, table, node_x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_forward_and_lift_read_ids_as_the_table(self):
+        rng = np.random.default_rng(12)
+        h = random_hypergraph(rng, max_nodes=14, max_edges=12)
+        m = h.num_edges
+        ids = EdgeIds(rng.integers(0, 2, m), 2, rng.integers(0, 3, m), 3).hide([0])
+        layers, _, node_x = tiny_model(rng, h, k=2, d_e=5)
+        targets = [[0, 1], [2], list(range(h.num_nodes))]
+        for lift in (None, True):
+            outs = []
+            for edge_init in (ids, ids.dense()):
+                table = lift_edges("mean", h, edge_init, node_x) if lift else None
+                outs.append(e2e_forward(layers, "mean", h, edge_init, node_x, targets,
+                                        lift=table)[0])
+            assert np.array_equal(*outs)
 
 
 class TestN2E:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -506,6 +507,15 @@ class TestCompletion:
         types = model.edge_init[:, : kh.num_relations]
         np.testing.assert_array_equal(types.sum(axis=1), 1.0)
         assert types.argmax(axis=1).tolist() == [kh.edge_type[int(e)] for e in splits.train]
+
+
+    def test_model_refuses_edge_types_of_another_length(self):
+        kh = planted_knowledge(np.random.default_rng(5), nodes_per=10, num_edges=100)
+        model, _ = train_completion(kh, completion_config(epochs=1, patience=1))
+        with pytest.raises(ValueError, match=r"^edge_type has shape \(\d+,\), the structure"):
+            dataclasses.replace(model, edge_type=model.edge_type[:-1])
+        dense = dataclasses.replace(model, edge_type=None, edge_init=model.edge_init)
+        assert np.array_equal(dense.edge_type, model.edge_type)
 
 
 class TestClassification:
