@@ -23,6 +23,7 @@ Validation and test edges enter solely as query sets.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -336,20 +337,25 @@ class NegativeSample:
 
 
 class SamplingError(RuntimeError):
-    """No novel corruption found within the attempt budget."""
+    """No novel corruption of an edge could be drawn."""
 
 
-_member_set_cache: "weakref.WeakKeyDictionary[Hypergraph, frozenset]" = (
-    weakref.WeakKeyDictionary()
-)
+class NoCorruptionError(SamplingError, ValueError):
+    """The edge has no legal corruption: it spans every node, or fewer
+    nodes lie outside it than it needs as fills."""
 
 
-def _member_sets(h: Hypergraph) -> frozenset:
-    sets = _member_set_cache.get(h)
-    if sets is None:
-        sets = frozenset(_edge_sets(h, range(h.num_edges)))
-        _member_set_cache[h] = sets
-    return sets
+# per graph: the set of every edge's sorted member tuple, and the tuples in
+# edge order, so that a draw reads no numpy scalar
+_sampler_cache: "weakref.WeakKeyDictionary[Hypergraph, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _sampler_view(h: Hypergraph) -> tuple[frozenset, list[tuple[int, ...]]]:
+    view = _sampler_cache.get(h)
+    if view is None:
+        edges = _edge_sets(h, range(h.num_edges))
+        view = _sampler_cache[h] = (frozenset(edges), edges)
+    return view
 
 
 def sample_negative(
@@ -357,38 +363,55 @@ def sample_negative(
 ) -> NegativeSample:
     """Corrupt one hyperedge: keep ceil(|e|/2) members, fill from outside.
 
-    The kept members and the outside fills are both drawn uniformly
-    without replacement. A candidate colliding with any real edge's
-    member set is rejected, up to 100 attempts.
+    Each attempt makes one generator call, ``u = rng.random(|e|)``, and
+    maps ``u[i]`` to an integer in [0, n) as ``floor(u[i] * n)``. The
+    first ``keep`` values run a partial Fisher-Yates shuffle of the
+    members (swap position i with ``i + floor(u[i] * (|e| - i))``); the
+    other ``|e| - keep`` run Floyd's algorithm over the ranks of the
+    nodes outside the edge. So the kept members and the fills are both
+    uniform subsets, up to the rounding of ``floor(u * n)``: u is a
+    multiple of 2^-53, so each of the n values has probability within
+    2^-52 of 1/n, a relative bias of at most n * 2^-52. A candidate
+    colliding with any real edge's member set is rejected, up to 100
+    attempts.
 
     Raises:
         ValueError: ``edge`` is not an integer edge id (a bool is not one)
-            in range, or no nodes exist outside the edge.
+            in range.
+        NoCorruptionError: a ValueError and a SamplingError: the edge
+            spans every node, or too few nodes lie outside it.
         SamplingError: 100 attempts produced only collisions.
     """
     if (isinstance(edge, bool) or not isinstance(edge, (int, np.integer))
             or not 0 <= edge < h.num_edges):
         raise ValueError(f"edge id {edge} is not an integer in [0, {h.num_edges})")
-    members = h.pins[h.edge_ptr[edge]:h.edge_ptr[edge + 1]]
+    existing, edges = _sampler_view(h)
+    members = edges[edge]
     size = len(members)
     if h.num_nodes <= size:
-        raise ValueError(f"edge {edge} spans every node; nothing to swap in")
+        raise NoCorruptionError(f"edge {edge} spans every node; nothing to swap in")
     keep = math.ceil(size / 2)
     outside = h.num_nodes - size
     if outside < size - keep:
-        raise ValueError(
+        raise NoCorruptionError(
             f"edge {edge}: only {outside} nodes outside, need {size - keep}"
         )
-    existing = _member_sets(h)
     # the r-th node outside the sorted members is r plus the number of
     # members m_i with m_i - i <= r (m_i - i nodes outside lie below m_i)
-    below = members - np.arange(size)
+    below = [m - i for i, m in enumerate(members)]
+    first = outside - (size - keep)
     for _ in range(100):
-        kept = rng.choice(members, size=keep, replace=False)
-        pick = rng.choice(outside, size=size - keep, replace=False)
-        fill = pick + np.searchsorted(below, pick, side="right")
+        u = rng.random(size).tolist()
+        kept = list(members)
+        for i in range(keep):  # partial Fisher-Yates: kept[:keep] is the kept subset
+            j = i + int(u[i] * (size - i))
+            kept[i], kept[j] = kept[j], kept[i]
+        ranks: set[int] = set()
+        for t, x in enumerate(u[keep:], first):  # Floyd: a uniform subset of range(outside)
+            r = int(x * (t + 1))
+            ranks.add(t if r in ranks else r)
         # kept and fill are disjoint sets, so cand lists distinct ids
-        cand = tuple(sorted(int(v) for v in np.concatenate([kept, fill])))
+        cand = tuple(sorted(kept[:keep] + [r + bisect.bisect_right(below, r) for r in ranks]))
         if cand not in existing:
             return NegativeSample(cand)
     raise SamplingError(f"edge {edge}: no novel corruption in 100 attempts")
@@ -397,7 +420,9 @@ def sample_negative(
 def _sample_negatives(
     h: Hypergraph, edges, rng: np.random.Generator
 ) -> list[NegativeSample]:
-    """One negative per edge; edges that cannot be corrupted are skipped."""
+    """One negative per edge; an edge that cannot be corrupted (a
+    ``SamplingError``, ``NoCorruptionError`` included) is skipped with a
+    warning."""
     out = []
     for e in edges:
         try:
@@ -800,7 +825,11 @@ def evaluate(model: TrainedModel, data, splits: Splits) -> dict[str, float]:
 
     For prediction models the test negatives are regenerated from the
     run seed with the training draw order, so the result matches the
-    original report exactly. The splits are checked against the dataset
+    original report exactly, as long as the sampler draws as it did when
+    the model was trained: a version-5 prediction checkpoint saved before
+    ``sample_negative`` moved to one ``rng.random`` call per attempt is
+    scored against the new negatives, and its AUC can differ from its old
+    report. The splits are checked against the dataset
     as training checks them (``Splits.check``), and for relational models
     the relation and entity names as ``_check_vocabulary`` checks them.
     """

@@ -352,27 +352,34 @@ def gather_e2e_forward(layers, kind, h, edge_init, node_x, targets, bilinear):
 
 
 def naive_sample_negative(h: Hypergraph, edge: int, rng: np.random.Generator):
-    """``sample_negative`` drawing its fills from the explicit complement of
-    the edge: the same draws, so the same sample and the same generator
-    state afterwards."""
-    from hyperconv.training import NegativeSample, SamplingError
+    """``sample_negative`` mapping its fill ranks through the explicit
+    complement of the edge and testing collisions as sets: the same draws,
+    so the same sample and the same generator state afterwards."""
+    from hyperconv.training import NegativeSample, NoCorruptionError, SamplingError
 
-    members = h.edge_members[edge]
+    members = list(h.edge_members[edge])
     size = len(members)
     if h.num_nodes <= size:
-        raise ValueError(f"edge {edge} spans every node; nothing to swap in")
+        raise NoCorruptionError(f"edge {edge} spans every node; nothing to swap in")
     keep = math.ceil(size / 2)
+    need = size - keep
     outside = np.setdiff1d(np.arange(h.num_nodes), members)
-    if outside.size < size - keep:
-        raise ValueError(
-            f"edge {edge}: only {outside.size} nodes outside, need {size - keep}"
+    if outside.size < need:
+        raise NoCorruptionError(
+            f"edge {edge}: only {outside.size} nodes outside, need {need}"
         )
     existing = frozenset(frozenset(m) for m in h.edge_members)
-    members_arr = np.asarray(members)
     for _ in range(100):
-        kept = rng.choice(members_arr, size=keep, replace=False)
-        fill = rng.choice(outside, size=size - keep, replace=False)
-        cand = tuple(sorted(int(v) for v in np.concatenate([kept, fill])))
+        u = rng.random(size)
+        kept = list(members)
+        for i in range(keep):  # partial Fisher-Yates
+            j = i + int(np.floor(u[i] * (size - i)))
+            kept[i], kept[j] = kept[j], kept[i]
+        ranks = []
+        for t in range(outside.size - need, outside.size):  # Floyd
+            r = int(np.floor(u[keep + len(ranks)] * (t + 1)))
+            ranks.append(t if r in ranks else r)
+        cand = tuple(sorted(kept[:keep] + [int(v) for v in outside[ranks]]))
         if frozenset(cand) not in existing:
             return NegativeSample(cand)
     raise SamplingError(f"edge {edge}: no novel corruption in 100 attempts")

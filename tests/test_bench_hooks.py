@@ -88,6 +88,23 @@ def test_a_traced_prediction_run_counts_every_pretext_set():
     assert all(0 < span.attrs["needed_edges"] <= span.attrs["edges"] for span in forwards)
 
 
+def test_a_traced_prediction_run_samples_each_positive_through_the_hooked_name():
+    # the bench counts training.negatives spans by wrapping
+    # training.sample_negative; a sampler that bypassed that name, or drew
+    # several edges' negatives in one call, would leave the count short
+    tracing = load_tracing()
+    edges, _ = planted_communities(np.random.default_rng(3), 2, 20, 70, 4, 6)
+    h = hyperconv.build_hypergraph(edges, num_nodes=40)
+    cfg = hyperconv.TrainConfig(task="prediction", clusters=4, hidden_dim=4, epochs=1,
+                                patience=1, batch_size=32, seed=5)
+    splits = hyperconv.Splits.from_ratios(h.num_edges, cfg.split_ratios, cfg.seed)
+    probe = tracing.Probe(tracing.Tracer())
+    with tracing.hooked(probe):
+        hyperconv.train_prediction(h, cfg, splits=splits)
+    positives = len(splits.train) + len(splits.valid) + len(splits.test)
+    assert probe.tracer.calls("training.negatives") == positives
+
+
 @pytest.mark.parametrize("task", ["completion", "prediction"])
 def test_a_traced_job_records_a_features_span(task):
     # the bench times features by the builders' names on the training

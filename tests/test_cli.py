@@ -141,6 +141,20 @@ class TestTrainCommand:
         doc = json.loads(report.read_text("utf-8"))
         assert set(doc["test_metrics"]) == {"auc"}
 
+    def test_prediction_skips_an_edge_spanning_every_node(self, tmp_path, caplog):
+        # edge 4 holds all six nodes, so no corruption of it exists
+        edges = ["a b c", "b c d", "c d e", "d e f", "a b c d e f", "a e f", "b d f",
+                 "a c e", "a b f", "c e f", "b d e", "a d f"]
+        data = tmp_path / "six.txt"
+        data.write_text("".join(e + "\n" for e in edges), "utf-8")
+        report = tmp_path / "report.json"
+        args = ["train", "--task", "prediction", "--data", str(data), "--k", "2", "--dim", "4",
+                "--epochs", "2", "--patience", "2", "--seed", "1", "-o", str(report)]
+        assert main(args) == 0
+        assert set(json.loads(report.read_text("utf-8"))["test_metrics"]) == {"auc"}
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["skipping negative: edge 4 spans every node; nothing to swap in"]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's notes must stay silent
     def test_diverging_weights_fail_in_one_line(self, edges_file, tmp_path, capsys):
         args = train_args(

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import logging
@@ -329,9 +330,30 @@ class TestNegativeSampling:
             assert len(set(neg.members) & {0, 1}) == 1
 
     def test_edge_spanning_every_node_rejected(self):
+        # a ValueError to a caller, and a SamplingError, so a skip, to a run
         h = build_hypergraph([[0, 1, 2]])
-        with pytest.raises(ValueError, match="every node"):
+        with pytest.raises(ValueError, match="every node") as info:
             sample_negative(h, 0, np.random.default_rng(0))
+        assert isinstance(info.value, SamplingError)
+
+    def test_every_corruption_is_drawn_about_equally_often(self):
+        # {0,1,2,3} among 8 nodes: 6 kept pairs times 6 fill pairs, 36 corruptions
+        h = build_hypergraph([[0, 1, 2, 3]], num_nodes=8)
+        rng = np.random.default_rng(0)
+        draws = [sample_negative(h, 0, rng).members for _ in range(7200)]
+
+        def chi_square(outcomes, cells):
+            counts = collections.Counter(outcomes)
+            assert set(counts) == set(cells)  # every outcome appears, no other
+            expected = len(outcomes) / len(cells)
+            return sum((counts[c] - expected) ** 2 / expected for c in cells)
+
+        kept = list(itertools.combinations(range(4), 2))
+        fills = list(itertools.combinations(range(4, 8), 2))
+        # the bounds are the chi-square 0.999 quantiles for 35 and 5 degrees of freedom
+        assert chi_square(draws, [k + f for k in kept for f in fills]) < 66.6
+        assert chi_square([d[:2] for d in draws], kept) < 20.5
+        assert chi_square([d[2:] for d in draws], fills) < 20.5
 
     def test_too_small_outside_pool_rejected(self):
         # size-4 edge keeps 2 and needs 2 fills, but only node 4 is outside

@@ -42,8 +42,11 @@ reads it. The field line does the same, with mean pooling, on a graph
 with ten edges per node and 48 edge feature columns: layer 1 of its
 batch reads every row of the edge feature table. The order line
 hashes the epoch orders ``_epoch_order`` draws from one seed for a fixed
-count and cluster array, block-ordered and uniform. The whole run takes
-under a minute on one core.
+count and cluster array, block-ordered and uniform. The negatives line
+hashes the member sets ``_draw_run_negatives`` draws from one seed on a
+planted graph of the prediction benchmark's shape, so a change to the
+sampler's draws shows in the diff even where no training line moves. The
+script prints 49 lines; the whole run takes under a minute on one core.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import numpy as np
 
 import hyperconv as hc
 from hyperconv.convolution import lift_edges
-from hyperconv.training import _epoch_order
+from hyperconv.training import _draw_run_negatives, _epoch_order
 
 TASKS = ("completion", "classification", "prediction")
 OMEGAS = ("mean", "var", "minmax")
@@ -78,6 +81,8 @@ KERNEL = (1600, 2000, 3, 10, 64, 16, 128)
 FIELD = (600, 6000, 2, 4, 48, 16, 16, 128)
 # (items, clusters, epochs)
 ORDER = (1000, 16, 3)
+# (nodes, edges, smallest and largest arity, seed)
+NEGATIVES = (1600, 2400, 3, 10, 9)
 
 
 def planted(rng, communities, nodes_per, num_edges, size_lo, size_hi):
@@ -205,6 +210,16 @@ def order_hash() -> str:
     return digest.hexdigest()[:16]
 
 
+def negatives_hash() -> str:
+    n, num_edges, lo, hi, seed = NEGATIVES
+    edges, _ = planted(np.random.default_rng(8), 16, n // 16, num_edges, lo, hi)
+    h = hc.build_hypergraph(edges, num_nodes=n)
+    splits = hc.Splits.from_ratios(num_edges, (0.7, 0.1, 0.2), seed)
+    drawn = _draw_run_negatives(h, splits, np.random.default_rng(seed))
+    doc = {part: [s.members for s in samples] for part, samples in drawn.items()}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def coarsen_hash() -> str:
     digest = hashlib.sha256()
     module = sys.modules["hyperconv.partition"]
@@ -258,6 +273,9 @@ def main() -> None:
           f"batch={batch} agg=mean {field_hash()}", flush=True)
     count, k, epochs = ORDER
     print(f"order count={count} k={k} epochs={epochs} {order_hash()}", flush=True)
+    n, num_edges, lo, hi, seed = NEGATIVES
+    print(f"negatives n={n} m={num_edges} arity={lo}-{hi} seed={seed} {negatives_hash()}",
+          flush=True)
 
 
 if __name__ == "__main__":
