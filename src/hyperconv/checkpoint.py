@@ -92,9 +92,9 @@ def _ids(path, arrays: dict, name: str, bound: int) -> np.ndarray:
     """The int64 array ``name``, each entry in [0, bound). Fails naming the
     array and the first bad id."""
     ids = arrays[name]
-    bad = np.flatnonzero((ids < 0) | (ids >= bound))
-    if bad.size:
-        raise ValueError(f"{path}: array {name} holds id {ids[bad[0]]} at entry {bad[0]}, "
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):  # the mask only to name one
+        bad = int(((ids < 0) | (ids >= bound)).argmax())
+        raise ValueError(f"{path}: array {name} holds id {ids[bad]} at entry {bad}, "
                          f"expected an integer in [0, {bound})")
     return ids
 
@@ -231,14 +231,17 @@ def load_checkpoint(path) -> TrainedModel:
         where = f"edge {empty[0]} is empty; " if empty.size else ""
         raise ValueError(f"{path}: array edge_ptr: {where}expected offsets rising strictly "
                          f"from 0 to {pins.size}, the pin count")
-    structure = Hypergraph(edge_ptr, pins, n)
     # each edge lists distinct ids in ascending order, as ``build_hypergraph``
-    # stores them, so the pins' (edge, node) codes rise strictly
-    wrong = structure.pin_edge[1:][np.diff(structure.pin_edge * n + pins) <= 0]
-    if wrong.size:
-        members = pins[edge_ptr[wrong[0]]:edge_ptr[wrong[0] + 1]].tolist()
-        raise ValueError(f"{path}: array pins holds edge {wrong[0]} as "
+    # stores them, so the pins rise strictly but where an edge starts
+    wrong = pins[1:] <= pins[:-1]
+    wrong[edge_ptr[1:-1] - 1] = False
+    if wrong.any():
+        edge = int(np.searchsorted(edge_ptr, wrong.argmax(), side="right")) - 1
+        members = pins[edge_ptr[edge]:edge_ptr[edge + 1]].tolist()
+        raise ValueError(f"{path}: array pins holds edge {edge} as "
                          f"{reprlib.repr(members)}, expected ascending and distinct node ids")
+    del wrong  # before the structure's arrays are allocated
+    structure = Hypergraph(edge_ptr, pins, n)
     edge_type = _ids(path, arrays, "edge_type", len(relation_names)) if relational else None
     layers = []
     for name, activation in zip(("W1", "W2"), activations):

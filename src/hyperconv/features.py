@@ -17,6 +17,9 @@ import numpy as np
 from .hypergraph import Hypergraph, KnowledgeHypergraph
 from .partition import ClusterAssignment, pin_counts
 
+# edges whose cluster counts pooling holds at once: a 512 KiB table at k = 16
+_POOL_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class EdgeIds:
@@ -69,12 +72,20 @@ def edge_cluster_pool(h: Hypergraph, c: ClusterAssignment) -> np.ndarray:
     """Pool each hyperedge's member clusters down to a single cluster id.
 
     Majority vote over the member nodes; ties go to the lowest cluster id.
-    Invariant to member order by construction.
+    Invariant to member order by construction. The members are counted
+    ``_POOL_BLOCK`` edges at a time, so no (edges, k) table is built.
     """
     if c.num_nodes != h.num_nodes:
         raise ValueError("assignment does not match hypergraph")
-    # argmax takes the lowest id on ties
-    return pin_counts(h, c.cluster_of, c.k).argmax(axis=1)
+    m = h.num_edges
+    # argmax takes the lowest id on ties; a graph of one block needs no output buffer
+    if m <= _POOL_BLOCK:
+        return pin_counts(h, c.cluster_of, c.k, 0, m).argmax(axis=1)
+    out = np.empty(m, dtype=np.intp)
+    for start in range(0, m, _POOL_BLOCK):
+        stop = min(start + _POOL_BLOCK, m)
+        pin_counts(h, c.cluster_of, c.k, start, stop).argmax(axis=1, out=out[start:stop])
+    return out
 
 
 def edge_cluster_onehot(h: Hypergraph, c: ClusterAssignment) -> np.ndarray:

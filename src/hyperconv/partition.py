@@ -81,14 +81,20 @@ def _balance_cap(n: int, k: int, eps: float) -> int:
     return int(math.ceil(bound - 1e-9))
 
 
-def pin_counts(h: Hypergraph, labels: np.ndarray, k: int) -> np.ndarray:
-    """(edges, k) table: how many members of each edge sit in each cluster.
+def pin_counts(h: Hypergraph, labels: np.ndarray, k: int, start: int = 0,
+               stop: int | None = None) -> np.ndarray:
+    """(edges, k) table: how many members of each edge sit in each cluster;
+    with ``start`` and ``stop``, the rows of edges ``start:stop`` only.
 
     The one source of per-edge cluster counts: connectivity, the cut, the
     refinement gains and majority-vote pooling all read it.
     """
-    flat = np.bincount(h.pin_edge * k + labels[h.pins], minlength=h.num_edges * k)
-    return flat.reshape(h.num_edges, k)
+    stop = h.num_edges if stop is None else stop
+    lo, hi = h.edge_ptr[start], h.edge_ptr[stop]
+    codes = h.pin_edge[lo:hi] * k + labels[h.pins[lo:hi]]
+    if start:
+        codes -= start * k
+    return np.bincount(codes, minlength=(stop - start) * k).reshape(stop - start, k)
 
 
 def _cut_of(counts: np.ndarray) -> int:

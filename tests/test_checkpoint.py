@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import json
 import math
+import reprlib
 import tempfile
 from pathlib import Path
 
@@ -764,12 +765,19 @@ def test_any_single_bad_pin_is_named(completion_model, data):
             inner = np.setdiff1d(np.arange(pins.size - 1), ptr[1:] - 1)
             i = int(inner[data.draw(st.integers(0, inner.size - 1), label="pair")])
             pins[[i, i + 1]] = pins[[i + 1, i]]
+            edge = int((ptr <= i).sum()) - 1  # the edge whose span holds i and i + 1
+            members = reprlib.repr(pins[ptr[edge]:ptr[edge + 1]].tolist())
+            named = f"array pins holds edge {edge} as {members}, expected ascending"
         else:
+            # one or two bad ids; the message names the first
             i = data.draw(st.integers(0, pins.size - 1), label="pin")
-            pins[i] = data.draw(st.integers(-2**63, -1) | st.integers(n, 2**63 - 1),
-                                label="id")
+            later = data.draw(st.integers(i, pins.size - 1), label="later pin")
+            for at in (later, i):
+                pins[at] = data.draw(st.integers(-2**63, -1) | st.integers(n, 2**63 - 1),
+                                     label="id")
+            named = f"array pins holds id {pins[i]} at entry {i}, expected an integer in [0, {n})"
         _write(path, doc, arrays)
-        _expect_field_error(path, "array pins")
+        _expect_field_error(path, named)
 
 
 def test_non_json_file_is_named(tmp_path):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperconv import features
 from hyperconv.features import (
     edge_cluster_onehot,
     edge_cluster_pool,
@@ -10,9 +13,9 @@ from hyperconv.features import (
     node_onehot,
 )
 from hyperconv.hypergraph import KnowledgeHypergraph, build_hypergraph
-from hyperconv.partition import ClusterAssignment
+from hyperconv.partition import ClusterAssignment, pin_counts
 
-from helpers import draw_hypergraph, naive_pool
+from helpers import draw_hypergraph, naive_pool, uniform_hypergraph
 
 
 def assignment(labels, k):
@@ -74,7 +77,28 @@ class TestEdgeClusterPool:
         n = h.num_nodes
         labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
                            label="labels")
-        assert edge_cluster_pool(h, assignment(labels, k)).tolist() == naive_pool(h, labels)
+        # blocks of 1 to every edge plus one, so the counts cross block boundaries
+        block = data.draw(st.integers(1, h.num_edges + 1), label="block")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "_POOL_BLOCK", block)
+            got = edge_cluster_pool(h, assignment(labels, k))
+        assert got.tolist() == naive_pool(h, labels)
+
+    def test_holds_no_edges_by_clusters_table(self):
+        # 60,000 edges at k = 16 make a 7.7 MB (edges, k) count table; pooled a
+        # block of edges at a time, the call peaks far below it
+        h = uniform_hypergraph(3, 60_000, 4)
+        labels = np.random.default_rng(4).integers(0, 16, size=h.num_nodes)
+        c = assignment(labels, 16)
+        table = h.num_edges * c.k * np.dtype(np.int64).itemsize
+        tracemalloc.start()
+        try:
+            got = edge_cluster_pool(h, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table / 4
+        assert np.array_equal(got, pin_counts(h, labels, c.k).argmax(axis=1))
 
 
 def test_edge_onehot_takes_majority_cluster():

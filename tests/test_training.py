@@ -1,11 +1,16 @@
 import collections
 import dataclasses
 import itertools
+import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -695,6 +700,66 @@ class TestPrediction:
         other = build_hypergraph([[0, 1]], num_nodes=5)
         with pytest.raises(ValueError, match="nodes"):
             evaluate(model, other, Splits(np.array([0]), np.array([0]), np.array([0])))
+
+
+# trains the seed-1 prediction-dense job of the benchmark and prints its
+# report minus wall_seconds as JSON
+_BENCH_PREDICTION_JOB = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from generate import write_planted_graph
+from workloads import WORKLOADS
+import hyperconv as hc
+scale = WORKLOADS["prediction-dense"].scales["full"]
+cfg = hc.TrainConfig(task="prediction", clusters=scale.clusters, hidden_dim=scale.hidden,
+                     epochs=scale.epochs, patience=scale.epochs, seed=1,
+                     learning_rate=scale.learning_rate)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "edges.txt"
+    write_planted_graph(scale.size, 1, path)
+    data, splits, _ = hc.load_simple(path, cfg.split_ratios, cfg.seed)
+    _, report = hc.train_prediction(data, cfg, splits)
+doc = report.to_dict()
+doc.pop("wall_seconds")
+print(json.dumps(doc))
+"""
+
+
+def _leaves(doc, path=""):
+    """Each scalar in a JSON document, keyed by its path."""
+    if isinstance(doc, dict):
+        parts = [_leaves(value, f"{path}.{key}") for key, value in doc.items()]
+    elif isinstance(doc, list):
+        parts = [_leaves(value, f"{path}[{i}]") for i, value in enumerate(doc)]
+    else:
+        return {path: doc}
+    return {k: v for part in parts for k, v in part.items()}
+
+
+def test_prediction_metric_holds_across_blas_thread_counts():
+    # a seeded report is bit-reproducible at a fixed BLAS thread count; at
+    # another count a threaded product may round differently, so the losses
+    # may move in their last digits, but the test metric must not
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    runs = {threads: subprocess.Popen(
+        [sys.executable, "-B", "-c", _BENCH_PREDICTION_JOB, str(root / "bench")],
+        env={**env, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+             "MKL_NUM_THREADS": str(threads)},
+        stdout=subprocess.PIPE, text=True) for threads in (1, 2)}
+    reports = {}
+    for threads, run in runs.items():
+        out, _ = run.communicate(timeout=300)
+        assert run.returncode == 0
+        reports[threads] = json.loads(out)
+    one, two = (_leaves(reports[threads]) for threads in (1, 2))
+    assert one.keys() == two.keys()
+    for key in sorted(k for k in one if one[k] != two[k]):
+        print(f"{key}: {one[key]!r} at one thread, {two[key]!r} at two")
+    assert math.isclose(reports[1]["test_metrics"]["auc"], reports[2]["test_metrics"]["auc"],
+                        rel_tol=0, abs_tol=1e-9)
 
 
 @pytest.mark.parametrize("task, stages", [
