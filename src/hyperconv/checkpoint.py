@@ -1,6 +1,6 @@
 """Versioned checkpoint container for trained models.
 
-Version 5 is one header line, a JSON document, followed by the arrays' raw
+Version 6 is one header line, a JSON document, followed by the arrays' raw
 little-endian bytes: float64 weights and int64 ids, so a reloaded model
 reproduces every prediction bit-exactly. The header holds the config, the
 relation and entity vocabularies and three counts: nodes, edges and pins.
@@ -29,11 +29,11 @@ import numpy as np
 from .convolution import LayerParams
 from .features import node_onehot
 from .hypergraph import Hypergraph
-from .partition import ClusterAssignment
+from .partition import BALANCE_EPSILON, ClusterAssignment
 from .training import ModelParams, TrainConfig, TrainedModel, _check_type, _layer_shapes
 
 FORMAT_NAME = "hyperconv-checkpoint"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 # every packed array with its dtype, in the order their bytes follow the header
 _PACKED = {"edge_ptr": "<i8", "pins": "<i8", "edge_type": "<i8", "cluster_of": "<i8",
@@ -135,7 +135,7 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     edge_type = None if model.edge_type is None else np.asarray(model.edge_type)
     same = {"task": model.task == model.config.task,
             "clusters": (model.clusters.k, model.clusters.balance_epsilon)
-            == (model.config.clusters, model.config.balance_epsilon),
+            == (model.config.clusters, BALANCE_EPSILON),
             # a relation id per edge, or none for prediction
             "edge_type": edge_type is None if model.task == "prediction" else (
                 edge_type is not None and edge_type.dtype.kind in "iu"
@@ -253,7 +253,7 @@ def load_checkpoint(path) -> TrainedModel:
     for name in ("Wh", "bh"):
         if name in arrays:
             _finite(path, arrays, name)
-    clusters = ClusterAssignment(cluster_of, config.clusters, config.balance_epsilon)
+    clusters = ClusterAssignment(cluster_of, config.clusters)
     return TrainedModel(config.task, config, structure, clusters,
                         ModelParams(*layers, arrays.get("Wh"), arrays.get("bh")),
                         node_x=node_onehot(clusters), edge_type=edge_type,

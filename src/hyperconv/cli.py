@@ -14,10 +14,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .convolution import OMEGA_KINDS
 from .data import _read_edge_file, load_knowledge, load_simple
-from .partition import cut, partition
+from .partition import BALANCE_EPSILON, cut, partition
 from .training import (
     TASKS,
     TrainConfig,
@@ -89,6 +91,9 @@ _FIELD_OF = {"k": "clusters", "omega": "omega", "bilinear": "bilinear", "dim": "
 
 
 def _config_from_args(args) -> TrainConfig:
+    if args.ratios is not None and args.task != "prediction":
+        raise ValueError(f"--ratios applies to --task prediction only; {args.task} data "
+                         "is split by its train, valid and test files")
     given = {field: getattr(args, flag) for flag, field in _FIELD_OF.items()}
     return TrainConfig(task=args.task, **{f: v for f, v in given.items() if v is not None})
 
@@ -96,7 +101,10 @@ def _config_from_args(args) -> TrainConfig:
 def _run_training(cfg: TrainConfig, data_path: Path):
     """Load data for the task, train, and return (model, report)."""
     data, splits, names = _load_task_data(cfg, data_path)
-    model, report = _TRAIN[cfg.task](data, cfg, splits)
+    try:
+        model, report = _TRAIN[cfg.task](data, cfg, splits)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} (diverged at --lr {cfg.learning_rate})") from None
     model.entity_names = names
     return model, report
 
@@ -222,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="cluster nodes, write `name cluster` lines")
     p.add_argument("data", type=Path, help="knowledge dir or hyperedge file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=float, default=BALANCE_EPSILON)
     p.add_argument("-o", "--output", type=Path)
     p.set_defaults(func=_cmd_partition)
 
@@ -260,7 +268,9 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        return args.func(args)
+        # an overflow fails the command in one line, not in a numpy warning
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (OSError, ValueError, KeyError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

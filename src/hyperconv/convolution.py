@@ -32,7 +32,6 @@ from .hypergraph import Hypergraph, _node_sets, _segments
 logger = logging.getLogger(__name__)
 
 OMEGA_KINDS = ("mean", "var", "minmax")
-AGG_KINDS = ("mean",)
 ACTIVATIONS = ("relu", "identity")
 
 
@@ -541,14 +540,14 @@ def e2e_forward(
     kind and bilinear flag, spares layer 1 its aggregation and reduction.
     Without ``bilinear`` the outputs are bit-identical; with it, layer 1 is
     one product of the table and the packed weight, which matches the
-    blocked kernel to rounding. ``agg`` takes the one aggregation, mean, so
-    that a caller may pass a ``TrainConfig``'s ``agg`` through.
+    blocked kernel to rounding. ``agg`` takes only the one aggregation,
+    ``"mean"``, which is ``TrainConfig.agg``.
     """
     if len(layers) != 2:
         raise ValueError("the stack is two layers")
     if kind not in OMEGA_KINDS:
         raise ValueError(f"unknown omega kind {kind!r}")
-    if agg not in AGG_KINDS:
+    if agg != "mean":
         raise ValueError(f"unknown aggregation {agg!r}")
     edge_init = _edge_input(edge_init)
     node_x = np.asarray(node_x, dtype=np.float64)

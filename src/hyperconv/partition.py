@@ -26,6 +26,8 @@ import scipy.sparse as sp
 
 from .hypergraph import Hypergraph, _first_non_integer, _segments
 
+# the balance bound's slack: no cluster holds more than (1 + eps) * n / k nodes
+BALANCE_EPSILON = 0.05
 MERGE_GROUP_CAP = 4
 # refinement passes per level; a pass that moves nothing ends them early
 MAX_PASSES = 8
@@ -43,7 +45,7 @@ class ClusterAssignment:
 
     cluster_of: np.ndarray
     k: int
-    balance_epsilon: float = 0.05
+    balance_epsilon: float = BALANCE_EPSILON
 
     def __post_init__(self):
         if np.ndim(self.cluster_of) != 1:
@@ -558,7 +560,7 @@ def _exact_bipartition(
 def partition(
     h: Hypergraph,
     k: int,
-    balance_epsilon: float = 0.05,
+    balance_epsilon: float = BALANCE_EPSILON,
 ) -> ClusterAssignment:
     """Full multilevel flow: coarsen, seed, uncoarsen with refinement.
 

@@ -20,7 +20,7 @@ from hyperconv.checkpoint import (
     save_checkpoint,
 )
 from hyperconv.convolution import OMEGA_KINDS
-from hyperconv.partition import ClusterAssignment
+from hyperconv.partition import BALANCE_EPSILON, ClusterAssignment
 from hyperconv.training import (
     TASKS,
     TrainConfig,
@@ -351,17 +351,22 @@ def test_head_bias_shape_checked(prediction_model, tmp_path):
     (_array(_as_float_bytes, "pins"), "array pins"),
     (_array(_as_float_bytes, "cluster_of"), "array cluster_of"),
     (_set("4", "config", "clusters"), "config"),
-    (_set("0.05", "config", "balance_epsilon"), "config"),
+    # a key version 5 held, of any value, is no field now
+    (_set("0.05", "config", "balance_epsilon"), "field config: balance_epsilon is not a field"),
     (_drop("config", "patience"), "config: patience"),
     (_set(True, "config", "clusters"), "config: clusters"),
     (_set(1, "config", "bilinear"), "config: bilinear"),
     (_set(0, "config", "omega"), "config: omega"),
-    (_set("harmonic", "config", "agg"), "field config: unknown aggregation 'harmonic'"),
+    (_set("harmonic", "config", "agg"), "field config: agg is not a field"),
     (_set([0.7, 0.3], "config", "split_ratios"), "config: split_ratios"),
     (_set([], "config"), "config"),
-    (_set(-1, "config", "balance_epsilon"), "config"),
-    (_set(float("nan"), "config", "balance_epsilon"), "config"),
-    (_set(float("inf"), "config", "balance_epsilon"), "config: balance_epsilon"),
+    (_set(-1, "config", "balance_epsilon"), "field config: balance_epsilon is not a field"),
+    (_set(float("nan"), "config", "balance_epsilon"),
+     "field config: balance_epsilon is not a field"),
+    (_set(float("inf"), "config", "balance_epsilon"),
+     "field config: balance_epsilon is not a field"),
+    (_set(float("nan"), "config", "learning_rate"),
+     "field config: learning_rate must be finite and positive, got nan"),
     (_set(5, "relation_names"), "relation_names"),
     (_put(1, 0, "edge_ptr"), "array edge_ptr"),
     (_array(_reverse_edge, "pins"), "array pins"),
@@ -391,8 +396,8 @@ def test_head_bias_shape_checked(prediction_model, tmp_path):
         "string-balance-epsilon", "missing-patience", "boolean-k", "integer-bilinear",
         "integer-omega", "harmonic-agg", "two-split-ratios", "list-config",
         "negative-balance-epsilon", "nan-balance-epsilon", "infinite-balance-epsilon",
-        "integer-relation-names", "empty-edge", "descending-edge", "repeated-member",
-        "edge-ptr-bad-base64", "pins-bad-base64", "edge-type-bad-base64",
+        "nan-learning-rate", "integer-relation-names", "empty-edge", "descending-edge",
+        "repeated-member", "edge-ptr-bad-base64", "pins-bad-base64", "edge-type-bad-base64",
         "cluster-of-bad-base64", "edge-ptr-out-of-range", "negative-node-id",
         "edge-type-out-of-range", "edge-ptr-not-from-zero", "null-entity-names",
         "short-entity-names", "repeated-relation-name", "missing-shape",
@@ -484,7 +489,8 @@ def _old_file(path, version: int) -> None:
 def _expect_version_error(path, version):
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
-    assert str(info.value) == f"{path}: checkpoint version {version} unsupported (expected 5)"
+    assert str(info.value) == (f"{path}: checkpoint version {version} unsupported "
+                               f"(expected {FORMAT_VERSION})")
 
 
 def test_version_1_document_rejected(completion_model, tmp_path):
@@ -511,6 +517,17 @@ def test_version_4_file_rejected(completion_model, prediction_model, tmp_path, t
     save_checkpoint(prediction_model if task == "prediction" else completion_model, path)
     _old_file(path, 4)
     _expect_version_error(path, 4)
+
+
+@pytest.mark.parametrize("task", ["completion", "prediction"])
+def test_version_5_file_rejected(completion_model, prediction_model, tmp_path, task):
+    # version 5 had today's layout, with agg and balance_epsilon in the config
+    def edit(doc, arrays):
+        doc["version"] = 5
+        doc["config"].update(agg="mean", balance_epsilon=0.05)
+
+    model = prediction_model if task == "prediction" else completion_model
+    _expect_version_error(_corrupt(model, tmp_path, edit), 5)
 
 
 def _no_array_read(monkeypatch):
@@ -682,10 +699,12 @@ def test_save_refuses_features_not_derived(completion_model, tmp_path, name):
 
 
 def test_save_refuses_clusters_disagreeing_with_config(completion_model, tmp_path):
-    clusters = ClusterAssignment(completion_model.clusters.cluster_of, 8)
-    model = dataclasses.replace(completion_model, clusters=clusters)
-    with pytest.raises(ValueError, match="clusters"):
-        save_checkpoint(model, tmp_path / "model.ckpt")
+    # the file stores neither: the config's k and BALANCE_EPSILON rebuild them
+    for k, epsilon in ((8, BALANCE_EPSILON), (4, 0.5)):
+        clusters = ClusterAssignment(completion_model.clusters.cluster_of, k, epsilon)
+        model = dataclasses.replace(completion_model, clusters=clusters)
+        with pytest.raises(ValueError, match="clusters"):
+            save_checkpoint(model, tmp_path / "model.ckpt")
 
 
 @pytest.mark.parametrize("task", ["completion", "prediction"])

@@ -167,6 +167,27 @@ class TestTrainCommand:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_after_the_finite_check_fails_in_one_line(self, edges_file, tmp_path,
+                                                                capsys):
+        # one step a stage at this rate leaves finite weights whose products overflow
+        args = train_args(edges_file, tmp_path / "r.json", tmp_path / "m.json",
+                          task="prediction", extra=("--lr", "1e308", "--batch-size", "1024"))
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow encountered in ")
+        assert err.endswith(" (diverged at --lr 1e+308)\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_fails_before_loading(self, tmp_path, monkeypatch, capsys,
+                                                           rate):
+        monkeypatch.setattr(cli, "_run_training", lambda *args: pytest.fail("it trained"))
+        args = ["train", "--task", "prediction", "--data", str(tmp_path / "absent.txt"),
+                "--lr", rate]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: learning_rate must be finite and positive, got {rate}\n")
+
     def test_unwritable_checkpoint_named_in_one_line(self, knowledge_dir, tmp_path, capsys):
         ckpt = tmp_path / "nodir" / "model.ckpt"
         assert main(train_args(knowledge_dir, tmp_path / "r.json", ckpt)) == 1
@@ -326,6 +347,20 @@ class TestSweepCommand:
         assert main(args) == 1
         assert trained == []
         assert capsys.readouterr().err == "error: clusters must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("task", ["completion", "classification"])
+def test_ratios_fail_for_knowledge_data(knowledge_dir, monkeypatch, capsys, command, task):
+    # the three split files fix a knowledge dataset's splits
+    monkeypatch.setattr(cli, "_run_training", lambda *args: pytest.fail("it trained"))
+    args = [command, "--task", task, "--data", str(knowledge_dir), "--ratios", "0.2,0.4,0.4"]
+    if command == "sweep":
+        args += ["--param", "k", "--values", "2"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: --ratios applies to --task prediction only; {task} data is split by its "
+        "train, valid and test files\n")
 
 
 @pytest.mark.parametrize("task", TASKS)

@@ -22,7 +22,7 @@ the activations, the vocabularies and ``config.to_dict()``) and the same
 ``evaluate()`` and call again. The file's bytes are not hashed, so two
 checkpoint formats that restore the same model print the same line. The
 grid is task x omega x bilinear x two sizes, 36 lines; ``small completion
-omega=var agg=mean bilinear=on`` and its classification twin pin set-up
+omega=var bilinear=on`` and its classification twin pin set-up
 and scoring only, as their weights move less than 1e-9 in training. A
 partition line hashes ``cluster_of`` of ``partition``: five on random
 4-uniform graphs, where the 20k-edge line is the one the partition tests
@@ -253,7 +253,7 @@ def uniform_edges(num_edges):
 
 def main() -> None:
     for size, task, omega, bilinear in itertools.product(SIZES, TASKS, OMEGAS, (True, False)):
-        name = f"{task} omega={omega} agg=mean bilinear={'on' if bilinear else 'off'}"
+        name = f"{task} omega={omega} bilinear={'on' if bilinear else 'off'}"
         print(f"{size[0]} {name} {training_hash(task, omega, bilinear, size)}", flush=True)
     for num_edges, k in PARTITIONS:
         digest = partition_hash(uniform_edges(num_edges), num_edges // 2, k)
